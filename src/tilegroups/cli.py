@@ -514,9 +514,8 @@ def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
         ps = case_pointset(cases[name], 14)
         table = maxset_table(ps, bound)
         table_inv = abelian_invariants(maxset_presentation(table))
-        hw = half_width if name != "splice-rational-3-2" else half_width
         harvest2 = harvest_equal_length_relations(
-            two_sided_window(cases[name].spec, hw), cases[name].lengths, max_len)
+            two_sided_window(cases[name].spec, half_width), cases[name].lengths, max_len)
         harvest_inv = abelian_invariants(harvest2.presentation)
         checks.append(Check(
             f"case {name}: diff-table and harvest abelianizations agree",

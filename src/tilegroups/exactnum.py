@@ -34,6 +34,11 @@ def is_square_free(d: int) -> bool:
     return True
 
 
+# Discriminants that already passed is_square_free: each field is validated
+# once per process, not on every construction.
+_VALIDATED_DISCS: set[int] = set()
+
+
 @total_ordering
 class QuadraticRational:
     """p + q*sqrt(d) with p, q in Q and d square-free, d >= 0.
@@ -50,8 +55,10 @@ class QuadraticRational:
         rat = Fraction(rat)
         surd = Fraction(surd)
         disc = int(disc)
-        if not is_square_free(disc):
-            raise ValueError(f"discriminant {disc} is not a square-free non-negative integer")
+        if disc not in _VALIDATED_DISCS:
+            if not is_square_free(disc):
+                raise ValueError(f"discriminant {disc} is not a square-free non-negative integer")
+            _VALIDATED_DISCS.add(disc)
         if disc == 1:  # sqrt(1) = 1, fold exactly
             rat += surd
             surd = Fraction(0)
@@ -201,13 +208,28 @@ class QuadraticRational:
         return float(self.rat) + float(self.surd) * math.sqrt(self.disc)
 
     def floor(self) -> int:
-        """Exact integer floor."""
-        n = math.floor(self.to_float())
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Exact integer floor, computed on integers only.
+
+        Over a common denominator c > 0 the value is (a + b*sqrt(d))/c.
+        With s = isqrt(b^2*d), b*sqrt(d) lies strictly between two
+        consecutive integers (d is square-free, so it is never an integer):
+        (s, s+1) when b > 0 and (-s-1, -s) when b < 0.
+        """
+        if self.surd == 0:
+            return math.floor(self.rat)
+        rat, surd = self.rat, self.surd
+        c = math.lcm(rat.denominator, surd.denominator)
+        a = rat.numerator * (c // rat.denominator)
+        b = surd.numerator * (c // surd.denominator)
+        s = math.isqrt(b * b * self.disc)
+        return (a + s) // c if b > 0 else (a - s - 1) // c
+
+    def ceil(self) -> int:
+        """Exact integer ceiling; an irrational value is never an integer,
+        so its ceiling is its floor plus one."""
+        if self.surd == 0:
+            return math.ceil(self.rat)
+        return self.floor() + 1
 
     def nearest_int(self) -> int:
         """Nearest integer; raises ValueError on an exact half-integer tie."""

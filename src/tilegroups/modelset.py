@@ -12,6 +12,7 @@ a partial group action, and the nearest-integer obstruction example.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -231,25 +232,37 @@ def fibonacci_scheme() -> CutProjectScheme:
 
 def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     """All physical values y with |y| <= radius and star(y) in the window,
-    sorted.  Enumerates the integer box obtained by mapping the physical
-    range times the window hull through the inverse embedding matrix."""
+    sorted.
+
+    The n range comes from the corners of the physical range times the
+    window hull under the inverse embedding matrix.  For each n the m that
+    can qualify form one strip: the m with i1*n + i2*m in the window hull,
+    intersected with the m with |p1*n + p2*m| <= radius.  Its ends are
+    exact floors and ceilings, so only the strip is visited and the cost is
+    O(radius) rather than the area of the bounding box.  Every candidate
+    still passes the exact radius and window tests.
+    """
     if radius.sign() <= 0:
         raise ValueError("radius must be positive")
     p1, p2 = scheme.v1.phys, scheme.v2.phys
     i1, i2 = scheme.v1.internal, scheme.v2.internal
     det = p1 * i2 - p2 * i1
     klo, khi = scheme.window.hull()
-    corners_n, corners_m = [], []
-    for x in (radius, -radius):
-        for y in (klo, khi):
-            corners_n.append((i2 * x - p2 * y) / det)
-            corners_m.append((p1 * y - i1 * x) / det)
+    corners_n = [(i2 * x - p2 * y) / det for x in (radius, -radius) for y in (klo, khi)]
     n_lo = min(c.floor() for c in corners_n)
     n_hi = max(c.floor() + 1 for c in corners_n)
-    m_lo = min(c.floor() for c in corners_m)
-    m_hi = max(c.floor() + 1 for c in corners_m)
+    # lo <= c1*n + c2*m <= hi  iff  m in sorted(lo/c2, hi/c2) - n*c1/c2;
+    # CutProjectScheme guarantees c2 != 0 for both p2 and i2
+    strips = []
+    for lo, hi, c1, c2 in ((klo, khi, i1, i2), (-radius, radius, p1, p2)):
+        inv = 1 / c2
+        strips.append((*sorted((lo * inv, hi * inv)), c1 * inv))
     out = []
     for n in range(n_lo, n_hi + 1):
+        m_lo = max((lo - step * n).ceil() for lo, _, step in strips)
+        m_hi = min((hi - step * n).floor() for _, hi, step in strips)
+        if m_lo > m_hi:
+            continue
         base_phys = p1 * n
         base_star = i1 * n
         for m in range(m_lo, m_hi + 1):
@@ -358,10 +371,7 @@ def empire_brute(
         if hi.disc:
             d = hi.disc
 
-    denom = 1
-    for v in values:
-        for f in (v.rat, v.surd):
-            denom = denom * f.denominator // _igcd(denom, f.denominator)
+    denom = math.lcm(*(f.denominator for v in values for f in (v.rat, v.surd)))
 
     def pair(v: QR) -> tuple[int, int]:
         return int(v.rat * denom), int(v.surd * denom)
@@ -400,12 +410,6 @@ def empire_brute(
                 g_phys = scheme.v1.phys * n + scheme.v2.phys * m
                 return EmpireBruteResult(False, (n, m), g_phys)
     return EmpireBruteResult(True)
-
-
-def _igcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _int_sign(p: int, q: int, d: int) -> int:

@@ -77,6 +77,18 @@ class TestConversions:
         assert (-tau()).floor() == -2
         assert QR(3).floor() == 3
 
+    def test_floor_beyond_float_range(self):
+        # sqrt(5) = 2.236...; the value overflows a double
+        assert QR(10**400, 1, 5).floor() == 10**400 + 2
+        assert QR(10**400, -1, 5).floor() == 10**400 - 3
+        assert QR(Fraction(1, 3), 10**400, 2).ceil() == QR(Fraction(1, 3), 10**400, 2).floor() + 1
+
+    def test_ceil(self):
+        assert tau().ceil() == 2
+        assert (-tau()).ceil() == -1
+        assert QR(3).ceil() == 3
+        assert QR(Fraction(-7, 2)).ceil() == -3
+
     def test_nearest_int_tie_raises(self):
         with pytest.raises(ValueError):
             QR(Fraction(5, 2)).nearest_int()
@@ -138,3 +150,17 @@ def test_division_inverts_multiplication(a, b, c, d):
     x, y = qr5(a, b), qr5(c, d)
     if y.sign() != 0:
         assert (x * y) / y == x
+
+
+big_ints = st.integers(min_value=-10**60, max_value=10**60)
+denominators = st.integers(min_value=1, max_value=10**30)
+discriminants = st.sampled_from([2, 3, 5, 1000003, 10**9 + 7])
+
+
+@given(big_ints, denominators, big_ints, denominators, discriminants)
+def test_floor_and_ceil_bracket_the_value(p, q, r, s, d):
+    x = QR(Fraction(p, q), Fraction(r, s), d)
+    n = x.floor()
+    assert (x - n).sign() >= 0 > (x - (n + 1)).sign()
+    c = x.ceil()
+    assert (x - c).sign() <= 0 < (x - (c - 1)).sign()

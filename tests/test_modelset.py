@@ -160,6 +160,94 @@ class TestGenerate:
             generate_modelset(mini, QR(1))
 
 
+def _box_scan_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
+    """Reference enumeration: every lattice point of the integer box obtained
+    by mapping the physical range times the window hull through the inverse
+    embedding matrix.  Quadratic in the radius; kept as the oracle of the
+    strip kernel in modelset_points."""
+    p1, p2 = scheme.v1.phys, scheme.v2.phys
+    i1, i2 = scheme.v1.internal, scheme.v2.internal
+    det = p1 * i2 - p2 * i1
+    klo, khi = scheme.window.hull()
+    corners_n, corners_m = [], []
+    for x in (radius, -radius):
+        for y in (klo, khi):
+            corners_n.append((i2 * x - p2 * y) / det)
+            corners_m.append((p1 * y - i1 * x) / det)
+    n_lo = min(c.floor() for c in corners_n)
+    n_hi = max(c.floor() + 1 for c in corners_n)
+    m_lo = min(c.floor() for c in corners_m)
+    m_hi = max(c.floor() + 1 for c in corners_m)
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        base_phys = p1 * n
+        base_star = i1 * n
+        for m in range(m_lo, m_hi + 1):
+            y = base_phys + p2 * m
+            if abs(y) > radius:
+                continue
+            if scheme.window.contains(base_star + i2 * m):
+                out.append(y)
+    out.sort()
+    return out
+
+
+def _wide_field_scheme() -> CutProjectScheme:
+    # Q(sqrt(1000003)): v2 = (sqrt(d) - 1000, -sqrt(d) - 1000), one point per n
+    root = QR.sqrt_of(1000003)
+    return CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                            LatticeVector(root - 1000, -root - 1000),
+                            interval(-1000, 1000))
+
+
+def _negative_p2_scheme() -> CutProjectScheme:
+    # p2 = 1 - tau < 0 and i2 = tau > 0
+    return CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                            LatticeVector(QR(1) - TAU, TAU),
+                            WindowSet.interval(QR(-1), TAU - 1))
+
+
+def _negative_p2_i2_scheme() -> CutProjectScheme:
+    # p2 = -tau and i2 = 1 - tau, both negative
+    return CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                            LatticeVector(-TAU, QR(1) - TAU),
+                            interval(Fraction(-1, 2), 1))
+
+
+def _two_component_scheme() -> CutProjectScheme:
+    # basis vectors swapped against the Fibonacci scheme: p2 = i2 = 1 > 0
+    window = WindowSet.normalized([(QR(Fraction(-3, 2)), QR(Fraction(-1, 2))),
+                                   (QR(0), TAU - 1)])
+    return CutProjectScheme(LatticeVector(TAU, QR(1) - TAU),
+                            LatticeVector(QR(1), QR(1)), window)
+
+
+class TestStripKernelAgainstBoxScan:
+    @pytest.mark.parametrize("make_scheme,radius", [
+        pytest.param(fibonacci_scheme, QR(Fraction(1, 2)), id="fib-1/2"),
+        pytest.param(fibonacci_scheme, QR(7), id="fib-7"),
+        pytest.param(fibonacci_scheme, QR(100), id="fib-100"),
+        pytest.param(fibonacci_scheme, TAU * 20, id="fib-20tau"),
+        pytest.param(_wide_field_scheme, QR(100), id="wide-100"),
+        pytest.param(_wide_field_scheme, QR(Fraction(99, 7)), id="wide-99/7"),
+        pytest.param(_negative_p2_scheme, QR(30), id="neg-p2-30"),
+        pytest.param(_negative_p2_i2_scheme, QR(30), id="neg-p2-i2-30"),
+        pytest.param(_two_component_scheme, QR(30), id="two-component-30"),
+        pytest.param(_two_component_scheme, QR(Fraction(1, 2)), id="two-component-1/2"),
+    ])
+    def test_same_points(self, make_scheme, radius):
+        scheme = make_scheme()
+        assert modelset_points(scheme, radius) == _box_scan_points(scheme, radius)
+
+    def test_two_component_window_has_a_gap(self):
+        # the hull strip holds points of the gap, which the exact test drops
+        scheme = _two_component_scheme()
+        pts = modelset_points(scheme, QR(30))
+        stars = [scheme.star_of_coords(*scheme.physical_coordinates(y)) for y in pts]
+        assert stars and all(scheme.window.contains(s) for s in stars)
+        assert any(s < QR(-1) for s in stars) and any(s > QR(0) for s in stars)
+
+
 class TestPatternWindow:
     def test_single_point(self):
         scheme = fibonacci_scheme()

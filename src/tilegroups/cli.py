@@ -525,27 +525,21 @@ def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
     return checks
 
 
-SUITES: dict[str, Callable[..., list[Check]]] = {
-    "semigroup-axioms": suite_semigroup_axioms,
-    "empire": suite_empire,
-    "modelset-vs-substitution": suite_modelset_vs_substitution,
-    "partial-action": suite_partial_action,
-    "obstruction": suite_obstruction,
-    "language-free": suite_language_free,
-    "table": suite_table,
+# each suite with the names of the verify options it takes
+SUITES: dict[str, tuple[Callable[..., list[Check]], tuple[str, ...]]] = {
+    "semigroup-axioms": (suite_semigroup_axioms, ("seed",)),
+    "empire": (suite_empire, ("pairs", "seed", "box_bound")),
+    "modelset-vs-substitution": (suite_modelset_vs_substitution, ("radius",)),
+    "partial-action": (suite_partial_action, ()),
+    "obstruction": (suite_obstruction, ("coeff_bound",)),
+    "language-free": (suite_language_free, ()),
+    "table": (suite_table, ()),
 }
 
 
 def run_suite(name: str, args: argparse.Namespace) -> list[Check]:
-    if name == "empire":
-        return suite_empire(pairs=args.pairs, seed=args.seed, box_bound=args.box_bound)
-    if name == "modelset-vs-substitution":
-        return suite_modelset_vs_substitution(radius=args.radius)
-    if name == "semigroup-axioms":
-        return suite_semigroup_axioms(seed=args.seed)
-    if name == "obstruction":
-        return suite_obstruction(coeff_bound=args.coeff_bound)
-    return SUITES[name]()
+    suite, options = SUITES[name]
+    return suite(**{option: getattr(args, option) for option in options})
 
 
 # ---------------------------------------------------------------------------

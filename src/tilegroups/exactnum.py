@@ -1,11 +1,12 @@
 """Exact arithmetic in the real quadratic field Q(sqrt(d)).
 
 Every geometric quantity in this package (tile lengths, point
-coordinates, window endpoints) is a ``QuadraticRational``:
-a number p + q*sqrt(d) with p, q rational and d a fixed square-free
-non-negative integer.  All comparisons are decided exactly by integer
-case analysis; floats appear only in :meth:`QuadraticRational.to_float`
-for report output.
+coordinates, window endpoints) is a ``QuadraticRational``: a number
+(a + b*sqrt(d))/c stored as four normalised integers, with d a fixed
+square-free non-negative integer.  Arithmetic, comparisons, floors and
+ceilings work on those integers only; ``Fraction`` enters at the public
+constructor and in :meth:`QuadraticRational.from_string`, and floats
+appear only in :meth:`QuadraticRational.to_float` for report output.
 """
 
 from __future__ import annotations
@@ -38,41 +39,80 @@ def is_square_free(d: int) -> bool:
 # once per process, not on every construction.
 _VALIDATED_DISCS: set[int] = set()
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(a: int, b: int, c: int, d: int) -> "QuadraticRational":
+    """(a + b*sqrt(d))/c for c != 0 and an already validated d, normalised."""
+    g = math.gcd(a, b, c) if c > 0 else -math.gcd(a, b, c)
+    x = _new(QuadraticRational)
+    _set(x, "_q", (a // g, b // g, c // g, d if b else 0))
+    return x
+
+
+def _joint_disc(d: int, e: int) -> int:
+    if d and e and d != e:
+        raise DiscriminantMismatch(f"sqrt({d}) and sqrt({e}) in one expression")
+    return d or e
+
 
 @total_ordering
 class QuadraticRational:
-    """p + q*sqrt(d) with p, q in Q and d square-free, d >= 0.
+    """(a + b*sqrt(d))/c with integers a, b, c and d square-free, d >= 0.
 
-    Values are immutable and hashable.  A value with q == 0 is stored with
-    d == 0 (the canonical rational embedding) and combines with any field;
-    combining two values with different nonzero discriminants raises
-    :class:`DiscriminantMismatch` rather than silently promoting.
+    The integers are kept normalised: c > 0, gcd(a, b, c) = 1, and d == 0
+    whenever b == 0 (the canonical rational embedding, which combines with
+    any field).  Combining two values with different nonzero discriminants
+    raises :class:`DiscriminantMismatch` rather than silently promoting.
+    Values are immutable and hashable; a rational value hashes like the
+    equal ``int`` or ``Fraction``.
     """
 
-    __slots__ = ("rat", "surd", "disc")
+    __slots__ = ("_q",)
 
     def __init__(self, rat=0, surd=0, disc: int = 0):
-        rat = Fraction(rat)
-        surd = Fraction(surd)
         disc = int(disc)
         if disc not in _VALIDATED_DISCS:
             if not is_square_free(disc):
                 raise ValueError(f"discriminant {disc} is not a square-free non-negative integer")
             _VALIDATED_DISCS.add(disc)
+        if type(rat) is int and type(surd) is int:
+            a, b, c = rat, surd, 1
+        else:
+            rat, surd = Fraction(rat), Fraction(surd)
+            c = math.lcm(rat.denominator, surd.denominator)
+            a = rat.numerator * (c // rat.denominator)
+            b = surd.numerator * (c // surd.denominator)
         if disc == 1:  # sqrt(1) = 1, fold exactly
-            rat += surd
-            surd = Fraction(0)
-            disc = 0
-        if surd == 0:
+            a, b, disc = a + b, 0, 0
+        if b == 0:
             disc = 0
         elif disc == 0:
             raise ValueError("nonzero surd part requires a positive discriminant")
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "surd", surd)
-        object.__setattr__(self, "disc", disc)
+        _set(self, "_q", (a, b, c, disc))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticRational is immutable")
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a/c."""
+        return Fraction(self._q[0], self._q[2])
+
+    @property
+    def surd(self) -> Fraction:
+        """The coefficient b/c of sqrt(d)."""
+        return Fraction(self._q[1], self._q[2])
+
+    @property
+    def disc(self) -> int:
+        return self._q[3]
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, c) with the value (a + b*sqrt(disc))/c, normalised."""
+        return self._q[:3]
 
     # -- field selection -------------------------------------------------
 
@@ -87,53 +127,50 @@ class QuadraticRational:
             return QuadraticRational(other)
         raise TypeError(f"cannot combine QuadraticRational with {type(other).__name__}")
 
-    def _joint_disc(self, other: "QuadraticRational") -> int:
-        if self.disc == 0:
-            return other.disc
-        if other.disc == 0 or other.disc == self.disc:
-            return self.disc
-        raise DiscriminantMismatch(f"sqrt({self.disc}) and sqrt({other.disc}) in one expression")
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        d = self._joint_disc(o)
-        return QuadraticRational(self.rat + o.rat, self.surd + o.surd, d)
+        a, b, c, d = self._q
+        oa, ob, oc, od = self._coerce(other)._q
+        return _make(a * oc + oa * c, b * oc + ob * c, c * oc, _joint_disc(d, od))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticRational(-self.rat, -self.surd, self.disc)
+        a, b, c, d = self._q
+        return _make(-a, -b, c, d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        a, b, c, d = self._q
+        oa, ob, oc, od = self._coerce(other)._q
+        return _make(a * oc - oa * c, b * oc - ob * c, c * oc, _joint_disc(d, od))
 
     def __rsub__(self, other):
-        return (-self) + self._coerce(other)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        d = self._joint_disc(o)
-        rat = self.rat * o.rat + self.surd * o.surd * d
-        surd = self.rat * o.surd + self.surd * o.rat
-        return QuadraticRational(rat, surd, d)
+        a, b, c, d = self._q
+        oa, ob, oc, od = self._coerce(other)._q
+        d = _joint_disc(d, od)
+        return _make(a * oa + b * ob * d, a * ob + b * oa, c * oc, d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadraticRational":
         """The field conjugate p - q*sqrt(d)."""
-        return QuadraticRational(self.rat, -self.surd, self.disc)
+        a, b, c, d = self._q
+        return _make(a, -b, c, d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        d = self._joint_disc(o)
-        norm = o.rat * o.rat - o.surd * o.surd * d
+        # x/y = x * conj(y) / norm(y), norm(y) = (a'^2 - b'^2 d)/c'^2
+        a, b, c, d = self._q
+        oa, ob, oc, od = self._coerce(other)._q
+        d = _joint_disc(d, od)
+        norm = oa * oa - ob * ob * d
         if norm == 0:
-            # p^2 = q^2 d with d square-free forces p = q = 0
+            # a'^2 = b'^2 d with d square-free forces a' = b' = 0
             raise ZeroDivisionError("division by zero")
-        num = self * o.conjugate()
-        return QuadraticRational(num.rat / norm, num.surd / norm, d)
+        return _make((a * oa - b * ob * d) * oc, (b * oa - a * ob) * oc, c * norm, d)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -154,46 +191,47 @@ class QuadraticRational:
 
     # -- order -----------------------------------------------------------
 
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by rational comparisons.
+    @staticmethod
+    def int_sign(p: int, q: int, d: int) -> int:
+        """Exact sign in {-1, 0, +1} of p + q*sqrt(d) for integers p, q.
 
-        For p + q*sqrt(d) with p, q of opposite signs the decision reduces
-        to comparing p^2 against q^2*d.
+        It is the common sign of p and q when they agree, the sign of q
+        when p == 0, and otherwise the sign of p times that of p^2 - q^2*d.
         """
-        p, q, d = self.rat, self.surd, self.disc
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        lhs, rhs = p * p, q * q * d
-        if lhs == rhs:
-            return 0
-        if p > 0:  # q < 0
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp == sq:
+            return sp
+        if not sp:
+            return sq
+        diff = p * p - q * q * d
+        return sp * ((diff > 0) - (diff < 0))
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1}; the denominator c is positive."""
+        a, b, _, d = self._q
+        return self.int_sign(a, b, d)
+
+    def __lt__(self, other):
+        # the sign of self - other from the cross-multiplied numerators
+        a, b, c, d = self._q
+        oa, ob, oc, od = self._coerce(other)._q
+        return self.int_sign(a * oc - oa * c, b * oc - ob * c, _joint_disc(d, od)) < 0
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.rat == o.rat and self.surd == o.surd and self.disc == o.disc
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
+        return self._q == o._q
 
     def __hash__(self):
-        if self.surd == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.surd, self.disc))
+        a, b, c, _ = self._q
+        if b:
+            return hash(self._q)
+        return hash(a) if c == 1 else hash(Fraction(a, c))
 
     def __bool__(self):
-        return self.rat != 0 or self.surd != 0
+        return bool(self._q[0] or self._q[1])
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -201,35 +239,29 @@ class QuadraticRational:
     # -- conversions -----------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.surd == 0
+        return self._q[1] == 0
 
     def to_float(self) -> float:
         """Double approximation; for report output only, never for decisions."""
-        return float(self.rat) + float(self.surd) * math.sqrt(self.disc)
+        a, b, c, d = self._q
+        return a / c + b / c * math.sqrt(d)
 
     def floor(self) -> int:
         """Exact integer floor, computed on integers only.
 
-        Over a common denominator c > 0 the value is (a + b*sqrt(d))/c.
         With s = isqrt(b^2*d), b*sqrt(d) lies strictly between two
         consecutive integers (d is square-free, so it is never an integer):
         (s, s+1) when b > 0 and (-s-1, -s) when b < 0.
         """
-        if self.surd == 0:
-            return math.floor(self.rat)
-        rat, surd = self.rat, self.surd
-        c = math.lcm(rat.denominator, surd.denominator)
-        a = rat.numerator * (c // rat.denominator)
-        b = surd.numerator * (c // surd.denominator)
-        s = math.isqrt(b * b * self.disc)
+        a, b, c, d = self._q
+        if b == 0:
+            return a // c
+        s = math.isqrt(b * b * d)
         return (a + s) // c if b > 0 else (a - s - 1) // c
 
     def ceil(self) -> int:
-        """Exact integer ceiling; an irrational value is never an integer,
-        so its ceiling is its floor plus one."""
-        if self.surd == 0:
-            return math.ceil(self.rat)
-        return self.floor() + 1
+        """Exact integer ceiling, -floor(-x)."""
+        return -(-self).floor()
 
     def nearest_int(self) -> int:
         """Nearest integer; raises ValueError on an exact half-integer tie."""
@@ -286,15 +318,16 @@ class QuadraticRational:
         return cls(rat, surd, disc)
 
     def __str__(self):
-        if self.surd == 0:
-            return str(self.rat)
+        rat, surd = self.rat, self.surd
+        if surd == 0:
+            return str(rat)
         surd_txt = f"sqrt({self.disc})"
-        if abs(self.surd) != 1:
-            surd_txt = f"{abs(self.surd)}*{surd_txt}"
-        sign = "+" if self.surd > 0 else "-"
-        if self.rat == 0:
-            return surd_txt if self.surd > 0 else f"-{surd_txt}"
-        return f"{self.rat}{sign}{surd_txt}"
+        if abs(surd) != 1:
+            surd_txt = f"{abs(surd)}*{surd_txt}"
+        sign = "+" if surd > 0 else "-"
+        if rat == 0:
+            return surd_txt if surd > 0 else f"-{surd_txt}"
+        return f"{rat}{sign}{surd_txt}"
 
     def __repr__(self):
         return f"QuadraticRational({self.rat!r}, {self.surd!r}, {self.disc})"

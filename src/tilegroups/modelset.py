@@ -111,15 +111,19 @@ class WindowSet:
 
 def _integer_coordinates(value: QR, b1: QR, b2: QR) -> Optional[tuple[int, int]]:
     """Solve value = n*b1 + m*b2 with integer n, m; None if unsolvable.
-    Requires b1, b2 to be Q-linearly independent in the field."""
-    det = b1.rat * b2.surd - b2.rat * b1.surd
+    Requires b1, b2 to be Q-linearly independent in the field.  Cramer's
+    rule on the integer triples (a + s*sqrt(d))/c of the three values."""
+    a, b, c = value.triple
+    a1, s1, c1 = b1.triple
+    a2, s2, c2 = b2.triple
+    det = (a1 * s2 - a2 * s1) * c
     if det == 0:
         raise ValueError("basis vectors are rationally dependent")
-    n = (value.rat * b2.surd - b2.rat * value.surd) / det
-    m = (b1.rat * value.surd - value.rat * b1.surd) / det
-    if n.denominator != 1 or m.denominator != 1:
+    n, n_rem = divmod((a * s2 - a2 * b) * c1, det)
+    m, m_rem = divmod((a1 * b - a * s1) * c2, det)
+    if n_rem or m_rem:
         return None
-    return int(n), int(m)
+    return n, m
 
 
 def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
@@ -355,26 +359,17 @@ def empire_brute(
     falls outside the combined window hull of both patterns are skipped,
     which is sound because there both memberships are False.
     """
-    d = 0
-    values: list[QR] = []
     i1, i2 = scheme.internal_group_basis()
     p_stars = [star(scheme, p) for p in pat_p]
     q_stars = [star(scheme, q) for q in pat_q]
-    for v in [i1, i2, *p_stars, *q_stars]:
-        values.append(v)
-        if v.disc:
-            d = v.disc
-    for lo, hi in scheme.window.components:
-        values.extend((lo, hi))
-        if lo.disc:
-            d = lo.disc
-        if hi.disc:
-            d = hi.disc
-
-    denom = math.lcm(*(f.denominator for v in values for f in (v.rat, v.surd)))
+    values = [i1, i2, *p_stars, *q_stars, *(e for comp in scheme.window.components for e in comp)]
+    d = max(v.disc for v in values)
+    denom = math.lcm(*(v.triple[2] for v in values))
+    sign = QR.int_sign
 
     def pair(v: QR) -> tuple[int, int]:
-        return int(v.rat * denom), int(v.surd * denom)
+        a, b, c = v.triple
+        return a * (denom // c), b * (denom // c)
 
     i1p, i2p = pair(i1), pair(i2)
     ppairs = [pair(v) for v in p_stars]
@@ -385,7 +380,7 @@ def empire_brute(
         # is (a,b) + shift inside the window, all over the common denominator
         x, y = a + shift[0], b + shift[1]
         for (alo, blo), (ahi, bhi) in comps:
-            if _int_sign(x - alo, y - blo, d) >= 0 and _int_sign(ahi - x, bhi - y, d) >= 0:
+            if sign(x - alo, y - blo, d) >= 0 and sign(ahi - x, bhi - y, d) >= 0:
                 return True
         return False
 
@@ -402,7 +397,7 @@ def empire_brute(
         for m in range(-bound, bound + 1):
             ga = gn[0] + m * i2p[0]
             gb = gn[1] + m * i2p[1]
-            if _int_sign(ga - blo[0], gb - blo[1], d) < 0 or _int_sign(bhi[0] - ga, bhi[1] - gb, d) < 0:
+            if sign(ga - blo[0], gb - blo[1], d) < 0 or sign(bhi[0] - ga, bhi[1] - gb, d) < 0:
                 continue  # both memberships are False out here
             in_p = all(member(a, b, (ga, gb)) for a, b in ppairs)
             in_q = all(member(a, b, (ga, gb)) for a, b in qpairs)
@@ -410,24 +405,6 @@ def empire_brute(
                 g_phys = scheme.v1.phys * n + scheme.v2.phys * m
                 return EmpireBruteResult(False, (n, m), g_phys)
     return EmpireBruteResult(True)
-
-
-def _int_sign(p: int, q: int, d: int) -> int:
-    """Sign of p + q*sqrt(d) for integers p, q."""
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return (q > 0) - (q < 0)
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    lhs, rhs = p * p, q * q * d
-    if lhs == rhs:
-        return 0
-    if p > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
 
 
 # ---------------------------------------------------------------------------

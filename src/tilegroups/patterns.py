@@ -131,19 +131,14 @@ def aligned_union(x: PatternClass, y: PatternClass) -> tuple[list[QR], QR, QR]:
 
 def _embeds(ps: PointSet1D, values: list[QR]) -> bool:
     """Search all anchor alignments of the values into the truncated set."""
-    base = values[0]
-    classes = set()
-    for p in ps.values():
-        shift = p - base
+
+    def fits(shift: QR) -> bool:
         try:
-            if all((v + shift) in ps for v in values):
-                embedded = [v + shift for v in values]
-                classes.add(tuple(q - embedded[0] for q in embedded))
+            return all((v + shift) in ps for v in values)
         except TruncationError:
-            continue
-    # distinct embeddings must induce one translation class
-    assert len(classes) <= 1
-    return bool(classes)
+            return False
+
+    return any(fits(p - values[0]) for p in ps.values())
 
 
 def multiply(

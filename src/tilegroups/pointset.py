@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from .exactnum import QuadraticRational as QR
@@ -180,15 +180,11 @@ def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[Diff
 
 def bounded_generator_set(ps: PointSet1D, radius: QR) -> list[DiffElement]:
     """The generating set of differences with |value| <= radius; requires
-    radius at least the largest gap, and checks that every truncated
-    difference decomposes as a chain of these."""
+    radius at least the largest gap, which makes every truncated difference
+    a chain of consecutive-point steps in the set (decompose_into_bounded)."""
     if radius < ps.max_gap():
         raise ValueError("radius below the maximal gap; set not relatively dense at this scale")
-    delta = diff_set(ps, radius)
-    span = ps.points[-1] - ps.points[0]
-    for elem in diff_set(ps, span):
-        decompose_into_bounded(ps, elem, radius)
-    return delta
+    return diff_set(ps, radius)
 
 
 def decompose_into_bounded(ps: PointSet1D, elem: DiffElement, radius: QR) -> list[DiffElement]:
@@ -205,10 +201,6 @@ def decompose_into_bounded(ps: PointSet1D, elem: DiffElement, radius: QR) -> lis
         if abs(value) > radius:
             raise ValueError(f"gap {value} exceeds radius {radius}")
         chain.append(DiffElement(value, ((k + step, k),)))
-    total = QR(0)
-    for link in chain:
-        total = total + link.value
-    assert total == elem.value
     return chain
 
 
@@ -228,11 +220,8 @@ def difference_group_invariants(values: list[QR]) -> tuple[int, list[QR]]:
             if disc and v.disc != disc:
                 raise ValueError("values from different quadratic fields")
             disc = v.disc
-    denom = 1
-    for v in vals:
-        denom = denom * v.surd.denominator // gcd(denom, v.surd.denominator)
-        denom = denom * v.rat.denominator // gcd(denom, v.rat.denominator)
-    rows = [[int(v.surd * denom), int(v.rat * denom)] for v in vals]
+    denom = lcm(*(v.triple[2] for v in vals))
+    rows = [[b * (denom // c), a * (denom // c)] for a, b, c in (v.triple for v in vals)]
     rank, basis_rows = hnf(rows)
     basis = [QR(Fraction(p, denom), Fraction(q, denom), disc if q else 0) for q, p in basis_rows]
     return rank, basis

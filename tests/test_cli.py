@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from tilegroups import cli
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
 
@@ -88,6 +90,31 @@ class TestVerify:
     def test_empire_suite_seeded(self, capsys):
         rc = main(["verify", "--suite", "empire", "--pairs", "30", "--seed", "7"])
         assert rc == 0
+
+    def test_options_reach_their_suites(self, monkeypatch):
+        seen = {}
+
+        def recorder(name, suite):
+            def record(**kwargs):
+                inspect.signature(suite).bind(**kwargs)  # the real suite takes them
+                seen[name] = kwargs
+                return []
+            return record
+
+        for name, (suite, options) in list(cli.SUITES.items()):
+            monkeypatch.setitem(cli.SUITES, name, (recorder(name, suite), options))
+        rc = main(["verify", "--seed", "11", "--pairs", "12", "--box-bound", "13",
+                   "--radius", "14", "--coeff-bound", "15"])
+        assert rc == 0
+        assert seen == {
+            "semigroup-axioms": {"seed": 11},
+            "empire": {"pairs": 12, "seed": 11, "box_bound": 13},
+            "modelset-vs-substitution": {"radius": 14},
+            "partial-action": {},
+            "obstruction": {"coeff_bound": 15},
+            "language-free": {},
+            "table": {},
+        }
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):

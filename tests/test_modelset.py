@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import (
@@ -37,6 +38,14 @@ TAU = golden_ratio()
 
 def interval(lo, hi):
     return WindowSet.interval(QR(Fraction(lo)), QR(Fraction(hi)))
+
+
+def _odd_denominator_scheme() -> CutProjectScheme:
+    # physical basis 1/3 + sqrt2/2 and 2/5 - sqrt2/7, internal = conjugates
+    p1 = QR(Fraction(1, 3), Fraction(1, 2), 2)
+    p2 = QR(Fraction(2, 5), Fraction(-1, 7), 2)
+    return CutProjectScheme(LatticeVector(p1, p1.conjugate()),
+                            LatticeVector(p2, p2.conjugate()), interval(-1, 1))
 
 
 class TestWindowSet:
@@ -102,6 +111,31 @@ class TestScheme:
     def test_star_rejects_non_lattice(self):
         with pytest.raises(ValueError):
             star(fibonacci_scheme(), QR(Fraction(1, 3)))
+
+    def test_coordinates_round_trip_odd_denominators(self):
+        scheme = _odd_denominator_scheme()
+        p1, p2 = scheme.v1.phys, scheme.v2.phys
+        for n in range(-7, 8):
+            for m in range(-7, 8):
+                y = p1 * n + p2 * m
+                assert scheme.physical_coordinates(y) == (n, m)
+                assert star(scheme, y) == scheme.star_of_coords(n, m) == y.conjugate()
+        for y in (p1 / 2, p1 + p2 / 3, QR(1), QR.sqrt_of(2)):
+            assert not scheme.in_physical_lattice(y)
+            with pytest.raises(ValueError):
+                scheme.physical_coordinates(y)
+
+    @given(st.fractions(-50, 50, max_denominator=9), st.fractions(-50, 50, max_denominator=9))
+    def test_coordinates_recover_coefficients(self, fn, fm):
+        scheme = _odd_denominator_scheme()
+        y = scheme.v1.phys * fn + scheme.v2.phys * fm
+        if fn.denominator == fm.denominator == 1:
+            assert scheme.physical_coordinates(y) == (fn, fm)
+            assert star(scheme, y) == scheme.star_of_coords(int(fn), int(fm))
+        else:
+            assert not scheme.in_physical_lattice(y)
+            with pytest.raises(ValueError):
+                scheme.physical_coordinates(y)
 
     def test_star_additive(self):
         scheme = fibonacci_scheme()

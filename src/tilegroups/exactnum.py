@@ -77,20 +77,15 @@ class QuadraticRational:
             if not is_square_free(disc):
                 raise ValueError(f"discriminant {disc} is not a square-free non-negative integer")
             _VALIDATED_DISCS.add(disc)
-        if type(rat) is int and type(surd) is int:
-            a, b, c = rat, surd, 1
-        else:
-            rat, surd = Fraction(rat), Fraction(surd)
-            c = math.lcm(rat.denominator, surd.denominator)
-            a = rat.numerator * (c // rat.denominator)
-            b = surd.numerator * (c // surd.denominator)
+        rat, surd = Fraction(rat), Fraction(surd)
+        c = math.lcm(rat.denominator, surd.denominator)
+        a = rat.numerator * (c // rat.denominator)
+        b = surd.numerator * (c // surd.denominator)
         if disc == 1:  # sqrt(1) = 1, fold exactly
             a, b, disc = a + b, 0, 0
-        if b == 0:
-            disc = 0
-        elif disc == 0:
+        if b and not disc:
             raise ValueError("nonzero surd part requires a positive discriminant")
-        _set(self, "_q", (a, b, c, disc))
+        _set(self, "_q", _make(a, b, c, disc)._q)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticRational is immutable")

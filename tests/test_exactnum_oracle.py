@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from fraction_pair_qr import QuadraticRational as OldQR
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR
 
-DISCS = (2, 3, 5, 1000003)
+DISCS = (1, 2, 3, 5, 1000003)
 
 fractions = st.builds(
     Fraction,
@@ -119,3 +119,12 @@ def test_integer_representation_is_normalised():
     assert QR(Fraction(-4, 6), 0, 5).disc == 0
     assert (x - x).triple == (0, 0, 1) and (x - x).disc == 0
     assert x.rat == Fraction(1, 3) and x.surd == Fraction(1, 2)
+
+
+def test_disc_one_fold_is_normalised():
+    half = Fraction(1, 2)
+    assert QR(half, half, 1) == QR(1) == 1
+    assert QR(half, half, 1).triple == (1, 0, 1)
+    assert QR(half, -half, 1) == QR(0)
+    assert QR.from_string("1/2+1/2*sqrt(1)") == 1
+    assert {QR(half, half, 1)} == {1}

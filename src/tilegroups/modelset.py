@@ -113,6 +113,8 @@ def _integer_coordinates(value: QR, b1: QR, b2: QR) -> Optional[tuple[int, int]]
     """Solve value = n*b1 + m*b2 with integer n, m; None if unsolvable.
     Requires b1, b2 to be Q-linearly independent in the field.  Cramer's
     rule on the integer triples (a + s*sqrt(d))/c of the three values."""
+    if value.disc and value.disc != (b1.disc or b2.disc):
+        return None  # a value from another quadratic field
     a, b, c = value.triple
     a1, s1, c1 = b1.triple
     a2, s2, c2 = b2.triple

@@ -1,8 +1,9 @@
 """Free-group words, finite presentations and exact integer linear algebra.
 
-Relators are stored as freely reduced words; abelianization goes through
-Smith normal form over arbitrary-precision integers, with the unimodular
-transforms returned so tests can verify U*A*V = D by exact multiplication.
+Relators are stored as freely reduced words.  Abelianization takes the
+Smith normal form of the Hermite basis of the relator matrix over
+arbitrary-precision integers; only :func:`smith_normal_form` returns the
+unimodular transforms, with U*A*V = D.
 No general isomorphism testing is attempted: reports state abelian
 invariants plus the two named certificates (empty relator set => free;
 commutators present and all relators in the commutator subgroup => free
@@ -29,7 +30,7 @@ def reduce_word(letters: Iterable[tuple[str, int]]) -> "FreeWord":
             stack.pop()
         else:
             stack.append((gen, exp))
-    return FreeWord(tuple(stack))
+    return _word(tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class FreeWord:
         return reduce_word(self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __len__(self):
         return len(self.letters)
@@ -86,6 +87,13 @@ class FreeWord:
         return " ".join(g if e == 1 else f"{g}-" for g, e in self.letters)
 
 
+def _word(letters: tuple[tuple[str, int], ...]) -> FreeWord:
+    """A FreeWord from letters already freely reduced: skips the check."""
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -118,7 +126,7 @@ def presentation_from_pairs(
     relators: list[FreeWord] = []
     seen = set()
     for u, v in pairs:
-        rel = FreeWord.from_labels(u) * FreeWord.from_labels(v).inverse()
+        rel = reduce_word([(g, 1) for g in u] + [(g, -1) for g in reversed(v)])
         if rel and rel.letters not in seen:
             seen.add(rel.letters)
             relators.append(rel)
@@ -149,35 +157,6 @@ IntMatrix = list[list[int]]
 
 def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)] for i in range(rows)]
-
-
-def mat_det(a: IntMatrix) -> int:
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -266,10 +245,15 @@ def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
 
 
 def smith_invariants(matrix: IntMatrix) -> list[int]:
-    """Nonzero diagonal invariant factors d1 | d2 | ... of the matrix."""
-    d, _, _ = smith_normal_form(matrix)
-    out = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    return [x for x in out if x != 0]
+    """Nonzero invariant factors d1 | d2 | ... of the matrix.
+
+    The Smith form is taken of the Hermite basis, which spans the same row
+    lattice in at most rank rows, so no transform as tall as the matrix is
+    built; use :func:`smith_normal_form` for the transforms.
+    """
+    _, basis = hnf(matrix)
+    d, _, _ = smith_normal_form(basis)
+    return [d[i][i] for i in range(len(d))]  # full row rank: no zero diagonal
 
 
 def hnf(matrix: IntMatrix) -> tuple[int, IntMatrix]:
@@ -313,12 +297,25 @@ def hnf(matrix: IntMatrix) -> tuple[int, IntMatrix]:
     return len(basis), basis
 
 
+def _exponent_rows(pres: Presentation) -> IntMatrix:
+    """One row of exponent sums per relator, one column per generator,
+    built in one pass over each relator's letters."""
+    column = {g: j for j, g in enumerate(pres.generators)}
+    matrix = []
+    for rel in pres.relators:
+        row = [0] * len(column)
+        for g, e in rel.letters:
+            row[column[g]] += e
+        matrix.append(row)
+    return matrix
+
+
 def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion factors > 1) of the abelianized group."""
+    """(free rank, torsion factors > 1) of the abelianized group: the Smith
+    invariants of the Hermite basis of the exponent-sum matrix."""
     if not pres.relators:
         return len(pres.generators), []
-    matrix = [[rel.exponent_sum(g) for g in pres.generators] for rel in pres.relators]
-    factors = smith_invariants(matrix)
+    factors = smith_invariants(_exponent_rows(pres))
     free_rank = len(pres.generators) - len(factors)
     torsion = [f for f in factors if f > 1]
     return free_rank, torsion

@@ -112,6 +112,17 @@ class TestScheme:
         with pytest.raises(ValueError):
             star(fibonacci_scheme(), QR(Fraction(1, 3)))
 
+    def test_value_from_another_field_is_off_lattice(self):
+        # sqrt(2) is not in Q(sqrt(5)): its integer triple must not be
+        # solved as if it were
+        scheme = fibonacci_scheme()
+        root2 = QR.sqrt_of(2)
+        assert not scheme.in_physical_lattice(root2)
+        with pytest.raises(ValueError):
+            scheme.physical_coordinates(root2)
+        with pytest.raises(ValueError):
+            star(scheme, root2)
+
     def test_coordinates_round_trip_odd_denominators(self):
         scheme = _odd_denominator_scheme()
         p1, p2 = scheme.v1.phys, scheme.v2.phys

@@ -1,9 +1,13 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from intmat import mat_det, mat_mul
+from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
+from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
     FreeWord,
     Presentation,
+    _exponent_rows,
     abelian_invariants,
     certificate_free,
     certificate_free_abelian,
@@ -11,14 +15,17 @@ from tilegroups.presentation import (
     free_abelian_target_oracle,
     free_target_oracle,
     hnf,
-    mat_det,
-    mat_mul,
     presentation_from_pairs,
     reduce_word,
+    smith_invariants,
     smith_normal_form,
     tietze_simplify,
     universal_presentation_from_table,
 )
+from tilegroups.universal import maxset_presentation
+
+
+LETTERS = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=30)
 
 
 def word(*labels):
@@ -45,6 +52,19 @@ class TestReduce:
     def test_inverse_law(self):
         w = word("a", "b", "c-")
         assert w * w.inverse() == FreeWord()
+
+    def test_public_constructor_checks(self):
+        with pytest.raises(ValueError):
+            FreeWord((("a", 1), ("a", -1)))
+
+    @given(LETTERS, LETTERS)
+    def test_unchecked_results_are_reduced(self, xs, ys):
+        # reduce_word and inverse skip the check; the checking constructor
+        # must accept every word they and their callers build
+        u, v = reduce_word(xs), reduce_word(ys)
+        pres = presentation_from_pairs("abc", [([g for g, _ in xs], [g for g, _ in ys])])
+        for w in (u, v, u * v, u.inverse(), u.substitute("a", v), *pres.relators):
+            assert FreeWord(w.letters) == w
 
 
 class TestPresentationBuild:
@@ -107,6 +127,44 @@ class TestSmith:
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=1, max_size=4))
     def test_transforms_random(self, a):
         self.check_transforms(a)
+
+
+def full_transform_invariants(matrix):
+    """Nonzero diagonal of the Smith form of the whole matrix, transforms
+    and all: the reference for smith_invariants."""
+    d, _, _ = smith_normal_form(matrix)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    return [x for x in diag if x != 0]
+
+
+@st.composite
+def tall_matrices(draw):
+    """Up to 60 rows of up to 8 columns drawn from a few distinct rows and
+    the zero row, so zero rows, repeated rows and all-zero matrices occur."""
+    cols = draw(st.integers(1, 8))
+    row = st.lists(st.integers(-20, 20), min_size=cols, max_size=cols)
+    distinct = draw(st.lists(row, min_size=1, max_size=12)) + [[0] * cols]
+    return draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=60))
+
+
+class TestSmithInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(tall_matrices())
+    @example([[0, 0, 0]] * 5)
+    @example([[2, 4], [2, 4], [0, 0], [6, 8]])
+    def test_matches_full_transform_path(self, matrix):
+        assert smith_invariants(matrix) == full_transform_invariants(matrix)
+
+    def test_partial_action_relator_matrix(self):
+        data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), 8)
+        assert len(data.relations) == 211
+        pres = maxset_presentation(data)
+        rows = [[rel.exponent_sum(g) for g in pres.generators] for rel in pres.relators]
+        assert _exponent_rows(pres) == rows
+        factors = full_transform_invariants(rows)
+        assert smith_invariants(rows) == factors
+        assert abelian_invariants(pres) == (len(pres.generators) - len(factors),
+                                            [f for f in factors if f > 1])
 
 
 class TestHermite:

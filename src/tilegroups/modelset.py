@@ -532,33 +532,40 @@ def partial_action_data(
 
     interiors=True tests overlap of interiors (the open-subset setting);
     interiors=False additionally accepts degenerate overlaps containing a
-    group point (closed windows over a dense group).
+    group point (closed windows over a dense group).  V and V - g meet
+    only if |g| <= w, the width of V's hull, so each n visits the strip of
+    m with |n*g1 + m*g2| <= w, its ends exact ceilings and floors.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     g1, g2 = basis
+    _integer_coordinates(QR(0), g1, g2)  # raises on a rationally dependent basis, so g2 != 0
     elements: list[QR] = []
-    for n in range(-coeff_bound, coeff_bound + 1):
-        for m in range(-coeff_bound, coeff_bound + 1):
-            g = g1 * n + g2 * m
-            overlap = window.intersect(window.translate(-g))
-            if _overlap_nonempty(overlap, interiors, basis):
-                elements.append(g)
+    if not window.is_empty():
+        lo, hi = window.hull()
+        half, step = abs((hi - lo) / g2), g1 / g2
+        for n in range(-coeff_bound, coeff_bound + 1):
+            m_lo = max(-coeff_bound, (-half - step * n).ceil())
+            m_hi = min(coeff_bound, (half - step * n).floor())
+            for m in range(m_lo, m_hi + 1):
+                g = g1 * n + g2 * m
+                overlap = window.intersect(window.translate(-g))
+                if _overlap_nonempty(overlap, interiors, basis):
+                    elements.append(g)
     elements.sort()
-    eset = set(elements)
-    composable: list[tuple[QR, QR]] = []
+    shifted = {g: window.translate(g) for g in elements}
     relations: list[tuple[QR, QR, QR]] = []
     for g in elements:
-        shifted_g = window.translate(g)
+        overlap_g = window.intersect(shifted[g])
         for gp in elements:
             total = g + gp
-            if total not in eset:
+            if total not in shifted:
                 continue
-            triple = window.intersect(shifted_g).intersect(window.translate(total))
+            triple = overlap_g.intersect(shifted[total])
             if _overlap_nonempty(triple, interiors, basis):
-                composable.append((g, gp))
                 relations.append((g, gp, total))
-    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(composable), tuple(relations))
+    composable = tuple((g, gp) for g, gp, _ in relations)
+    return PartialActionData(basis, coeff_bound, tuple(elements), composable, tuple(relations))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .exactnum import QuadraticRational as QR
-from .pointset import DiffElement, PointSet1D, chained_sum, diff_set
+from .pointset import DiffElement, PointSet1D, diff_set
 from .sequences import TruncationError
 
 
@@ -167,15 +167,18 @@ def multiply(
 
 def maxset_table(ps: PointSet1D, bound: QR) -> dict[tuple[QR, QR], QR]:
     """The partial-operation table of chained differences with |value| <=
-    bound: the group-like set of maximal pattern classes in coordinates."""
+    bound: the group-like set of maximal pattern classes in coordinates.
+    a and b chain iff a witness of a ends where one of b starts (witness
+    lists are complete), so joining witness indices decides each product."""
     elems = diff_set(ps, bound)
-    by_value = {e.value: e for e in elems}
+    values = {e.value for e in elems}
+    seconds = [{j for _, j in e.witnesses} for e in elems]
+    firsts = [{i for i, _ in e.witnesses} for e in elems]
     table: dict[tuple[QR, QR], QR] = {}
-    for a in elems:
-        for b in elems:
-            out = chained_sum(a, b, ps)
-            if out is not None and out.value in by_value:
-                table[(a.value, b.value)] = out.value
+    for a, a_seconds in zip(elems, seconds):
+        for b, b_firsts in zip(elems, firsts):
+            if not a_seconds.isdisjoint(b_firsts) and (total := a.value + b.value) in values:
+                table[(a.value, b.value)] = total
     return table
 
 

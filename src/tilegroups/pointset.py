@@ -142,21 +142,21 @@ class DiffElement:
 
 def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:
     """All differences r_i - r_j with |value| <= bound, with complete
-    witness lists, sorted by value."""
+    witness lists (i ascending, then j ascending), sorted by value.  One
+    two-pointer pass over the sorted points: O(N*k), k points per bound."""
     if bound.sign() <= 0:
         raise ValueError("bound must be positive")
+    pts, base = ps.points, ps.min_index
     found: dict[QR, list[tuple[int, int]]] = {}
-    idx = range(ps.min_index, ps.max_index + 1)
-    for i in idx:
-        for j in idx:
-            v = ps.point(i) - ps.point(j)
-            if abs(v) <= bound:
-                found.setdefault(v, []).append((i, j))
+    lo = hi = 0
+    for i, p in enumerate(pts):
+        while pts[lo] < p - bound:
+            lo += 1
+        while hi + 1 < len(pts) and pts[hi + 1] <= p + bound:
+            hi += 1
+        for j in range(lo, hi + 1):
+            found.setdefault(p - pts[j], []).append((i + base, j + base))
     return [DiffElement(v, tuple(ws)) for v, ws in sorted(found.items())]
-
-
-def diff_lookup(ps: PointSet1D, bound: QR) -> dict[QR, DiffElement]:
-    return {d.value: d for d in diff_set(ps, bound)}
 
 
 def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[DiffElement]:

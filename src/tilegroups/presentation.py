@@ -12,7 +12,9 @@ abelian), which is exactly the level of argument the computations need.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -44,10 +46,6 @@ class FreeWord:
             if g == g2 and e == -e2:
                 raise ValueError("word is not freely reduced")
 
-    @staticmethod
-    def from_labels(labels: Sequence[str]) -> "FreeWord":
-        return reduce_word((g, 1) for g in labels)
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return reduce_word(self.letters + other.letters)
 
@@ -59,9 +57,6 @@ class FreeWord:
 
     def __bool__(self):
         return bool(self.letters)
-
-    def exponent_sum(self, gen: str) -> int:
-        return sum(e for g, e in self.letters if g == gen)
 
     def generators(self) -> set[str]:
         return {g for g, _ in self.letters}
@@ -76,10 +71,6 @@ class FreeWord:
             else:
                 out.extend(image.inverse().letters)
         return reduce_word(out)
-
-    def cyclic_rotations(self) -> list["FreeWord"]:
-        n = len(self.letters)
-        return [reduce_word(self.letters[i:] + self.letters[:i]) for i in range(n)] or [self]
 
     def __str__(self):
         if not self.letters:
@@ -121,15 +112,18 @@ def presentation_from_pairs(
     generators: Sequence[str],
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> Presentation:
-    """Relators u * v^-1 from ordered pairs of positive words; trivial
-    relators are dropped, duplicates kept once."""
+    """Relators u * v^-1 from ordered pairs of positive words (reduction
+    cancels their common suffix); trivial ones dropped, duplicates kept once."""
     relators: list[FreeWord] = []
     seen = set()
     for u, v in pairs:
-        rel = reduce_word([(g, 1) for g in u] + [(g, -1) for g in reversed(v)])
-        if rel and rel.letters not in seen:
-            seen.add(rel.letters)
-            relators.append(rel)
+        i, j = len(u), len(v)
+        while i and j and u[i - 1] == v[j - 1]:
+            i, j = i - 1, j - 1
+        key = (tuple(u[:i]), tuple(v[:j]))
+        if (i or j) and key not in seen:
+            seen.add(key)
+            relators.append(_word(tuple(zip(key[0], repeat(1))) + tuple(zip(reversed(key[1]), repeat(-1)))))
     return Presentation(tuple(generators), tuple(relators))
 
 
@@ -328,60 +322,65 @@ def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
 def tietze_simplify(pres: Presentation, budget: int = 100) -> Presentation:
     """Bounded simplification: drop empty/duplicate relators and eliminate
     generators defined by relators of length <= 2.  Output presents an
-    isomorphic group."""
+    isomorphic group.  Each round eliminates by the earliest defining
+    relator and keeps the earliest of relators equal up to inversion; it
+    touches only the relators that hold the eliminated generator."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     gens = list(pres.generators)
-    relators = list(pres.relators)
-    for _ in range(budget):
-        seen = set()
-        cleaned = []
-        for rel in relators:
-            key = min(rel.letters, rel.inverse().letters)
-            if rel and key not in seen:
-                seen.add(key)
-                cleaned.append(rel)
-        relators = cleaned
-        elim: Optional[tuple[str, FreeWord]] = None
-        for rel in relators:
-            if len(rel) == 1:
-                elim = (rel.letters[0][0], FreeWord())
-                break
-            if len(rel) == 2:
-                (g1, e1), (g2, e2) = rel.letters
-                if g1 != g2:
-                    # g1^e1 g2^e2 = 1  =>  g1 = g2^(-e2*e1)
-                    image = FreeWord(((g2, -e2),)) if e1 == 1 else FreeWord(((g2, e2),))
-                    elim = (g1, image)
-                    break
-        if elim is None:
-            break
-        gen, image = elim
-        gens.remove(gen)
-        relators = [r.substitute(gen, image) for r in relators]
-    seen = set()
-    final = []
-    for rel in relators:
+    live: dict[int, tuple[FreeWord, tuple]] = {}  # input position -> (relator, dedup key)
+    kept: dict[tuple, int] = {}  # dedup key -> position
+    uses: dict[str, set[int]] = {g: set() for g in gens}
+    short: list[int] = []  # sorted positions placed with length <= 2; lengths never grow
+
+    def drop(p: int) -> None:
+        rel, key = live.pop(p)
+        del kept[key]
+        for g in rel.generators():
+            uses[g].discard(p)
+
+    def place(p: int, rel: FreeWord) -> None:
         key = min(rel.letters, rel.inverse().letters)
-        if rel and key not in seen:
-            seen.add(key)
-            final.append(rel)
-    return Presentation(tuple(gens), tuple(final))
+        if not rel or kept.get(key, p) < p:
+            return
+        if key in kept:
+            drop(kept[key])
+        live[p], kept[key] = (rel, key), p
+        for g in rel.generators():
+            uses[g].add(p)
+        if len(rel) <= 2:
+            insort(short, p)
+
+    def definition(p: int) -> Optional[tuple[str, FreeWord]]:
+        if p not in live:
+            return None
+        letters = live[p][0].letters
+        if len(letters) == 1:
+            return letters[0][0], FreeWord()
+        (g1, e1), (g2, e2) = letters
+        # g1^e1 g2^e2 = 1  =>  g1 = g2^(-e2*e1)
+        return (g1, FreeWord(((g2, -e2 * e1),))) if g1 != g2 else None
+
+    for p, rel in enumerate(pres.relators):
+        place(p, rel)
+    for _ in range(budget):
+        while short and definition(short[0]) is None:
+            short.pop(0)
+        if not short:
+            break
+        gen, image = definition(short[0])
+        gens.remove(gen)
+        changed = [(p, live[p][0]) for p in uses[gen]]
+        for p, _ in changed:
+            drop(p)
+        del uses[gen]
+        for p, rel in changed:
+            place(p, rel.substitute(gen, image))
+    return Presentation(tuple(gens), tuple(live[p][0] for p in sorted(live)))
 
 
 # ---------------------------------------------------------------------------
-# homomorphism checking against simple target oracles
-
-
-def free_target_oracle() -> Callable[[FreeWord], bool]:
-    """Triviality in a free group: the reduced word is empty."""
-    return lambda word: not word
-
-
-def free_abelian_target_oracle() -> Callable[[FreeWord], bool]:
-    """Triviality in a free abelian group: all exponent sums vanish.
-    With a single target generator this is triviality in Z."""
-    return lambda word: all(word.exponent_sum(g) == 0 for g in word.generators())
+# homomorphism checking
 
 
 def check_homomorphism(
@@ -422,26 +421,13 @@ def certificate_free_abelian(pres: Presentation) -> Optional[int]:
     force commutativity, and abelianized they impose nothing, so the group
     is Z^n exactly.
     """
-    for rel in pres.relators:
-        if any(rel.exponent_sum(g) != 0 for g in pres.generators):
-            return None
+    if any(any(row) for row in _exponent_rows(pres)):
+        return None
     needed = {frozenset((a, b)) for i, a in enumerate(pres.generators)
               for b in pres.generators[i + 1:]}
-    found = set()
-    for rel in pres.relators:
-        if len(rel) != 4:
-            continue
-        gens = sorted(rel.generators())
-        if len(gens) != 2:
-            continue
-        a, b = gens
-        commutator = FreeWord(((a, 1), (b, 1), (a, -1), (b, -1)))
-        variants = set()
-        for w in (commutator, commutator.inverse()):
-            for rot in w.cyclic_rotations():
-                variants.add(rot.letters)
-        if rel.letters in variants:
-            found.add(frozenset((a, b)))
+    # exponent sums are zero, so a reduced 4-letter relator reads
+    # x^e y^f x^-e y^-f with x != y: a commutator up to inversion and rotation
+    found = {frozenset(rel.generators()) for rel in pres.relators if len(rel) == 4}
     if needed <= found:
         return len(pres.generators)
     return None

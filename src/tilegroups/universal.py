@@ -58,22 +58,25 @@ def harvest_equal_length_relations(
 ) -> HarvestReport:
     """Scan the factor language of the window, group factors by exact
     length, and emit one relation pair per unordered pair of distinct
-    equal-length factors."""
+    equal-length factors.  The length is computed once per Parikh vector
+    (count of each letter), not per factor."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
-    factors = sorted(lang.words)
+    generators = sorted(set(window.letters))
+    by_parikh: dict[tuple[int, ...], list[str]] = {}
+    for w in lang.words:
+        by_parikh.setdefault(tuple(w.count(c) for c in generators), []).append(w)
     by_length: dict[QR, list[str]] = {}
-    for w in factors:
-        by_length.setdefault(word_length(w, lengths), []).append(w)
+    for words in by_parikh.values():
+        by_length.setdefault(word_length(words[0], lengths), []).extend(words)
     pairs = []
     for length in sorted(by_length):
         group = sorted(by_length[length])
         for i, u in enumerate(group):
             for v in group[i + 1:]:
                 pairs.append((u, v, length))
-    generators = sorted(set(window.letters))
-    pres = presentation_from_pairs(generators, [(list(u), list(v)) for u, v, _ in pairs])
+    pres = presentation_from_pairs(generators, [(u, v) for u, v, _ in pairs])
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
 
 
@@ -223,9 +226,9 @@ def maxset_presentation(source: TableSource) -> Presentation:
     generator/relation harvest of a partial action.  Generators are
     labelled by their exact group values."""
     if isinstance(source, PartialActionData):
-        labels = source.element_labels()
-        pairs = [([str(g), str(gp)], [str(total)]) for g, gp, total in source.relations]
-        return presentation_from_pairs(labels, pairs)
+        label = dict(zip(source.elements, source.element_labels()))
+        pairs = [([label[g], label[gp]], [label[total]]) for g, gp, total in source.relations]
+        return presentation_from_pairs(list(label.values()), pairs)
     elements: set[str] = set()
     table: dict[tuple[str, str], str] = {}
     for (a, b), c in source.items():

@@ -1,0 +1,27 @@
+"""Helpers only the tests use: a value-keyed difference lookup, exponent
+sums of a word and two triviality predicates for check_homomorphism."""
+
+from typing import Callable
+
+from tilegroups.exactnum import QuadraticRational as QR
+from tilegroups.pointset import DiffElement, PointSet1D, diff_set
+from tilegroups.presentation import FreeWord
+
+
+def diff_lookup(ps: PointSet1D, bound: QR) -> dict[QR, DiffElement]:
+    return {d.value: d for d in diff_set(ps, bound)}
+
+
+def free_target_oracle() -> Callable[[FreeWord], bool]:
+    """Triviality in a free group: the reduced word is empty."""
+    return lambda word: not word
+
+
+def exponent_sum(word: FreeWord, gen: str) -> int:
+    return sum(e for g, e in word.letters if g == gen)
+
+
+def free_abelian_target_oracle() -> Callable[[FreeWord], bool]:
+    """Triviality in a free abelian group: all exponent sums vanish.
+    With a single target generator this is triviality in Z."""
+    return lambda word: all(exponent_sum(word, g) == 0 for g in word.generators())

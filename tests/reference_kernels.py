@@ -1,0 +1,163 @@
+"""Reference kernels: the straightforward versions of the universal-group
+routes, kept as test oracles for the output-linear kernels in the package.
+
+Each function is the earlier library code, unchanged apart from its name
+and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
+the round-by-round Tietze loop and the box-scan ``partial_action_data``.
+``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
+with ``FreeWord.cyclic_rotations`` inlined.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from tilegroups.exactnum import QuadraticRational as QR
+from tilegroups.modelset import PartialActionData, WindowSet, _overlap_nonempty
+from tilegroups.pointset import DiffElement, PointSet1D, chained_sum
+from tilegroups.presentation import FreeWord, Presentation, reduce_word
+
+
+def diff_set_pairs(ps: PointSet1D, bound: QR) -> list[DiffElement]:
+    """All differences r_i - r_j with |value| <= bound, with complete
+    witness lists, sorted by value."""
+    if bound.sign() <= 0:
+        raise ValueError("bound must be positive")
+    found: dict[QR, list[tuple[int, int]]] = {}
+    idx = range(ps.min_index, ps.max_index + 1)
+    for i in idx:
+        for j in idx:
+            v = ps.point(i) - ps.point(j)
+            if abs(v) <= bound:
+                found.setdefault(v, []).append((i, j))
+    return [DiffElement(v, tuple(ws)) for v, ws in sorted(found.items())]
+
+
+def maxset_table_chained(ps: PointSet1D, bound: QR) -> dict[tuple[QR, QR], QR]:
+    """The partial-operation table of chained differences with |value| <=
+    bound: the group-like set of maximal pattern classes in coordinates."""
+    elems = diff_set_pairs(ps, bound)
+    by_value = {e.value: e for e in elems}
+    table: dict[tuple[QR, QR], QR] = {}
+    for a in elems:
+        for b in elems:
+            out = chained_sum(a, b, ps)
+            if out is not None and out.value in by_value:
+                table[(a.value, b.value)] = out.value
+    return table
+
+
+def tietze_rounds(pres: Presentation, budget: int = 100) -> Presentation:
+    """Bounded simplification: drop empty/duplicate relators and eliminate
+    generators defined by relators of length <= 2.  Output presents an
+    isomorphic group."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    gens = list(pres.generators)
+    relators = list(pres.relators)
+    for _ in range(budget):
+        seen = set()
+        cleaned = []
+        for rel in relators:
+            key = min(rel.letters, rel.inverse().letters)
+            if rel and key not in seen:
+                seen.add(key)
+                cleaned.append(rel)
+        relators = cleaned
+        elim: Optional[tuple[str, FreeWord]] = None
+        for rel in relators:
+            if len(rel) == 1:
+                elim = (rel.letters[0][0], FreeWord())
+                break
+            if len(rel) == 2:
+                (g1, e1), (g2, e2) = rel.letters
+                if g1 != g2:
+                    # g1^e1 g2^e2 = 1  =>  g1 = g2^(-e2*e1)
+                    image = FreeWord(((g2, -e2),)) if e1 == 1 else FreeWord(((g2, e2),))
+                    elim = (g1, image)
+                    break
+        if elim is None:
+            break
+        gen, image = elim
+        gens.remove(gen)
+        relators = [r.substitute(gen, image) for r in relators]
+    seen = set()
+    final = []
+    for rel in relators:
+        key = min(rel.letters, rel.inverse().letters)
+        if rel and key not in seen:
+            seen.add(key)
+            final.append(rel)
+    return Presentation(tuple(gens), tuple(final))
+
+
+def partial_action_box(
+    basis: tuple[QR, QR],
+    window: WindowSet,
+    coeff_bound: int,
+    interiors: bool = True,
+) -> PartialActionData:
+    """Elements are the boxed group values g with V and V - g overlapping;
+    pairs (g, g') are composable when the triple overlap of V, g+V and
+    g+g'+V is non-empty with all three members boxed; each composable pair
+    contributes the relation equating the formal product with the sum.
+
+    interiors=True tests overlap of interiors (the open-subset setting);
+    interiors=False additionally accepts degenerate overlaps containing a
+    group point (closed windows over a dense group).
+    """
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    g1, g2 = basis
+    elements: list[QR] = []
+    for n in range(-coeff_bound, coeff_bound + 1):
+        for m in range(-coeff_bound, coeff_bound + 1):
+            g = g1 * n + g2 * m
+            overlap = window.intersect(window.translate(-g))
+            if _overlap_nonempty(overlap, interiors, basis):
+                elements.append(g)
+    elements.sort()
+    eset = set(elements)
+    composable: list[tuple[QR, QR]] = []
+    relations: list[tuple[QR, QR, QR]] = []
+    for g in elements:
+        shifted_g = window.translate(g)
+        for gp in elements:
+            total = g + gp
+            if total not in eset:
+                continue
+            triple = window.intersect(shifted_g).intersect(window.translate(total))
+            if _overlap_nonempty(triple, interiors, basis):
+                composable.append((g, gp))
+                relations.append((g, gp, total))
+    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(composable), tuple(relations))
+
+
+def free_abelian_by_rotations(pres: Presentation) -> Optional[int]:
+    """Z^n certificate with the commutator found among the cyclic rotations
+    of [a, b] and its inverse: zero exponent sums and a commutator relator
+    for every generator pair."""
+    for rel in pres.relators:
+        if any(sum(e for g, e in rel.letters if g == gen) != 0 for gen in pres.generators):
+            return None
+    needed = {frozenset((a, b)) for i, a in enumerate(pres.generators)
+              for b in pres.generators[i + 1:]}
+    found = set()
+    for rel in pres.relators:
+        if len(rel) != 4:
+            continue
+        gens = sorted(rel.generators())
+        if len(gens) != 2:
+            continue
+        a, b = gens
+        commutator = FreeWord(((a, 1), (b, 1), (a, -1), (b, -1)))
+        variants = set()
+        for w in (commutator, commutator.inverse()):
+            n = len(w.letters)
+            for i in range(n):
+                variants.add(reduce_word(w.letters[i:] + w.letters[:i]).letters)
+        if rel.letters in variants:
+            found.add(frozenset((a, b)))
+    if needed <= found:
+        return len(pres.generators)
+    return None

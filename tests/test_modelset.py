@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
+from reference_kernels import partial_action_box
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import (
     CutProjectScheme,
     EmptyModelSetError,
@@ -507,6 +508,55 @@ class TestPartialActionData:
         for g, gp, total in data.relations:
             assert g in eset and gp in eset and total in eset
             assert g + gp == total
+
+    def test_dependent_basis_rejected(self):
+        # a rational ratio would label distinct (n, m) with one value
+        for basis in ((QR(1), QR(2)), (TAU, TAU * 3), (QR(1), QR(0))):
+            for interiors in (True, False):
+                with pytest.raises(ValueError, match="rationally dependent"):
+                    partial_action_data(basis, WindowSet.interval(QR(0), QR(1)), 3, interiors)
+
+    def test_empty_window_gives_empty_data(self):
+        for interiors in (True, False):
+            data = partial_action_data((QR(1), TAU), WindowSet.empty(), 3, interiors)
+            assert data.elements == data.composable == data.relations == ()
+
+
+SQRT2 = QR.sqrt_of(2)
+PA_BASES = {
+    "1,tau": (QR(1), TAU),
+    "10,10tau": (QR(10), TAU * 10),
+    "1,-tau": (QR(1), -TAU),
+    "tau,1": (TAU, QR(1)),
+    "1,1-tau": (QR(1), QR(1) - TAU),
+    "-tau,-1": (-TAU, QR(-1)),
+    "1,sqrt2": (QR(1), SQRT2),
+    "1/3,sqrt2/5": (QR(Fraction(1, 3)), SQRT2 / 5),
+}
+PA_WINDOWS = {
+    "[0,1]": interval(0, 1),
+    "[-1/2,tau]": WindowSet.interval(QR(Fraction(-1, 2)), TAU),
+    "[0,1]u[3,4]": WindowSet.normalized([(QR(0), QR(1)), (QR(3), QR(4))]),
+    "[0,0]": interval(0, 0),
+    "empty": WindowSet.empty(),
+}
+
+
+@pytest.mark.parametrize("window", PA_WINDOWS.values(), ids=PA_WINDOWS)
+@pytest.mark.parametrize("basis", PA_BASES.values(), ids=PA_BASES)
+def test_strip_scan_matches_box_scan(basis, window):
+    # elements, composable pairs and relations agree, in order, with the
+    # (2b+1)^2 box scan; a window from another quadratic field than the
+    # basis fails the same way in both
+    for interiors in (True, False):
+        for bound in (1, 3, 6):
+            try:
+                want = partial_action_box(basis, window, bound, interiors)
+            except DiscriminantMismatch:
+                with pytest.raises(DiscriminantMismatch):
+                    partial_action_data(basis, window, bound, interiors)
+                continue
+            assert partial_action_data(basis, window, bound, interiors) == want
 
 
 class TestObstructionGrade:

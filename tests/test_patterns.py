@@ -1,8 +1,11 @@
 import pytest
 
+from helpers import diff_lookup
+from reference_kernels import maxset_table_chained
+from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import embeds_oracle, fibonacci_scheme
-from tilegroups.pointset import LengthFunction, build_pointset, diff_lookup
+from tilegroups.pointset import LengthFunction, build_pointset
 from tilegroups.patterns import (
     PatternClass,
     aligned_union,
@@ -180,3 +183,14 @@ class TestMaxsetTable:
                     # defined products escape the table only when the sum
                     # leaves the bound
                     assert abs(a.value + b.value) > bound
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_index_join_matches_chained_sums(case):
+    # same entries in the same insertion order as the chained_sum table
+    config = reference_cases()[case]
+    for half_width in (8, 15, 30):
+        ps = case_pointset(config, half_width)
+        for bound in (QR(1), TAU, TAU + 1, QR(6)):
+            table = maxset_table(ps, bound)
+            assert list(table.items()) == list(maxset_table_chained(ps, bound).items())

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import diff_lookup
+from reference_kernels import diff_set_pairs
+from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.pointset import (
     LengthFunction,
     PointSet1D,
     build_pointset,
     decompose_into_bounded,
-    diff_lookup,
     diff_set,
     bounded_generator_set,
     difference_group_invariants,
@@ -82,6 +84,17 @@ class TestDiffSet:
         for d in diff_set(ps, TAU):
             for i, j in d.witnesses:
                 assert ps.point(i) - ps.point(j) == d.value
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_two_pointer_matches_all_pairs(case):
+    # every element, witness tuple and the element order agree with the
+    # all-pairs scan
+    config = reference_cases()[case]
+    for half_width in (8, 15, 30):
+        ps = case_pointset(config, half_width)
+        for bound in (QR(1), TAU, TAU + 1, QR(6)):
+            assert diff_set(ps, bound) == diff_set_pairs(ps, bound)
 
 
 class TestOplus:

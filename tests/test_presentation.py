@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import exponent_sum, free_abelian_target_oracle, free_target_oracle
 from intmat import mat_det, mat_mul
+from reference_kernels import free_abelian_by_rotations, tietze_rounds
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
@@ -12,8 +14,6 @@ from tilegroups.presentation import (
     certificate_free,
     certificate_free_abelian,
     check_homomorphism,
-    free_abelian_target_oracle,
-    free_target_oracle,
     hnf,
     presentation_from_pairs,
     reduce_word,
@@ -22,7 +22,9 @@ from tilegroups.presentation import (
     tietze_simplify,
     universal_presentation_from_table,
 )
-from tilegroups.universal import maxset_presentation
+from tilegroups.cli import reference_cases
+from tilegroups.sequences import two_sided_window
+from tilegroups.universal import harvest_equal_length_relations, maxset_presentation
 
 
 LETTERS = st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))), max_size=30)
@@ -83,6 +85,17 @@ class TestPresentationBuild:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             presentation_from_pairs(["a"], [(["a"], ["z"])])
+
+    @given(st.lists(st.tuples(st.text("abc", max_size=6), st.text("abc", max_size=6)), max_size=12))
+    def test_suffix_cut_matches_free_reduction(self, pairs):
+        # same relators, in the same order, as reducing u * v^-1 letter by
+        # letter and dropping trivial and repeated words
+        want = []
+        for u, v in pairs:
+            rel = reduce_word([(g, 1) for g in u] + [(g, -1) for g in reversed(v)])
+            if rel and rel not in want:
+                want.append(rel)
+        assert presentation_from_pairs("abc", pairs).relators == tuple(want)
 
 
 class TestAbelianInvariants:
@@ -159,7 +172,7 @@ class TestSmithInvariants:
         data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), 8)
         assert len(data.relations) == 211
         pres = maxset_presentation(data)
-        rows = [[rel.exponent_sum(g) for g in pres.generators] for rel in pres.relators]
+        rows = [[exponent_sum(rel, g) for g in pres.generators] for rel in pres.relators]
         assert _exponent_rows(pres) == rows
         factors = full_transform_invariants(rows)
         assert smith_invariants(rows) == factors
@@ -216,6 +229,46 @@ class TestTietze:
         )
         assert abelian_invariants(tietze_simplify(p)) == abelian_invariants(p)
 
+    @given(st.data())
+    def test_matches_round_by_round(self, data):
+        # short relators drive eliminations; duplicates and inverses of
+        # earlier relators exercise the dedup order
+        gens = data.draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+        letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+        rels = [reduce_word(w) for w in data.draw(st.lists(st.lists(letter, max_size=5), max_size=12))]
+        if rels:
+            for k in data.draw(st.lists(st.integers(0, len(rels) - 1), max_size=4)):
+                rels.insert(data.draw(st.integers(0, len(rels))), rels[k].inverse())
+        pres = Presentation(tuple(gens), tuple(rels))
+        budget = data.draw(st.integers(0, 6))
+        assert tietze_simplify(pres, budget) == tietze_rounds(pres, budget)
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_harvests_match_round_by_round(self, case):
+        config = reference_cases()[case]
+        window = two_sided_window(config.spec, 60)
+        pres = harvest_equal_length_relations(window, config.lengths, 14).presentation
+        assert tietze_simplify(pres) == tietze_rounds(pres)
+
+    def test_partial_action_matches_round_by_round(self):
+        data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), 6)
+        pres = maxset_presentation(data)
+        assert tietze_simplify(pres) == tietze_rounds(pres)
+
+    def test_substituted_relator_displaces_later_duplicate(self):
+        # a -> b turns the first relator into the inverse of the second;
+        # the earlier position wins, as in a full dedup pass
+        p = Presentation(("a", "b", "x", "y"),
+                         (word("a", "x", "y"), word("y", "x", "x"), word("y-", "x-", "b-"), word("a", "b-")))
+        q = tietze_simplify(p)
+        assert q == Presentation(("b", "x", "y"), (word("b", "x", "y"), word("y", "x", "x")))
+        assert q == tietze_rounds(p)
+
+    def test_budget_stops_eliminations(self):
+        p = Presentation(("a", "b", "c"), (word("a", "b-"), word("b", "c-")))
+        assert tietze_simplify(p, 1) == Presentation(("b", "c"), (word("b", "c-"),))
+        assert tietze_simplify(p, 0) == p
+
 
 class TestHomomorphism:
     def test_commutator_into_abelian(self):
@@ -270,4 +323,24 @@ class TestCertificates:
 
     def test_free_abelian_rejects_nonzero_exponents(self):
         p = presentation_from_pairs(["a", "b"], [(["a", "a"], ["b"])])
+        assert certificate_free_abelian(p) is None
+
+    @given(st.data())
+    def test_free_abelian_matches_rotation_search(self, data):
+        # commutators in every rotation and orientation, plus random words
+        gens = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+        letter = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+        rels = [reduce_word(w) for w in data.draw(st.lists(st.lists(letter, max_size=5), max_size=4))]
+        for a, b in data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)), max_size=8)):
+            e, f = data.draw(st.sampled_from((1, -1))), data.draw(st.sampled_from((1, -1)))
+            k = data.draw(st.integers(0, 3))
+            w = [(a, e), (b, f), (a, -e), (b, -f)]
+            rels.append(reduce_word(w[k:] + w[:k]))
+        pres = Presentation(tuple(gens), tuple(data.draw(st.permutations(rels))))
+        assert certificate_free_abelian(pres) == free_abelian_by_rotations(pres)
+
+    def test_free_abelian_rejects_one_nonzero_relator(self):
+        # the commutator is present, but a later relator has exponent sums
+        p = presentation_from_pairs(["a", "b"],
+                                    [(["a", "b"], ["b", "a"]), (["a", "a", "b"], ["b", "a"])])
         assert certificate_free_abelian(p) is None

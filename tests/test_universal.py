@@ -3,7 +3,13 @@ import pytest
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
-from tilegroups.presentation import abelian_invariants, certificate_free, tietze_simplify
+from tilegroups.cli import reference_cases
+from tilegroups.presentation import (
+    abelian_invariants,
+    certificate_free,
+    presentation_from_pairs,
+    tietze_simplify,
+)
 from tilegroups.patterns import maxset_table
 from tilegroups.sequences import (
     SequenceSpec,
@@ -72,6 +78,25 @@ class TestHarvest:
     def test_word_length(self):
         assert word_length("ab", FIB_LEN) == TAU + 1
         assert word_length("", FIB_LEN) == QR(0)
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_parikh_grouping_matches_word_length(self, case):
+        # grouping every factor by its own exact length gives the same
+        # pairs, in the same order, and the same relators
+        config = reference_cases()[case]
+        window = two_sided_window(config.spec, 60)
+        rep = harvest_equal_length_relations(window, config.lengths, 14)
+        by_length = {}
+        for w in sorted(factor_language(window, 14).words):
+            by_length.setdefault(word_length(w, config.lengths), []).append(w)
+        pairs = []
+        for length in sorted(by_length):
+            group = sorted(by_length[length])
+            pairs += [(u, v, length) for i, u in enumerate(group) for v in group[i + 1:]]
+        assert rep.pairs == tuple(pairs)
+        generators = sorted(set(window.letters))
+        assert rep.presentation == presentation_from_pairs(
+            generators, [(list(u), list(v)) for u, v, _ in pairs])
 
 
 class TestAccentStrings:
@@ -205,3 +230,8 @@ class TestMaxsetPresentation:
         data = partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 3)
         pres = maxset_presentation(data)
         assert abelian_invariants(pres) == (2, [])
+
+    def test_partial_action_labels(self):
+        data = partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5)
+        pairs = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations]
+        assert maxset_presentation(data) == presentation_from_pairs(data.element_labels(), pairs)

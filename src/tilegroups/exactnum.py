@@ -118,6 +118,8 @@ class QuadraticRational:
     def _coerce(self, other) -> "QuadraticRational":
         if isinstance(other, QuadraticRational):
             return other
+        if isinstance(other, int):  # bool too; skips the Fraction round trip
+            return _make(int(other), 0, 1, 0)
         if isinstance(other, Rational):
             return QuadraticRational(other)
         raise TypeError(f"cannot combine QuadraticRational with {type(other).__name__}")

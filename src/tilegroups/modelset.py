@@ -352,14 +352,21 @@ def empire_brute(
     pat_q: list[QR],
     box_bound: int,
 ) -> EmpireBruteResult:
-    """Independent empire oracle: scan every lattice g with coefficients in
+    """Independent empire oracle: scan the lattice g with coefficients in
     [-box_bound, box_bound] and compare, point by point, whether g + P and
     g + Q land inside the model set.
 
-    The scan runs over integerized star coordinates (one common denominator,
-    integer pairs over {1, sqrt(d)}) for speed; lattice rows whose star
-    falls outside the combined window hull of both patterns are skipped,
-    which is sound because there both memberships are False.
+    Only a g whose star lies in the band [min K - max x*, max K - min x*]
+    can carry a pattern point into the window; elsewhere both memberships
+    are False.  So for each n the scan visits just the strip of m with
+    band_lo <= n*i1 + m*i2 <= band_hi, clipped to the box, its ends exact
+    ceilings and floors.  That costs O(box_bound * k) for strips of k
+    values, not the (2*box_bound + 1)^2 of the box.  The scan order is
+    still n ascending, then m ascending, so the result and the first
+    separator found are those of the full box scan.  Memberships are
+    decided on integerized star coordinates (one common denominator,
+    integer pairs over {1, sqrt(d)}) by code of its own, independent of
+    modelset_points.
     """
     i1, i2 = scheme.internal_group_basis()
     p_stars = [star(scheme, p) for p in pat_p]
@@ -386,23 +393,25 @@ def empire_brute(
                 return True
         return False
 
-    # band of star values that could possibly land in any K - x*
+    # band of star values that could possibly land in any K - x*:
+    # band_lo <= n*i1 + m*i2 <= band_hi  iff  m in sorted(band_lo/i2, band_hi/i2) - n*i1/i2,
+    # with i2 != 0 guaranteed by CutProjectScheme
     klo, khi = scheme.window.hull()
     stars_all = p_stars + q_stars
-    band_lo = klo - max(stars_all)
-    band_hi = khi - min(stars_all)
-    blo, bhi = pair(band_lo), pair(band_hi)
+    band_lo, band_hi = klo - max(stars_all), khi - min(stars_all)
+    strip_lo, strip_hi = sorted((band_lo / i2, band_hi / i2))
+    step = i1 / i2
 
     bound = box_bound
     for n in range(-bound, bound + 1):
+        n_step = step * n
+        m_lo = max(-bound, (strip_lo - n_step).ceil())
+        m_hi = min(bound, (strip_hi - n_step).floor())
         gn = (n * i1p[0], n * i1p[1])
-        for m in range(-bound, bound + 1):
-            ga = gn[0] + m * i2p[0]
-            gb = gn[1] + m * i2p[1]
-            if sign(ga - blo[0], gb - blo[1], d) < 0 or sign(bhi[0] - ga, bhi[1] - gb, d) < 0:
-                continue  # both memberships are False out here
-            in_p = all(member(a, b, (ga, gb)) for a, b in ppairs)
-            in_q = all(member(a, b, (ga, gb)) for a, b in qpairs)
+        for m in range(m_lo, m_hi + 1):
+            g = (gn[0] + m * i2p[0], gn[1] + m * i2p[1])
+            in_p = all(member(a, b, g) for a, b in ppairs)
+            in_q = all(member(a, b, g) for a, b in qpairs)
             if in_p != in_q:
                 g_phys = scheme.v1.phys * n + scheme.v2.phys * m
                 return EmpireBruteResult(False, (n, m), g_phys)

@@ -1,19 +1,29 @@
 """Reference kernels: the straightforward versions of the universal-group
-routes, kept as test oracles for the output-linear kernels in the package.
+routes and of the empire oracle, kept as test oracles for the
+output-linear kernels in the package.
 
 Each function is the earlier library code, unchanged apart from its name
 and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
-the round-by-round Tietze loop and the box-scan ``partial_action_data``.
+the round-by-round Tietze loop, the box-scan ``partial_action_data`` and
+the box-scan ``empire_brute``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from tilegroups.exactnum import QuadraticRational as QR
-from tilegroups.modelset import PartialActionData, WindowSet, _overlap_nonempty
+from tilegroups.modelset import (
+    CutProjectScheme,
+    EmpireBruteResult,
+    PartialActionData,
+    WindowSet,
+    _overlap_nonempty,
+    star,
+)
 from tilegroups.pointset import DiffElement, PointSet1D, chained_sum
 from tilegroups.presentation import FreeWord, Presentation, reduce_word
 
@@ -161,3 +171,66 @@ def free_abelian_by_rotations(pres: Presentation) -> Optional[int]:
     if needed <= found:
         return len(pres.generators)
     return None
+
+
+def empire_brute_box(
+    scheme: CutProjectScheme,
+    pat_p: list[QR],
+    pat_q: list[QR],
+    box_bound: int,
+) -> EmpireBruteResult:
+    """Independent empire oracle: scan every lattice g with coefficients in
+    [-box_bound, box_bound] and compare, point by point, whether g + P and
+    g + Q land inside the model set.
+
+    The scan runs over integerized star coordinates (one common denominator,
+    integer pairs over {1, sqrt(d)}) for speed; lattice rows whose star
+    falls outside the combined window hull of both patterns are skipped,
+    which is sound because there both memberships are False.
+    """
+    i1, i2 = scheme.internal_group_basis()
+    p_stars = [star(scheme, p) for p in pat_p]
+    q_stars = [star(scheme, q) for q in pat_q]
+    values = [i1, i2, *p_stars, *q_stars, *(e for comp in scheme.window.components for e in comp)]
+    d = max(v.disc for v in values)
+    denom = math.lcm(*(v.triple[2] for v in values))
+    sign = QR.int_sign
+
+    def pair(v: QR) -> tuple[int, int]:
+        a, b, c = v.triple
+        return a * (denom // c), b * (denom // c)
+
+    i1p, i2p = pair(i1), pair(i2)
+    ppairs = [pair(v) for v in p_stars]
+    qpairs = [pair(v) for v in q_stars]
+    comps = [(pair(lo), pair(hi)) for lo, hi in scheme.window.components]
+
+    def member(a: int, b: int, shift: tuple[int, int]) -> bool:
+        # is (a,b) + shift inside the window, all over the common denominator
+        x, y = a + shift[0], b + shift[1]
+        for (alo, blo), (ahi, bhi) in comps:
+            if sign(x - alo, y - blo, d) >= 0 and sign(ahi - x, bhi - y, d) >= 0:
+                return True
+        return False
+
+    # band of star values that could possibly land in any K - x*
+    klo, khi = scheme.window.hull()
+    stars_all = p_stars + q_stars
+    band_lo = klo - max(stars_all)
+    band_hi = khi - min(stars_all)
+    blo, bhi = pair(band_lo), pair(band_hi)
+
+    bound = box_bound
+    for n in range(-bound, bound + 1):
+        gn = (n * i1p[0], n * i1p[1])
+        for m in range(-bound, bound + 1):
+            ga = gn[0] + m * i2p[0]
+            gb = gn[1] + m * i2p[1]
+            if sign(ga - blo[0], gb - blo[1], d) < 0 or sign(bhi[0] - ga, bhi[1] - gb, d) < 0:
+                continue  # both memberships are False out here
+            in_p = all(member(a, b, (ga, gb)) for a, b in ppairs)
+            in_q = all(member(a, b, (ga, gb)) for a, b in qpairs)
+            if in_p != in_q:
+                g_phys = scheme.v1.phys * n + scheme.v2.phys * m
+                return EmpireBruteResult(False, (n, m), g_phys)
+    return EmpireBruteResult(True)

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
-from tilegroups import cli
+from tilegroups import cli, presentation
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
+from tilegroups.presentation import certificate_free_abelian
+from tilegroups.sequences import two_sided_window
+from tilegroups.universal import harvest_equal_length_relations
 
 
 class TestGenerate:
@@ -69,6 +72,20 @@ class TestPresent:
         a = build_case_report(cases["periodic-ab-2-1"], 20, 6)
         b = build_case_report(cases["periodic-ab-2-1"], 20, 6)
         assert a == b
+
+    @pytest.mark.parametrize("name", list(reference_cases()))
+    def test_exponent_rows_built_once(self, name, monkeypatch):
+        # the Z^n certificate reuses what the abelian invariants found and
+        # agrees with the standalone certificate
+        case = reference_cases()[name]
+        pres = harvest_equal_length_relations(two_sided_window(case.spec, 20), case.lengths, 8).presentation
+        rank = certificate_free_abelian(pres)
+        calls = []
+        real = presentation._exponent_rows
+        monkeypatch.setattr(presentation, "_exponent_rows", lambda p: calls.append(p) or real(p))
+        statement = build_case_report(case, 20, 8)["universal_group"]["statement"]
+        assert len(calls) == (1 if pres.relators else 0)
+        assert (statement == f"Z^{rank} certificate") == (rank is not None)
 
     def test_splice_flag_present(self):
         rep = build_case_report(reference_cases()["splice-irrational"], 20, 10)

@@ -65,6 +65,32 @@ def test_mixed_operands_match_oracle(xo, r, op):
     assert same(op(n, x), op(n, ox))
 
 
+def _outcome(op, a, b):
+    """The integer form and hash of op(a, b), or the error it raises."""
+    try:
+        r = op(a, b)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return (r.triple, r.disc, hash(r)) if isinstance(r, QR) else r
+
+
+int_operands = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+    st.integers(10**40, 10**41),
+    st.integers(-10**41, -10**40),
+)
+
+
+@given(pairs(), int_operands, st.sampled_from(ARITH + (operator.truediv, operator.lt)))
+def test_int_operands_match_coerced(xo, n, op):
+    # a plain int (or bool) operand, on either side, gives exactly the
+    # result of the same operation with QR(n)
+    x, _ = xo
+    assert _outcome(op, x, n) == _outcome(op, x, QR(n))
+    assert _outcome(op, n, x) == _outcome(op, QR(n), x)
+
+
 @given(pairs())
 def test_unary_matches_oracle(xo):
     x, ox = xo

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_kernels import partial_action_box
+from reference_kernels import empire_brute_box, partial_action_box
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import (
     CutProjectScheme,
     EmptyModelSetError,
+    EmpireBruteResult,
     LatticeVector,
     WindowSet,
     obstruction_grade,
@@ -363,6 +365,72 @@ class TestEmpire:
                 g_phys = scheme.v1.phys * n + scheme.v2.phys * m
                 placed = all(scheme.window.contains(star(scheme, p) + gs) for p in pat)
                 assert placed == w.contains(gs), (n, m, str(g_phys))
+
+
+def _sqrt2_scheme() -> CutProjectScheme:
+    # v2 = (1+sqrt2, 1-sqrt2): a negative internal coordinate i2 in Q(sqrt2)
+    s2 = QR.sqrt_of(2)
+    return CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                            LatticeVector(1 + s2, 1 - s2), interval(-1, 1))
+
+
+FIB = fibonacci_scheme()
+EMPIRE_SCHEMES = {
+    "fibonacci": FIB,
+    "sqrt2-negative-i2": _sqrt2_scheme(),
+    "odd-denominators": _odd_denominator_scheme(),
+    "two-components": CutProjectScheme(
+        FIB.v1, FIB.v2,
+        WindowSet.normalized([(QR(Fraction(-99, 100)), QR(Fraction(-1, 2))),
+                              (QR(0), QR(Fraction(63, 100)))])),
+}
+
+
+def _empire_pairs(scheme: CutProjectScheme, seed: int, count: int) -> list:
+    """Seeded pattern pairs from the model set: one in three is empire-equal
+    by construction (an extra point whose window translate covers the
+    pattern window), the others are independent draws."""
+    points = modelset_points(scheme, QR(20))
+    translates = [(x, scheme.window.translate(-star(scheme, x))) for x in points]
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        pat_p = sorted(rng.sample(points, rng.randint(1, 4)))
+        if i % 3 == 0:
+            w = pattern_window(scheme, pat_p)
+            extra = next((x for x, t in translates if x not in pat_p and w.issubset(t)), None)
+            pat_q = pat_p if extra is None else sorted(pat_p + [extra])
+        else:
+            pat_q = sorted(rng.sample(points, rng.randint(1, 4)))
+        out.append((pat_p, pat_q))
+    return out
+
+
+@pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
+def test_empire_strip_scan_matches_box_scan(scheme):
+    # agree, separator_coords and separator_phys all equal those of the
+    # (2B+1)^2 box scan, so the first separator found is the same
+    results = set()
+    for pat_p, pat_q in _empire_pairs(scheme, seed=5, count=24):
+        for bound in (0, 1, 2, 5, 20, 60):
+            want = empire_brute_box(scheme, pat_p, pat_q, bound)
+            assert empire_brute(scheme, pat_p, pat_q, bound) == want, (pat_p, pat_q, bound)
+            results.add(want.agree)
+    assert results == {True, False}
+
+
+def test_empire_strip_misses_box():
+    # the points 50 and 51 (stars 50 and 51, outside the window) put the
+    # band [min K - 51, max K - 50] beyond every lattice star of a small
+    # box: both scans visit nothing and agree
+    scheme = fibonacci_scheme()
+    pat_p, pat_q = [QR(50)], [QR(50), QR(51)]
+    for bound in (0, 1, 5):
+        assert empire_brute(scheme, pat_p, pat_q, bound) == EmpireBruteResult(True)
+        assert empire_brute_box(scheme, pat_p, pat_q, bound) == EmpireBruteResult(True)
+    # a wider box reaches the band, where the two differ
+    assert empire_brute(scheme, pat_p, pat_q, 60) == empire_brute_box(scheme, pat_p, pat_q, 60)
+    assert not empire_brute(scheme, pat_p, pat_q, 60).agree
 
 
 def place(scheme, pattern):

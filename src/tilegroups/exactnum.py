@@ -3,10 +3,13 @@
 Every geometric quantity in this package (tile lengths, point
 coordinates, window endpoints) is a ``QuadraticRational``: a number
 (a + b*sqrt(d))/c stored as four normalised integers, with d a fixed
-square-free non-negative integer.  Arithmetic, comparisons, floors and
-ceilings work on those integers only; ``Fraction`` enters at the public
-constructor and in :meth:`QuadraticRational.from_string`, and floats
-appear only in :meth:`QuadraticRational.to_float` for report output.
+square-free non-negative integer.  Arithmetic, comparisons, floors,
+ceilings and ``str`` work on those integers only.  ``Fraction`` is still
+used by the public constructor, :meth:`QuadraticRational.from_string`,
+the ``rat``/``surd`` views, ``repr`` (which shows those views) and the
+hash of a non-integer rational value (so that it hashes like the equal
+``Fraction``).  Floats appear only in
+:meth:`QuadraticRational.to_float` for report output.
 """
 
 from __future__ import annotations
@@ -243,18 +246,23 @@ class QuadraticRational:
         a, b, c, d = self._q
         return a / c + b / c * math.sqrt(d)
 
-    def floor(self) -> int:
-        """Exact integer floor, computed on integers only.
+    @staticmethod
+    def int_floor(a: int, b: int, c: int, d: int) -> int:
+        """Exact floor of (a + b*sqrt(d))/c for integers with c > 0 and, when
+        b != 0, d square-free and at least 2; no normalisation is needed.
 
         With s = isqrt(b^2*d), b*sqrt(d) lies strictly between two
         consecutive integers (d is square-free, so it is never an integer):
         (s, s+1) when b > 0 and (-s-1, -s) when b < 0.
         """
-        a, b, c, d = self._q
         if b == 0:
             return a // c
         s = math.isqrt(b * b * d)
         return (a + s) // c if b > 0 else (a - s - 1) // c
+
+    def floor(self) -> int:
+        """Exact integer floor, computed on integers only."""
+        return self.int_floor(*self._q)
 
     def ceil(self) -> int:
         """Exact integer ceiling, -floor(-x)."""
@@ -315,19 +323,24 @@ class QuadraticRational:
         return cls(rat, surd, disc)
 
     def __str__(self):
-        rat, surd = self.rat, self.surd
-        if surd == 0:
-            return str(rat)
-        surd_txt = f"sqrt({self.disc})"
-        if abs(surd) != 1:
-            surd_txt = f"{abs(surd)}*{surd_txt}"
-        sign = "+" if surd > 0 else "-"
-        if rat == 0:
-            return surd_txt if surd > 0 else f"-{surd_txt}"
-        return f"{rat}{sign}{surd_txt}"
+        # "p/q+r/s*sqrt(d)" with each part in lowest terms, omitting a zero
+        # rational part, a denominator 1 and a surd coefficient 1
+        a, b, c, d = self._q
+        if not b:
+            return _ratio_text(a, c)
+        coef = _ratio_text(abs(b), c)
+        surd_txt = f"sqrt({d})" if coef == "1" else f"{coef}*sqrt({d})"
+        sign = "-" if b < 0 else "+" if a else ""
+        return f"{_ratio_text(a, c) if a else ''}{sign}{surd_txt}"
 
     def __repr__(self):
         return f"QuadraticRational({self.rat!r}, {self.surd!r}, {self.disc})"
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms as ``str(Fraction(p, q))`` prints it, for q > 0."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def golden_ratio() -> QuadraticRational:

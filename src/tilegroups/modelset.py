@@ -360,10 +360,10 @@ def empire_brute(
     can carry a pattern point into the window; elsewhere both memberships
     are False.  So for each n the scan visits just the strip of m with
     band_lo <= n*i1 + m*i2 <= band_hi, clipped to the box, its ends exact
-    ceilings and floors.  That costs O(box_bound * k) for strips of k
-    values, not the (2*box_bound + 1)^2 of the box.  The scan order is
-    still n ascending, then m ascending, so the result and the first
-    separator found are those of the full box scan.  Memberships are
+    integer floors over one denominator.  That costs O(box_bound * k) for
+    strips of k values, not the (2*box_bound + 1)^2 of the box.  The scan
+    order is still n ascending, then m ascending, so the result and the
+    first separator found are those of the full box scan.  Memberships are
     decided on integerized star coordinates (one common denominator,
     integer pairs over {1, sqrt(d)}) by code of its own, independent of
     modelset_points.
@@ -376,9 +376,9 @@ def empire_brute(
     denom = math.lcm(*(v.triple[2] for v in values))
     sign = QR.int_sign
 
-    def pair(v: QR) -> tuple[int, int]:
+    def pair(v: QR, den: int = denom) -> tuple[int, int]:
         a, b, c = v.triple
-        return a * (denom // c), b * (denom // c)
+        return a * (den // c), b * (den // c)
 
     i1p, i2p = pair(i1), pair(i2)
     ppairs = [pair(v) for v in p_stars]
@@ -401,12 +401,16 @@ def empire_brute(
     band_lo, band_hi = klo - max(stars_all), khi - min(stars_all)
     strip_lo, strip_hi = sorted((band_lo / i2, band_hi / i2))
     step = i1 / i2
+    # the three over one denominator, so each row's ends are integer floors
+    s_den = math.lcm(strip_lo.triple[2], strip_hi.triple[2], step.triple[2])
+    (lo_a, lo_b), (hi_a, hi_b), (st_a, st_b) = (pair(v, s_den) for v in (strip_lo, strip_hi, step))
+    int_floor = QR.int_floor
 
     bound = box_bound
     for n in range(-bound, bound + 1):
-        n_step = step * n
-        m_lo = max(-bound, (strip_lo - n_step).ceil())
-        m_hi = min(bound, (strip_hi - n_step).floor())
+        na, nb = n * st_a, n * st_b
+        m_lo = max(-bound, -int_floor(na - lo_a, nb - lo_b, s_den, d))
+        m_hi = min(bound, int_floor(hi_a - na, hi_b - nb, s_den, d))
         gn = (n * i1p[0], n * i1p[1])
         for m in range(m_lo, m_hi + 1):
             g = (gn[0] + m * i2p[0], gn[1] + m * i2p[1])

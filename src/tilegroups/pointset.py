@@ -57,17 +57,20 @@ class PointSet1D:
         self.window = window
         self.lengths = lengths
         self.anchor = anchor
-        pts: dict[int, QR] = {0: anchor}
-        run = anchor
-        for i in range(1, hi + 1):
-            run = run + lengths[window.at(i)]
-            pts[i] = run
-        run = anchor
-        for i in range(0, lo, -1):
-            run = run - lengths[window.at(i)]
-            pts[i - 1] = run
+        # T(i) sits at letters[i - start_index]: T(1), T(2), ... step right
+        # from r_0, and T(0), T(-1), ... step left to r_{-1}, r_{-2}, ...
+        size, cut = lengths.lengths, 1 - window.start_index
+        right, run = [anchor], anchor
+        for letter in window.letters[cut:]:
+            run = run + size[letter]
+            right.append(run)
+        left, run = [], anchor
+        for letter in reversed(window.letters[:cut]):
+            run = run - size[letter]
+            left.append(run)
+        left.reverse()
         self.min_index, self.max_index = lo, hi
-        self.points: list[QR] = [pts[i] for i in range(lo, hi + 1)]
+        self.points: list[QR] = left + right
         self._index_of = {v: i + lo for i, v in enumerate(self.points)}
 
     @classmethod

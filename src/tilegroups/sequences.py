@@ -201,16 +201,23 @@ class FactorLanguage:
 
 
 def factor_language(word, max_len: int) -> FactorLanguage:
-    """All distinct non-empty factors of length <= max_len in the window."""
+    """All distinct non-empty factors of length <= max_len in the window.
+
+    A factor of length L <= max_len starting at index i is a prefix of
+    text[i:i + max_len] (the slice clamps at the end of the window), so the
+    language is the set of prefixes of those n slices.  Collecting the
+    slices into a set first leaves F distinct ones (a Sturmian window has
+    max_len + 1 of full length, and the clamped ones add at most
+    max_len - 1), so the cost is O(n + F*max_len) Python-level steps
+    instead of the n*max_len slices of a scan over every (start, length).
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if isinstance(word, IndexedWord):
         text, start = word.letters, word.start_index
     else:
         text, start = str(word), 0
-    found = set()
     n = len(text)
-    for i in range(n):
-        for length in range(1, min(max_len, n - i) + 1):
-            found.add(text[i:i + length])
-    return FactorLanguage(frozenset(found), max_len, start, n)
+    heads = {text[i:i + max_len] for i in range(n)}
+    found = frozenset(h[:k] for h in heads for k in range(1, len(h) + 1))
+    return FactorLanguage(found, max_len, start, n)

@@ -4,8 +4,10 @@ output-linear kernels in the package.
 
 Each function is the earlier library code, unchanged apart from its name
 and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
-the round-by-round Tietze loop, the box-scan ``partial_action_data`` and
-the box-scan ``empire_brute``.
+the round-by-round Tietze loop, the box-scan ``partial_action_data``, the
+box-scan ``empire_brute``, the double-loop ``factor_language`` and the
+indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
+which returns the point list).
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.
 """
@@ -24,8 +26,9 @@ from tilegroups.modelset import (
     _overlap_nonempty,
     star,
 )
-from tilegroups.pointset import DiffElement, PointSet1D, chained_sum
+from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, chained_sum
 from tilegroups.presentation import FreeWord, Presentation, reduce_word
+from tilegroups.sequences import FactorLanguage, IndexedWord
 
 
 def diff_set_pairs(ps: PointSet1D, bound: QR) -> list[DiffElement]:
@@ -234,3 +237,38 @@ def empire_brute_box(
                 g_phys = scheme.v1.phys * n + scheme.v2.phys * m
                 return EmpireBruteResult(False, (n, m), g_phys)
     return EmpireBruteResult(True)
+
+
+def factor_language_scan(word, max_len: int) -> FactorLanguage:
+    """All distinct non-empty factors of length <= max_len in the window."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if isinstance(word, IndexedWord):
+        text, start = word.letters, word.start_index
+    else:
+        text, start = str(word), 0
+    found = set()
+    n = len(text)
+    for i in range(n):
+        for length in range(1, min(max_len, n - i) + 1):
+            found.add(text[i:i + length])
+    return FactorLanguage(frozenset(found), max_len, start, n)
+
+
+def pointset_points_indexed(window: IndexedWord, lengths: LengthFunction, anchor: QR = QR(0)) -> list[QR]:
+    """Points r_{start-1} .. r_{start+n-1} with r_i - r_{i-1} = |T(i)| and r_0 = anchor."""
+    if len(window) == 0:
+        raise ValueError("window must be non-empty")
+    lo, hi = window.start_index - 1, window.end_index - 1
+    if not lo <= 0 <= hi:
+        raise ValueError("window must cover the anchor index 0")
+    pts: dict[int, QR] = {0: anchor}
+    run = anchor
+    for i in range(1, hi + 1):
+        run = run + lengths[window.at(i)]
+        pts[i] = run
+    run = anchor
+    for i in range(0, lo, -1):
+        run = run - lengths[window.at(i)]
+        pts[i - 1] = run
+    return [pts[i] for i in range(lo, hi + 1)]

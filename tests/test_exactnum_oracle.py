@@ -154,3 +154,19 @@ def test_disc_one_fold_is_normalised():
     assert QR(half, -half, 1) == QR(0)
     assert QR.from_string("1/2+1/2*sqrt(1)") == 1
     assert {QR(half, half, 1)} == {1}
+
+
+BIG = 10**40 + 7
+EDGE_RATS = (Fraction(0), Fraction(3), Fraction(-5, 2), Fraction(-7, 9), Fraction(1, 6),
+             Fraction(BIG, 3), Fraction(-BIG, 11), Fraction(1, BIG))
+EDGE_SURDS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+              Fraction(3, 2), Fraction(-3, 2), Fraction(BIG), Fraction(-BIG, 7), Fraction(2, BIG))
+
+
+@pytest.mark.parametrize("disc", (1, 2, 5))
+def test_text_edge_grid_matches_oracle(disc):
+    # zero rational parts, unit and half-integer surds, negative rationals
+    # with a denominator, 10^40-sized parts and the sqrt(1) fold
+    for rat in EDGE_RATS:
+        for surd in EDGE_SURDS:
+            assert same(QR(rat, surd, disc), OldQR(rat, surd, disc)), (rat, surd, disc)

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import diff_lookup
-from reference_kernels import diff_set_pairs
+from reference_kernels import diff_set_pairs, pointset_points_indexed
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.pointset import (
@@ -25,6 +26,27 @@ FIB_LEN = LengthFunction({"a": TAU, "b": QR(1)})
 
 def fib_ps(half_width=12):
     return build_pointset(two_sided_window(FIB_SPEC, half_width), FIB_LEN)
+
+THREE_LEN = LengthFunction({"a": TAU, "b": QR(1), "c": QR(Fraction(-1, 2), Fraction(1, 3), 5)})
+
+
+@st.composite
+def anchored_windows(draw):
+    """A non-empty word over a-c whose start index runs from 1 (r_0 is the
+    first point) down to -len + 1 (r_0 is the last), and an anchor."""
+    text = draw(st.text(alphabet="abc", min_size=1, max_size=60))
+    start = draw(st.integers(-len(text) + 1, 1))
+    anchor = draw(st.sampled_from((QR(0), QR(-3), TAU, -TAU / 2)))
+    return IndexedWord(start, text), anchor
+
+
+@given(anchored_windows())
+def test_points_match_indexed_loop(case):
+    window, anchor = case
+    ps = PointSet1D(window, THREE_LEN, anchor)
+    assert ps.points == pointset_points_indexed(window, THREE_LEN, anchor)
+    assert (ps.min_index, ps.max_index) == (window.start_index - 1, window.end_index - 1)
+    assert ps.point(0) == anchor
 
 
 class TestBuild:

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from reference_kernels import factor_language_scan
 from tilegroups.sequences import (
     Alphabet,
     IndexedWord,
@@ -101,10 +103,37 @@ class TestFactorLanguage:
         large = factor_language(two_sided_window(fib_spec(), 18), 4)
         assert small.words <= large.words
 
+    def test_fibonacci_is_sturmian(self):
+        # Sturmian complexity: exactly L + 1 factors of each length L
+        lang = factor_language(two_sided_window(fib_spec(), 5000), 60)
+        counts = [0] * 61
+        for w in lang.words:
+            counts[len(w)] += 1
+        assert counts[1:] == [L + 1 for L in range(1, 61)]
+
     def test_truncation_stamp_enforced(self):
         lang = factor_language("abab", 2)
         with pytest.raises(TruncationError):
             "aba" in lang
+
+
+@st.composite
+def windows(draw):
+    """A word over 1-3 letters of length 0-80, a max_len from 1 to n + 5,
+    and a start index for its IndexedWord form."""
+    letters = draw(st.sampled_from(("a", "ab", "abc")))
+    text = draw(st.text(alphabet=letters, max_size=80))
+    max_len = draw(st.integers(1, len(text) + 5))
+    return text, max_len, draw(st.integers(-100, 100))
+
+
+@given(windows())
+def test_factor_language_matches_scan(case):
+    text, max_len, start = case
+    for word in (text, IndexedWord(start, text)):
+        # dataclass equality: the words and the max_len, window_start and
+        # window_len stamps
+        assert factor_language(word, max_len) == factor_language_scan(word, max_len)
 
 
 class TestSpecPlumbing:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -71,7 +72,6 @@ class PointSet1D:
         left.reverse()
         self.min_index, self.max_index = lo, hi
         self.points: list[QR] = left + right
-        self._index_of = {v: i + lo for i, v in enumerate(self.points)}
 
     @classmethod
     def from_points(cls, points: list[QR], anchor_index: Optional[int] = None) -> "PointSet1D":
@@ -97,6 +97,12 @@ class PointSet1D:
         window = IndexedWord(1 - anchor_index, word)
         lengths = LengthFunction({letter[g]: g for g in distinct})
         return cls(window, lengths, pts[anchor_index])
+
+    @cached_property
+    def _index_of(self) -> dict[QR, int]:
+        """Point -> index, built on the first lookup: a dump that never
+        looks a point up never hashes its points."""
+        return {v: i + self.min_index for i, v in enumerate(self.points)}
 
     def __len__(self):
         return len(self.points)

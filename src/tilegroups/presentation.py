@@ -1,9 +1,11 @@
 """Free-group words, finite presentations and exact integer linear algebra.
 
-Relators are stored as freely reduced words.  Abelianization takes the
-Smith normal form of the Hermite basis of the relator matrix over
-arbitrary-precision integers; only :func:`smith_normal_form` returns the
-unimodular transforms, with U*A*V = D.
+Relators are stored as freely reduced words.  Abelianization works over
+arbitrary-precision integers on the sparse exponent-sum rows: unit pivots
+first, each eliminating one generator, then the Smith normal form of the
+Hermite basis of the small dense remainder.  Only
+:func:`smith_normal_form` returns the unimodular transforms, with
+U*A*V = D.
 No general isomorphism testing is attempted: reports state abelian
 invariants plus the two named certificates (empty relator set => free;
 commutators present and all relators in the commutator subgroup => free
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -106,6 +108,15 @@ class Presentation:
     def __str__(self):
         rels = "; ".join(str(r) for r in self.relators)
         return f"gens: {' '.join(self.generators)}; rel: {rels}"
+
+
+def _presentation(generators: tuple[str, ...], relators: tuple[FreeWord, ...]) -> Presentation:
+    """A Presentation whose relators are known to use only its distinct
+    generators: skips the check."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "generators", generators)
+    object.__setattr__(p, "relators", relators)
+    return p
 
 
 def presentation_from_pairs(
@@ -305,12 +316,63 @@ def _exponent_rows(pres: Presentation) -> IntMatrix:
 
 
 def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion factors > 1) of the abelianized group: the Smith
-    invariants of the Hermite basis of the exponent-sum matrix."""
+    """(free rank, torsion factors > 1) of the abelianized group.
+
+    Sparse unit pivots first: while some exponent sum is +-1, that
+    generator is eliminated (the abelian shadow of a Tietze move), which
+    splits off one invariant factor 1.  Columns held by the fewest rows go
+    first, and zero rows and rows equal to a live row are dropped as they
+    appear.  What is left is a small dense remainder, whose invariant
+    factors are the Smith invariants of its Hermite basis.
+    """
+    n = len(pres.generators)
     if not pres.relators:
-        return len(pres.generators), []
-    factors = smith_invariants(_exponent_rows(pres))
-    free_rank = len(pres.generators) - len(factors)
+        return n, []
+    rows: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero coefficient}
+    keys: set[frozenset] = set()  # contents of the live rows
+    holders: list[set[int]] = [set() for _ in range(n)]  # column -> ids of rows with it
+    touched = set(range(n))  # columns that may hold a unit
+
+    def place(i: int, row: dict[int, int]) -> None:
+        key = frozenset(row.items())
+        if row and key not in keys:
+            rows[i] = row
+            keys.add(key)
+            for c in row:
+                holders[c].add(i)
+            touched.update(row)
+
+    def drop(i: int) -> dict[int, int]:
+        row = rows.pop(i)
+        keys.remove(frozenset(row.items()))
+        for c in row:
+            holders[c].discard(i)
+        return row
+
+    for i, row in enumerate(dict.fromkeys(map(tuple, _exponent_rows(pres)))):
+        place(i, dict(compress(enumerate(row), row)))
+    units = 0
+    while touched:
+        c = min(touched, key=lambda c: (len(holders[c]), c))
+        touched.discard(c)
+        pivots = [i for i in holders[c] if rows[i][c] in (1, -1)]
+        if not pivots:
+            continue
+        pivot = drop(min(pivots, key=lambda i: (len(rows[i]), i)))
+        units += 1
+        for i in list(holders[c]):
+            row = drop(i)
+            q = row[c] * pivot[c]  # the pivot is +-1, its own inverse
+            for j, x in pivot.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            place(i, row)
+    columns = sorted({c for row in rows.values() for c in row})
+    factors = smith_invariants([[row.get(c, 0) for c in columns] for row in rows.values()])
+    free_rank = n - units - len(factors)
     torsion = [f for f in factors if f > 1]
     return free_rank, torsion
 
@@ -340,7 +402,9 @@ def tietze_simplify(pres: Presentation, budget: int = 100) -> Presentation:
             uses[g].discard(p)
 
     def place(p: int, rel: FreeWord) -> None:
-        key = min(rel.letters, rel.inverse().letters)
+        letters = rel.letters
+        inv = tuple((g, -e) for g, e in reversed(letters))
+        key = letters if letters <= inv else inv
         if not rel or kept.get(key, p) < p:
             return
         if key in kept:
@@ -376,7 +440,7 @@ def tietze_simplify(pres: Presentation, budget: int = 100) -> Presentation:
         del uses[gen]
         for p, rel in changed:
             place(p, rel.substitute(gen, image))
-    return Presentation(tuple(gens), tuple(live[p][0] for p in sorted(live)))
+    return _presentation(tuple(gens), tuple(live[p][0] for p in sorted(live)))
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,6 @@ class HarvestReport:
         }
 
 
-def word_length(word: str, lengths: LengthFunction) -> QR:
-    total = QR(0)
-    for c in word:
-        total = total + lengths[c]
-    return total
-
-
 def harvest_equal_length_relations(
     window: IndexedWord,
     lengths: LengthFunction,
@@ -59,7 +52,8 @@ def harvest_equal_length_relations(
     """Scan the factor language of the window, group factors by exact
     length, and emit one relation pair per unordered pair of distinct
     equal-length factors.  The length is computed once per Parikh vector
-    (count of each letter), not per factor."""
+    (count of each letter), as the sum of count times letter length, not
+    per factor or per letter."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
@@ -68,8 +62,9 @@ def harvest_equal_length_relations(
     for w in lang.words:
         by_parikh.setdefault(tuple(w.count(c) for c in generators), []).append(w)
     by_length: dict[QR, list[str]] = {}
-    for words in by_parikh.values():
-        by_length.setdefault(word_length(words[0], lengths), []).extend(words)
+    for counts, words in by_parikh.items():
+        length = sum(lengths[c] * n for c, n in zip(generators, counts) if n)
+        by_length.setdefault(length, []).extend(words)
     pairs = []
     for length in sorted(by_length):
         group = sorted(by_length[length])

@@ -1,15 +1,23 @@
-"""Helpers only the tests use: a value-keyed difference lookup, exponent
-sums of a word and two triviality predicates for check_homomorphism."""
+"""Helpers only the tests use: a value-keyed difference lookup, the exact
+length of a word letter by letter, exponent sums of a word and two
+triviality predicates for check_homomorphism."""
 
 from typing import Callable
 
 from tilegroups.exactnum import QuadraticRational as QR
-from tilegroups.pointset import DiffElement, PointSet1D, diff_set
+from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, diff_set
 from tilegroups.presentation import FreeWord
 
 
 def diff_lookup(ps: PointSet1D, bound: QR) -> dict[QR, DiffElement]:
     return {d.value: d for d in diff_set(ps, bound)}
+
+
+def word_length(word: str, lengths: LengthFunction) -> QR:
+    total = QR(0)
+    for c in word:
+        total = total + lengths[c]
+    return total
 
 
 def free_target_oracle() -> Callable[[FreeWord], bool]:

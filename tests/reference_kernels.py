@@ -7,7 +7,8 @@ and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
 the round-by-round Tietze loop, the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
-which returns the point list).
+which returns the point list) and the dense Smith-form
+``abelian_invariants`` (as ``abelian_invariants_dense``).
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.
 """
@@ -27,7 +28,7 @@ from tilegroups.modelset import (
     star,
 )
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, chained_sum
-from tilegroups.presentation import FreeWord, Presentation, reduce_word
+from tilegroups.presentation import FreeWord, Presentation, _exponent_rows, reduce_word, smith_invariants
 from tilegroups.sequences import FactorLanguage, IndexedWord
 
 
@@ -272,3 +273,14 @@ def pointset_points_indexed(window: IndexedWord, lengths: LengthFunction, anchor
         run = run - lengths[window.at(i)]
         pts[i - 1] = run
     return [pts[i] for i in range(lo, hi + 1)]
+
+
+def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:
+    """(free rank, torsion factors > 1) of the abelianized group: the Smith
+    invariants of the Hermite basis of the exponent-sum matrix."""
+    if not pres.relators:
+        return len(pres.generators), []
+    factors = smith_invariants(_exponent_rows(pres))
+    free_rank = len(pres.generators) - len(factors)
+    torsion = [f for f in factors if f > 1]
+    return free_rank, torsion

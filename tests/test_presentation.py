@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import exponent_sum, free_abelian_target_oracle, free_target_oracle
 from intmat import mat_det, mat_mul
-from reference_kernels import free_abelian_by_rotations, tietze_rounds
+from reference_kernels import abelian_invariants_dense, free_abelian_by_rotations, tietze_rounds
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
@@ -22,7 +22,8 @@ from tilegroups.presentation import (
     tietze_simplify,
     universal_presentation_from_table,
 )
-from tilegroups.cli import reference_cases
+from tilegroups.cli import case_pointset, reference_cases
+from tilegroups.patterns import maxset_table
 from tilegroups.sequences import two_sided_window
 from tilegroups.universal import harvest_equal_length_relations, maxset_presentation
 
@@ -115,6 +116,76 @@ class TestAbelianInvariants:
     def test_torsion(self):
         p = Presentation(("a",), (word("a", "a"),))
         assert abelian_invariants(p) == (0, [2])
+
+
+def power(gen, k):
+    return [(gen, 1 if k > 0 else -1)] * abs(k)
+
+
+@st.composite
+def abelian_presentations(draw):
+    """1-8 generators, some of which no relator uses.  Relators are random
+    reduced words, pure powers (torsion), unit-free two-generator rows such
+    as (2, -3), dense exponent rows, commutators and the empty word (zero
+    rows), with repeats (duplicate rows); the relator set may be empty."""
+    gens = [f"g{k}" for k in range(draw(st.integers(1, 8)))]
+    used = draw(st.lists(st.sampled_from(gens), min_size=1, unique=True))
+    gen, sign = st.sampled_from(used), st.sampled_from((1, -1))
+    big = st.integers(2, 6)
+    relator = st.one_of(
+        st.lists(st.tuples(gen, sign), max_size=8).map(reduce_word),
+        st.builds(lambda g, k: reduce_word(power(g, k)), gen, st.integers(-6, 6)),
+        st.builds(lambda g, h, k, m: reduce_word(power(g, k) + power(h, m)),
+                  gen, gen, st.builds(int.__mul__, big, sign), st.builds(int.__mul__, big, sign)),
+        st.lists(st.integers(-4, 4), min_size=len(used), max_size=len(used)).map(
+            lambda ks: reduce_word([x for g, k in zip(used, ks) for x in power(g, k)])),
+        st.builds(lambda g, h: reduce_word([(g, 1), (h, 1), (g, -1), (h, -1)]), gen, gen),
+        st.just(FreeWord()),
+    )
+    rels = draw(st.lists(relator, max_size=14))
+    if rels:
+        for k in draw(st.lists(st.integers(0, len(rels) - 1), max_size=4)):
+            rels.insert(draw(st.integers(0, len(rels))), rels[k])
+    return Presentation(tuple(gens), tuple(rels))
+
+
+class TestSparseAbelianization:
+    """The unit-pivot path against the dense Smith form of the whole
+    exponent-sum matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(abelian_presentations())
+    @example(Presentation(("a", "b"), (word("a", "a", "b-", "b-", "b-"),)))
+    @example(Presentation(("a", "b", "c"), ()))
+    @example(Presentation(("a", "b", "c"), (word("a-", "b", "b"), word("a-", "c", "c", "c"))))
+    def test_matches_dense(self, pres):
+        assert abelian_invariants(pres) == abelian_invariants_dense(pres)
+
+    @pytest.mark.parametrize("b", [8, 16, 32])
+    def test_partial_action_ladder(self, b):
+        data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), b)
+        pres = maxset_presentation(data)
+        assert abelian_invariants(pres) == abelian_invariants_dense(pres) == (2, [])
+        simplified = tietze_simplify(pres)
+        assert abelian_invariants(simplified) == abelian_invariants_dense(simplified) == (2, [])
+
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_reference_harvests(self, case):
+        config = reference_cases()[case]
+        pres = harvest_equal_length_relations(two_sided_window(config.spec, 400), config.lengths, 30).presentation
+        assert abelian_invariants(pres) == abelian_invariants_dense(pres)
+
+    @pytest.mark.parametrize("case, half_width, bound", [
+        ("fib", 15, "3/2+1/2*sqrt(5)"),
+        ("fib", 30, "3/2+1/2*sqrt(5)"),
+        ("fib", 45, "3/2+1/2*sqrt(5)"),
+        ("periodic-ab-2-1", 30, "6"),
+        ("splice-rational-3-2", 30, "6"),
+    ])
+    def test_table_routes(self, case, half_width, bound):
+        ps = case_pointset(reference_cases()[case], half_width)
+        pres = maxset_presentation(maxset_table(ps, QR.from_string(bound)))
+        assert abelian_invariants(pres) == abelian_invariants_dense(pres)
 
 
 class TestSmith:

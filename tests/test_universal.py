@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import word_length
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
@@ -31,7 +32,6 @@ from tilegroups.universal import (
     harvest_equal_length_relations,
     maxset_presentation,
     universal_group_of_language,
-    word_length,
 )
 
 TAU = golden_ratio()

@@ -343,6 +343,20 @@ def _ratio_text(p: int, q: int) -> str:
     return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
+def common_denominator(values) -> tuple[int, int, list[tuple[int, int]]]:
+    """(c, d, [(a, b), ...]) with each value equal to (a + b*sqrt(d))/c, c the
+    least common denominator and d the one field of the values.
+
+    Mixed fields raise :class:`DiscriminantMismatch`.
+    """
+    triples = [v._q for v in values]
+    d = 0
+    for _, _, _, e in triples:
+        d = _joint_disc(d, e)
+    c = math.lcm(*(t[2] for t in triples))
+    return c, d, [(a * (c // k), b * (c // k)) for a, b, k, _ in triples]
+
+
 def golden_ratio() -> QuadraticRational:
     """tau = (1+sqrt(5))/2, the length ratio of the Fibonacci examples."""
     return QuadraticRational(Fraction(1, 2), Fraction(1, 2), 5)

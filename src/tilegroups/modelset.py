@@ -12,12 +12,11 @@ a partial group action, and the nearest-integer obstruction example.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR
+from .exactnum import QuadraticRational as QR, common_denominator
 from .pointset import PointSet1D
 from .patterns import PatternClass
 
@@ -41,15 +40,15 @@ class WindowSet:
     def __post_init__(self):
         prev_hi = None
         for lo, hi in self.components:
-            if (hi - lo).sign() < 0:
+            if hi < lo:
                 raise ValueError("interval needs lo <= hi")
-            if prev_hi is not None and (lo - prev_hi).sign() <= 0:
+            if prev_hi is not None and lo <= prev_hi:
                 raise ValueError("components must be sorted and disjoint")
             prev_hi = hi
 
     @staticmethod
     def interval(lo: QR, hi: QR) -> "WindowSet":
-        if (hi - lo).sign() < 0:
+        if hi < lo:
             raise ValueError("interval needs lo <= hi")
         return WindowSet(((lo, hi),))
 
@@ -59,10 +58,10 @@ class WindowSet:
 
     @staticmethod
     def normalized(parts: list[tuple[QR, QR]]) -> "WindowSet":
-        parts = sorted((p for p in parts if (p[1] - p[0]).sign() >= 0), key=lambda p: p[0])
+        parts = sorted((p for p in parts if p[0] <= p[1]), key=lambda p: p[0])
         merged: list[tuple[QR, QR]] = []
         for lo, hi in parts:
-            if merged and (lo - merged[-1][1]).sign() <= 0:
+            if merged and lo <= merged[-1][1]:
                 last_lo, last_hi = merged[-1]
                 merged[-1] = (last_lo, max(last_hi, hi))
             else:
@@ -73,10 +72,10 @@ class WindowSet:
         return not self.components
 
     def has_interior(self) -> bool:
-        return any((hi - lo).sign() > 0 for lo, hi in self.components)
+        return any(lo < hi for lo, hi in self.components)
 
     def contains(self, x: QR) -> bool:
-        return any((x - lo).sign() >= 0 and (hi - x).sign() >= 0 for lo, hi in self.components)
+        return any(lo <= x <= hi for lo, hi in self.components)
 
     def translate(self, shift: QR) -> "WindowSet":
         return WindowSet(tuple((lo + shift, hi + shift) for lo, hi in self.components))
@@ -86,7 +85,7 @@ class WindowSet:
         for lo1, hi1 in self.components:
             for lo2, hi2 in other.components:
                 lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if (hi - lo).sign() >= 0:
+                if lo <= hi:
                     parts.append((lo, hi))
         return WindowSet.normalized(parts)
 
@@ -133,7 +132,7 @@ def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
     Components with interior always do; degenerate points are solved
     exactly."""
     for lo, hi in window.components:
-        if (hi - lo).sign() > 0:
+        if lo < hi:
             return True
         if _integer_coordinates(lo, b1, b2) is not None:
             return True
@@ -178,7 +177,7 @@ class CutProjectScheme:
         if self.window.is_empty():
             raise ValueError("acceptance window is empty")
         for lo, hi in self.window.components:
-            if (hi - lo).sign() <= 0:
+            if hi <= lo:
                 raise ValueError("acceptance window must be the closure of its interior")
 
     def physical_coordinates(self, y: QR) -> tuple[int, int]:
@@ -233,7 +232,37 @@ def fibonacci_scheme() -> CutProjectScheme:
 
 
 # ---------------------------------------------------------------------------
-# model-set generation
+# lattice strips and model-set generation
+
+
+def _strip_rows(ns, bands):
+    """Yield (n, m_lo, m_hi) for each n in ns whose strip is non-empty: the
+    integers m_lo..m_hi are exactly the m with lo <= c1*n + c2*m <= hi for
+    every band (lo, hi, c1, c2) of QuadraticRationals with c2 != 0 (at
+    least one band).
+
+    A band holds iff m lies in sorted(lo/c2, hi/c2) - n*c1/c2.  Those three
+    values of every band are put over one denominator once, so each row's
+    ends are exact integer floors and no value is built per row.  A box
+    clip |m| <= B is the band (-B, B, 0, 1).
+    """
+    values = []
+    for lo, hi, c1, c2 in bands:
+        values.extend((*sorted((lo / c2, hi / c2)), c1 / c2))
+    c, d, pairs = common_denominator(values)
+    # the first band starts each row's ends, the others narrow them
+    (la, lb), (ha, hb), (sa, sb), *rest = pairs
+    rest = [(*rest[k], *rest[k + 1], *rest[k + 2]) for k in range(0, len(rest), 3)]
+    int_floor = QR.int_floor
+    for n in ns:
+        # m >= lo' - n*s  iff  m >= -floor(n*s - lo'), and m <= floor(hi' - n*s)
+        m_lo = -int_floor(n * sa - la, n * sb - lb, c, d)
+        m_hi = int_floor(ha - n * sa, hb - n * sb, c, d)
+        for la2, lb2, ha2, hb2, sa2, sb2 in rest:
+            m_lo = max(m_lo, -int_floor(n * sa2 - la2, n * sb2 - lb2, c, d))
+            m_hi = min(m_hi, int_floor(ha2 - n * sa2, hb2 - n * sb2, c, d))
+        if m_lo <= m_hi:
+            yield n, m_lo, m_hi
 
 
 def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
@@ -242,11 +271,11 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
 
     The n range comes from the corners of the physical range times the
     window hull under the inverse embedding matrix.  For each n the m that
-    can qualify form one strip: the m with i1*n + i2*m in the window hull,
-    intersected with the m with |p1*n + p2*m| <= radius.  Its ends are
-    exact floors and ceilings, so only the strip is visited and the cost is
-    O(radius) rather than the area of the bounding box.  Every candidate
-    still passes the exact radius and window tests.
+    can qualify form one strip (``_strip_rows``): the m with i1*n + i2*m in
+    the window hull and |p1*n + p2*m| <= radius.  Only the strip is
+    visited, so the cost is O(radius) rather than the area of the bounding
+    box.  The radius band is exact; each candidate still passes the exact
+    window test, which a window of several components needs.
     """
     if radius.sign() <= 0:
         raise ValueError("radius must be positive")
@@ -257,26 +286,15 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     corners_n = [(i2 * x - p2 * y) / det for x in (radius, -radius) for y in (klo, khi)]
     n_lo = min(c.floor() for c in corners_n)
     n_hi = max(c.floor() + 1 for c in corners_n)
-    # lo <= c1*n + c2*m <= hi  iff  m in sorted(lo/c2, hi/c2) - n*c1/c2;
-    # CutProjectScheme guarantees c2 != 0 for both p2 and i2
-    strips = []
-    for lo, hi, c1, c2 in ((klo, khi, i1, i2), (-radius, radius, p1, p2)):
-        inv = 1 / c2
-        strips.append((*sorted((lo * inv, hi * inv)), c1 * inv))
+    # CutProjectScheme guarantees i2 != 0 and p2 != 0
+    bands = ((klo, khi, i1, i2), (-radius, radius, p1, p2))
     out = []
-    for n in range(n_lo, n_hi + 1):
-        m_lo = max((lo - step * n).ceil() for lo, _, step in strips)
-        m_hi = min((hi - step * n).floor() for _, hi, step in strips)
-        if m_lo > m_hi:
-            continue
+    for n, m_lo, m_hi in _strip_rows(range(n_lo, n_hi + 1), bands):
         base_phys = p1 * n
         base_star = i1 * n
         for m in range(m_lo, m_hi + 1):
-            y = base_phys + p2 * m
-            if abs(y) > radius:
-                continue
             if scheme.window.contains(base_star + i2 * m):
-                out.append(y)
+                out.append(base_phys + p2 * m)
     out.sort()
     return out
 
@@ -359,31 +377,25 @@ def empire_brute(
     Only a g whose star lies in the band [min K - max x*, max K - min x*]
     can carry a pattern point into the window; elsewhere both memberships
     are False.  So for each n the scan visits just the strip of m with
-    band_lo <= n*i1 + m*i2 <= band_hi, clipped to the box, its ends exact
-    integer floors over one denominator.  That costs O(box_bound * k) for
+    band_lo <= n*i1 + m*i2 <= band_hi, clipped to the box (``_strip_rows``,
+    the strip kernel of modelset_points).  That costs O(box_bound * k) for
     strips of k values, not the (2*box_bound + 1)^2 of the box.  The scan
     order is still n ascending, then m ascending, so the result and the
     first separator found are those of the full box scan.  Memberships are
     decided on integerized star coordinates (one common denominator,
     integer pairs over {1, sqrt(d)}) by code of its own, independent of
-    modelset_points.
+    the window calculus of empire_equal.
     """
     i1, i2 = scheme.internal_group_basis()
     p_stars = [star(scheme, p) for p in pat_p]
     q_stars = [star(scheme, q) for q in pat_q]
-    values = [i1, i2, *p_stars, *q_stars, *(e for comp in scheme.window.components for e in comp)]
-    d = max(v.disc for v in values)
-    denom = math.lcm(*(v.triple[2] for v in values))
+    ends = [e for comp in scheme.window.components for e in comp]
+    _, d, pairs = common_denominator([i1, i2, *p_stars, *q_stars, *ends])
+    i1p, i2p = pairs[0], pairs[1]
+    k = 2 + len(p_stars)
+    ppairs, qpairs, end_pairs = pairs[2:k], pairs[k:k + len(q_stars)], pairs[k + len(q_stars):]
+    comps = list(zip(end_pairs[::2], end_pairs[1::2]))
     sign = QR.int_sign
-
-    def pair(v: QR, den: int = denom) -> tuple[int, int]:
-        a, b, c = v.triple
-        return a * (den // c), b * (den // c)
-
-    i1p, i2p = pair(i1), pair(i2)
-    ppairs = [pair(v) for v in p_stars]
-    qpairs = [pair(v) for v in q_stars]
-    comps = [(pair(lo), pair(hi)) for lo, hi in scheme.window.components]
 
     def member(a: int, b: int, shift: tuple[int, int]) -> bool:
         # is (a,b) + shift inside the window, all over the common denominator
@@ -393,24 +405,13 @@ def empire_brute(
                 return True
         return False
 
-    # band of star values that could possibly land in any K - x*:
-    # band_lo <= n*i1 + m*i2 <= band_hi  iff  m in sorted(band_lo/i2, band_hi/i2) - n*i1/i2,
-    # with i2 != 0 guaranteed by CutProjectScheme
+    # band of star values that could possibly land in any K - x*, with
+    # i2 != 0 guaranteed by CutProjectScheme
     klo, khi = scheme.window.hull()
     stars_all = p_stars + q_stars
-    band_lo, band_hi = klo - max(stars_all), khi - min(stars_all)
-    strip_lo, strip_hi = sorted((band_lo / i2, band_hi / i2))
-    step = i1 / i2
-    # the three over one denominator, so each row's ends are integer floors
-    s_den = math.lcm(strip_lo.triple[2], strip_hi.triple[2], step.triple[2])
-    (lo_a, lo_b), (hi_a, hi_b), (st_a, st_b) = (pair(v, s_den) for v in (strip_lo, strip_hi, step))
-    int_floor = QR.int_floor
-
-    bound = box_bound
-    for n in range(-bound, bound + 1):
-        na, nb = n * st_a, n * st_b
-        m_lo = max(-bound, -int_floor(na - lo_a, nb - lo_b, s_den, d))
-        m_hi = min(bound, int_floor(hi_a - na, hi_b - nb, s_den, d))
+    box = (QR(-box_bound), QR(box_bound), QR(0), QR(1))
+    bands = ((klo - max(stars_all), khi - min(stars_all), i1, i2), box)
+    for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), bands):
         gn = (n * i1p[0], n * i1p[1])
         for m in range(m_lo, m_hi + 1):
             g = (gn[0] + m * i2p[0], gn[1] + m * i2p[1])
@@ -448,7 +449,7 @@ def window_triple(scheme: CutProjectScheme, a: QR, window: WindowSet, b: QR) -> 
     bound = scheme.window.intersect(scheme.window.translate(shift))
     if not canon.issubset(bound):
         raise ValueError("window exceeds the two-translate intersection for this shift")
-    if canon.is_empty() or not window_meets_group(canon, *scheme.internal_group_basis()):
+    if not window_meets_group(canon, *scheme.internal_group_basis()):
         raise ValueError("window carries no lattice value; the class is empty")
     return WindowTriple(shift, canon)
 
@@ -470,8 +471,6 @@ def triple_multiply(scheme: CutProjectScheme, x: WindowTriple, y: WindowTriple) 
     the left anchor of y; defined iff the combined window still contains an
     internal lattice value (checked exactly, including degenerate points)."""
     window = x.window.intersect(y.window.translate(x.shift))
-    if window.is_empty():
-        return None
     if not window_meets_group(window, *scheme.internal_group_basis()):
         return None
     return WindowTriple(x.shift + y.shift, window)
@@ -525,11 +524,7 @@ class PartialActionData:
 
 
 def _overlap_nonempty(window: WindowSet, interiors: bool, basis: tuple[QR, QR]) -> bool:
-    if window.is_empty():
-        return False
-    if interiors:
-        return window.has_interior()
-    return window.has_interior() or window_meets_group(window, *basis)
+    return window.has_interior() if interiors else window_meets_group(window, *basis)
 
 
 def partial_action_data(
@@ -547,7 +542,7 @@ def partial_action_data(
     interiors=False additionally accepts degenerate overlaps containing a
     group point (closed windows over a dense group).  V and V - g meet
     only if |g| <= w, the width of V's hull, so each n visits the strip of
-    m with |n*g1 + m*g2| <= w, its ends exact ceilings and floors.
+    m with |n*g1 + m*g2| <= w and |m| <= coeff_bound (``_strip_rows``).
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -556,10 +551,9 @@ def partial_action_data(
     elements: list[QR] = []
     if not window.is_empty():
         lo, hi = window.hull()
-        half, step = abs((hi - lo) / g2), g1 / g2
-        for n in range(-coeff_bound, coeff_bound + 1):
-            m_lo = max(-coeff_bound, (-half - step * n).ceil())
-            m_hi = min(coeff_bound, (half - step * n).floor())
+        box = (QR(-coeff_bound), QR(coeff_bound), QR(0), QR(1))
+        bands = ((lo - hi, hi - lo, g1, g2), box)
+        for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
             for m in range(m_lo, m_hi + 1):
                 g = g1 * n + g2 * m
                 overlap = window.intersect(window.translate(-g))

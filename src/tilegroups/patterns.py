@@ -30,7 +30,7 @@ class PatternClass:
     def __post_init__(self):
         if not self.offsets:
             raise ValueError("pattern must be non-empty")
-        if any((b - a).sign() <= 0 for a, b in zip(self.offsets, self.offsets[1:])):
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
         if self.offsets[0] != QR(0):
             raise ValueError("canonical form requires minimum offset 0")

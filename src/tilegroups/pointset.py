@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR
+from .exactnum import QuadraticRational as QR, common_denominator
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
@@ -219,18 +218,13 @@ def difference_group_invariants(values: list[QR]) -> tuple[int, list[QR]]:
     Each value is written over the Q-basis {sqrt(d), 1}, denominators are
     cleared, and a Hermite basis of the resulting integer row lattice is
     rescaled back.  The group is free abelian of the returned rank.
+    Values from two quadratic fields raise DiscriminantMismatch, a
+    ValueError.
     """
     vals = [v for v in values if v.sign() != 0]
     if not vals:
         return 0, []
-    disc = 0
-    for v in vals:
-        if v.disc:
-            if disc and v.disc != disc:
-                raise ValueError("values from different quadratic fields")
-            disc = v.disc
-    denom = lcm(*(v.triple[2] for v in vals))
-    rows = [[b * (denom // c), a * (denom // c)] for a, b, c in (v.triple for v in vals)]
-    rank, basis_rows = hnf(rows)
+    denom, disc, pairs = common_denominator(vals)
+    rank, basis_rows = hnf([[b, a] for a, b in pairs])
     basis = [QR(Fraction(p, denom), Fraction(q, denom), disc if q else 0) for q, p in basis_rows]
     return rank, basis

@@ -190,9 +190,6 @@ class FactorLanguage:
             raise TruncationError(f"word of length {len(word)} beyond max_len {self.max_len}")
         return word in self.words
 
-    def knows(self, word: str) -> bool:
-        return len(word) <= self.max_len
-
     def of_length(self, n: int) -> list[str]:
         return sorted(w for w in self.words if len(w) == n)
 

@@ -45,7 +45,6 @@ from .presentation import (
     hnf,
     presentation_from_pairs,
     reduce_word,
-    smith_normal_form,
     tietze_simplify,
     universal_presentation_from_table,
 )
@@ -61,7 +60,6 @@ from .patterns import (
     pointed_difference,
 )
 from .sequences import (
-    Alphabet,
     FactorLanguage,
     IndexedWord,
     SequenceSpec,

@@ -299,6 +299,8 @@ def _random_pattern(rng: random.Random, points: list[QR], max_points: int) -> li
 
 def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
                  box_bound: int = 60, max_points: int = 5) -> list[Check]:
+    if pairs < 1:
+        raise ValueError("pairs must be >= 1")
     scheme = fibonacci_scheme()
     points = modelset_points(scheme, QR(radius))
     translates = [(x, scheme.window.translate(-star(scheme, x))) for x in points]
@@ -339,12 +341,13 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
                 if in_p == in_q:
                     separators_ok = False
 
+    shown = "; ".join(f"[{', '.join(map(str, p))}] vs [{', '.join(map(str, q))}]" for p, q in mismatches[:3])
     checks = [
         Check(
             f"empire: window test agrees with brute scan on {tested} pairs "
             f"({n_equal} equal, {n_unequal} unequal)",
             not mismatches,
-            f"mismatches: {mismatches[:3]}" if mismatches else "",
+            f"mismatches: {shown}" if mismatches else "",
         ),
         Check("empire: every unequal pair exhibits a separating translation", separators_ok),
     ]

@@ -270,12 +270,13 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     sorted.
 
     The n range comes from the corners of the physical range times the
-    window hull under the inverse embedding matrix.  For each n the m that
-    can qualify form one strip (``_strip_rows``): the m with i1*n + i2*m in
-    the window hull and |p1*n + p2*m| <= radius.  Only the strip is
-    visited, so the cost is O(radius) rather than the area of the bounding
-    box.  The radius band is exact; each candidate still passes the exact
-    window test, which a window of several components needs.
+    window hull under the inverse embedding matrix.  For each window
+    component [lo, hi] and each n, the points form one strip
+    (``_strip_rows``): the m with lo <= i1*n + i2*m <= hi and
+    |p1*n + p2*m| <= radius.  Both bands are exact, so every strip point of
+    a component is a point, and the disjoint components give disjoint
+    strips.  The cost is O(radius) per component rather than the area of
+    the bounding box.
     """
     if radius.sign() <= 0:
         raise ValueError("radius must be positive")
@@ -287,14 +288,12 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     n_lo = min(c.floor() for c in corners_n)
     n_hi = max(c.floor() + 1 for c in corners_n)
     # CutProjectScheme guarantees i2 != 0 and p2 != 0
-    bands = ((klo, khi, i1, i2), (-radius, radius, p1, p2))
     out = []
-    for n, m_lo, m_hi in _strip_rows(range(n_lo, n_hi + 1), bands):
-        base_phys = p1 * n
-        base_star = i1 * n
-        for m in range(m_lo, m_hi + 1):
-            if scheme.window.contains(base_star + i2 * m):
-                out.append(base_phys + p2 * m)
+    for lo, hi in scheme.window.components:
+        bands = ((lo, hi, i1, i2), (-radius, radius, p1, p2))
+        for n, m_lo, m_hi in _strip_rows(range(n_lo, n_hi + 1), bands):
+            base = p1 * n
+            out.extend(base + p2 * m for m in range(m_lo, m_hi + 1))
     out.sort()
     return out
 
@@ -386,6 +385,8 @@ def empire_brute(
     integer pairs over {1, sqrt(d)}) by code of its own, independent of
     the window calculus of empire_equal.
     """
+    if box_bound < 0:
+        raise ValueError("box_bound must be >= 0")
     i1, i2 = scheme.internal_group_basis()
     p_stars = [star(scheme, p) for p in pat_p]
     q_stars = [star(scheme, q) for q in pat_q]

@@ -46,10 +46,6 @@ class PatternClass:
     def in_value(self) -> QR:
         return self.offsets[self.in_index]
 
-    def to_json_dict(self) -> dict:
-        return {"offsets": [str(v) for v in self.offsets],
-                "out": self.out_index, "in": self.in_index}
-
 
 def pattern_class(values: list[QR], out_value: QR, in_value: QR) -> PatternClass:
     """Canonicalize arbitrary point values into a PatternClass."""

@@ -37,9 +37,6 @@ class LengthFunction:
     def __getitem__(self, letter: str) -> QR:
         return self.lengths[letter]
 
-    def letters(self) -> list[str]:
-        return sorted(self.lengths)
-
 
 class PointSet1D:
     """Points r_i with r_i - r_{i-1} = |T(i)| over a finite window of T.

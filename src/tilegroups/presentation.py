@@ -2,10 +2,8 @@
 
 Relators are stored as freely reduced words.  Abelianization works over
 arbitrary-precision integers on the sparse exponent-sum rows: unit pivots
-first, each eliminating one generator, then the Smith normal form of the
-Hermite basis of the small dense remainder.  Only
-:func:`smith_normal_form` returns the unimodular transforms, with
-U*A*V = D.
+first, each eliminating one generator, then the invariant factors of the
+small dense remainder from alternating Hermite forms.
 No general isomorphism testing is attempted: reports state abelian
 invariants plus the two named certificates (empty relator set => free;
 commutators present and all relators in the commutator subgroup => free
@@ -17,6 +15,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import compress, repeat
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -160,105 +159,27 @@ def universal_presentation_from_table(
 IntMatrix = list[list[int]]
 
 
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*A*V = D diagonal, d1 | d2 | ..., U, V unimodular.
-
-    Pivoting always picks the smallest nonzero absolute value, so the
-    reduction is deterministic.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    d = [row[:] for row in matrix]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            d[r][i] -= q * d[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while True:
-        # smallest nonzero |entry| in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if d[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, rows):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                row_op(i, t, q)
-                if d[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                col_op(j, t, q)
-                if d[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # re-pick a smaller pivot in the same block
-        # pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            # fold the offending row into row t and restart the block
-            d[t] = [x + y for x, y in zip(d[t], d[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
-        t += 1
-        if t == rows or t == cols:
-            break
-    return d, u, v
-
-
 def smith_invariants(matrix: IntMatrix) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of the matrix.
 
-    The Smith form is taken of the Hermite basis, which spans the same row
-    lattice in at most rank rows, so no transform as tall as the matrix is
-    built; use :func:`smith_normal_form` for the transforms.
+    Kannan and Bachem's route: Hermite forms of the rows and of the
+    transposed basis alternate until the basis is diagonal.  The loop ends
+    because each form's leading pivot is the gcd of the first row of the
+    form before, which holds the previous pivot, so it never grows.  Once
+    it stops shrinking it divides that row, the form clears the row, and
+    the first row and column stay clean; the rest of the basis then goes
+    the same way.  Pairwise (gcd, lcm) swaps order the diagonal by
+    divisibility without changing the group it presents.
     """
-    _, basis = hnf(matrix)
-    d, _, _ = smith_normal_form(basis)
-    return [d[i][i] for i in range(len(d))]  # full row rank: no zero diagonal
+    _, d = hnf(matrix)
+    while any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+        _, d = hnf([list(col) for col in zip(*d)])
+    factors = [d[i][i] for i in range(len(d))]  # full row rank: no zero diagonal
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors
 
 
 def hnf(matrix: IntMatrix) -> tuple[int, IntMatrix]:
@@ -323,7 +244,7 @@ def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
     splits off one invariant factor 1.  Columns held by the fewest rows go
     first, and zero rows and rows equal to a live row are dropped as they
     appear.  What is left is a small dense remainder, whose invariant
-    factors are the Smith invariants of its Hermite basis.
+    factors :func:`smith_invariants` finds.
     """
     n = len(pres.generators)
     if not pres.relators:

@@ -18,23 +18,6 @@ class TruncationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("alphabet must be non-empty")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
-@dataclass(frozen=True)
 class IndexedWord:
     """A finite window of a bi-infinite sequence: letters at indices
     [start_index, start_index + len)."""
@@ -120,13 +103,6 @@ class SequenceSpec:
         else:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
 
-    def alphabet(self) -> Alphabet:
-        if self.kind == "substitution":
-            return Alphabet(tuple(sorted(self.rule)))
-        if self.kind == "periodic":
-            return Alphabet(tuple(sorted(set(self.word))))
-        return Alphabet(tuple(sorted(set(self.left + self.right))))
-
     # JSON form, e.g. {"kind":"substitution","rule":{"a":"ab","b":"a"},"seed":"a"}
     def to_json(self) -> str:
         data = {"kind": self.kind}
@@ -192,9 +168,6 @@ class FactorLanguage:
 
     def of_length(self, n: int) -> list[str]:
         return sorted(w for w in self.words if len(w) == n)
-
-    def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(sorted(self.of_length(1))))
 
 
 def factor_language(word, max_len: int) -> FactorLanguage:

@@ -35,14 +35,6 @@ class HarvestReport:
     max_len: int
     pairs: tuple[tuple[str, str, QR], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "window": {"start": self.window_start, "length": self.window_len},
-            "max_len": self.max_len,
-            "generators": list(self.presentation.generators),
-            "pairs": [[u, v, str(length)] for u, v, length in self.pairs],
-        }
-
 
 def harvest_equal_length_relations(
     window: IndexedWord,

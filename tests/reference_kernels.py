@@ -7,8 +7,10 @@ and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
 the round-by-round Tietze loop, the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
-which returns the point list) and the dense Smith-form
-``abelian_invariants`` (as ``abelian_invariants_dense``).
+which returns the point list), the dense Smith-form
+``abelian_invariants`` (as ``abelian_invariants_dense``) and the
+pivot-by-pivot ``smith_normal_form`` with its unimodular transforms
+U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.
 """
@@ -28,7 +30,14 @@ from tilegroups.modelset import (
     star,
 )
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, chained_sum
-from tilegroups.presentation import FreeWord, Presentation, _exponent_rows, reduce_word, smith_invariants
+from tilegroups.presentation import (
+    FreeWord,
+    IntMatrix,
+    Presentation,
+    _exponent_rows,
+    reduce_word,
+    smith_invariants,
+)
 from tilegroups.sequences import FactorLanguage, IndexedWord
 
 
@@ -284,3 +293,92 @@ def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:
     free_rank = len(pres.generators) - len(factors)
     torsion = [f for f in factors if f > 1]
     return free_rank, torsion
+
+
+def _identity(n: int) -> IntMatrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(matrix: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (D, U, V) with U*A*V = D diagonal, d1 | d2 | ..., U, V unimodular.
+
+    Pivoting always picks the smallest nonzero absolute value, so the
+    reduction is deterministic.
+    """
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    d = [row[:] for row in matrix]
+    u = _identity(rows)
+    v = _identity(cols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for r in range(rows):
+            d[r][i] -= q * d[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            d[r][i], d[r][j] = d[r][j], d[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        # smallest nonzero |entry| in the remaining block
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if d[i][j] != 0 and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        if d[t][t] < 0:
+            negate_row(t)
+        dirty = False
+        for i in range(t + 1, rows):
+            if d[i][t] != 0:
+                q = d[i][t] // d[t][t]
+                row_op(i, t, q)
+                if d[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if d[t][j] != 0:
+                q = d[t][j] // d[t][t]
+                col_op(j, t, q)
+                if d[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue  # re-pick a smaller pivot in the same block
+        # pivot must divide every remaining entry
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i][j] % d[t][t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # fold the offending row into row t and restart the block
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            continue
+        t += 1
+        if t == rows or t == cols:
+            break
+    return d, u, v

@@ -6,6 +6,7 @@ import pytest
 from tilegroups import cli, presentation
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
+from tilegroups.modelset import EmpireBruteResult
 from tilegroups.presentation import certificate_free_abelian
 from tilegroups.sequences import two_sided_window
 from tilegroups.universal import harvest_equal_length_relations
@@ -107,6 +108,21 @@ class TestVerify:
     def test_empire_suite_seeded(self, capsys):
         rc = main(["verify", "--suite", "empire", "--pairs", "30", "--seed", "7"])
         assert rc == 0
+
+    @pytest.mark.parametrize("option", [["--box-bound", "-1"], ["--pairs", "0"]])
+    def test_empire_rejects_invalid_input(self, option, capsys):
+        # neither an empty box nor zero pairs can certify anything
+        rc = main(["verify", "--suite", "empire", *option])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert "error:" in out.err and "[PASS]" not in out.out
+
+    def test_empire_mismatch_detail_prints_points(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "empire_brute", lambda *args: EmpireBruteResult(True))
+        rc = main(["verify", "--suite", "empire", "--pairs", "5"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "mismatches: [" in out and "QuadraticRational" not in out
 
     def test_options_reach_their_suites(self, monkeypatch):
         seen = {}

@@ -270,6 +270,14 @@ def _two_component_scheme() -> CutProjectScheme:
                             LatticeVector(QR(1), QR(1)), window)
 
 
+def _three_component_scheme() -> CutProjectScheme:
+    # Fibonacci basis, a narrow middle component around the origin's star 0
+    window = WindowSet.normalized([(QR(-2), -TAU), (QR(Fraction(-1, 10)), QR(Fraction(1, 10))),
+                                   (TAU - 1, QR(Fraction(3, 2)))])
+    return CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                            LatticeVector(TAU, QR(1) - TAU), window)
+
+
 class TestStripKernelAgainstBoxScan:
     @pytest.mark.parametrize("make_scheme,radius", [
         pytest.param(fibonacci_scheme, QR(Fraction(1, 2)), id="fib-1/2"),
@@ -282,6 +290,8 @@ class TestStripKernelAgainstBoxScan:
         pytest.param(_negative_p2_i2_scheme, QR(30), id="neg-p2-i2-30"),
         pytest.param(_two_component_scheme, QR(30), id="two-component-30"),
         pytest.param(_two_component_scheme, QR(Fraction(1, 2)), id="two-component-1/2"),
+        pytest.param(_three_component_scheme, QR(30), id="three-component-30"),
+        pytest.param(_three_component_scheme, QR(Fraction(1, 2)), id="three-component-1/2"),
     ])
     def test_same_points(self, make_scheme, radius):
         scheme = make_scheme()

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import exponent_sum, free_abelian_target_oracle, free_target_oracle
 from intmat import mat_det, mat_mul
-from reference_kernels import abelian_invariants_dense, free_abelian_by_rotations, tietze_rounds
+from reference_kernels import abelian_invariants_dense, free_abelian_by_rotations, smith_normal_form, tietze_rounds
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
@@ -18,7 +18,6 @@ from tilegroups.presentation import (
     presentation_from_pairs,
     reduce_word,
     smith_invariants,
-    smith_normal_form,
     tietze_simplify,
     universal_presentation_from_table,
 )
@@ -236,6 +235,9 @@ class TestSmithInvariants:
     @given(tall_matrices())
     @example([[0, 0, 0]] * 5)
     @example([[2, 4], [2, 4], [0, 0], [6, 8]])
+    @example([[2, 1], [0, 2]])  # [1, 4]: several alternations
+    @example([[4, 0], [0, 6]])  # [2, 12]: diagonal, needs the gcd/lcm step
+    @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])  # [2, 6, 12]
     def test_matches_full_transform_path(self, matrix):
         assert smith_invariants(matrix) == full_transform_invariants(matrix)
 

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from reference_kernels import factor_language_scan
 from tilegroups.sequences import (
-    Alphabet,
     IndexedWord,
     SequenceSpec,
     TruncationError,
@@ -137,12 +136,6 @@ def test_factor_language_matches_scan(case):
 
 
 class TestSpecPlumbing:
-    def test_alphabet_validation(self):
-        with pytest.raises(ValueError):
-            Alphabet(())
-        with pytest.raises(ValueError):
-            Alphabet(("a", "a"))
-
     def test_json_roundtrip(self):
         for spec in (fib_spec(),
                      SequenceSpec("periodic", word="ab"),

@@ -46,7 +46,6 @@ from .presentation import (
     presentation_from_pairs,
     reduce_word,
     tietze_simplify,
-    universal_presentation_from_table,
 )
 from .patterns import (
     PatternClass,

@@ -282,7 +282,7 @@ def suite_semigroup_axioms(seed: int = 0) -> list[Check]:
     # group-like axioms for the boxed partial-action harvest
     data = partial_action_data((QR(1), tau), WindowSet.interval(QR(0), QR(1)), 3)
     eset = set(data.elements)
-    pairs = set(data.composable)
+    pairs = {(g, gp) for g, gp, _ in data.relations}
     gl1 = all((QR(0), g) in pairs and (g, QR(0)) in pairs for g in data.elements)
     gl2 = all((g, -g) in pairs for g in data.elements)
     gl3 = all((-gp, -g) in pairs for g, gp in pairs if -gp in eset and -g in eset)
@@ -578,10 +578,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         case = reference_cases()[args.case]
         spec, lengths = case.spec, case.lengths
     else:
+        if not args.lengths:
+            raise ValueError("--spec needs --lengths, e.g. --lengths a=2,b=1")
         with open(args.spec) as fh:
             spec = SequenceSpec.from_json(fh.read())
         lengths = _parse_lengths(args.lengths)
     window = two_sided_window(spec, args.half_width)
+    missing = sorted(set(window.letters) - lengths.lengths.keys())
+    if missing:
+        raise ValueError(f"--lengths gives no length for letter {', '.join(map(repr, missing))}")
     ps = build_pointset(window, lengths)
     lang = factor_language(window, args.max_len)
     data = {
@@ -641,11 +646,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="dump point sets, model sets and factor languages")
-    gen.add_argument("--case", choices=list(reference_cases()))
-    gen.add_argument("--spec", help="SequenceSpec JSON file")
-    gen.add_argument("--lengths", default="", help="letter lengths, e.g. a=3/2+1/2*sqrt(5),b=1")
-    gen.add_argument("--scheme", help="CutProjectScheme JSON file")
-    gen.add_argument("--builtin-scheme", action="store_true", help="use the reference Fibonacci scheme")
+    source = gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--case", choices=list(reference_cases()))
+    source.add_argument("--spec", help="SequenceSpec JSON file (needs --lengths)")
+    source.add_argument("--scheme", help="CutProjectScheme JSON file")
+    source.add_argument("--builtin-scheme", action="store_true", help="use the reference Fibonacci scheme")
+    gen.add_argument("--lengths", help="letter lengths for --spec, e.g. a=3/2+1/2*sqrt(5),b=1")
     gen.add_argument("--radius", default="50")
     gen.add_argument("--half-width", type=int, default=20)
     gen.add_argument("--max-len", type=int, default=8)

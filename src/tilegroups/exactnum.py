@@ -175,20 +175,6 @@ class QuadraticRational:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return QuadraticRational(1) / self ** (-n)
-        out = QuadraticRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- order -----------------------------------------------------------
 
     @staticmethod

@@ -359,9 +359,6 @@ class EmpireBruteResult:
     separator_coords: Optional[tuple[int, int]] = None
     separator_phys: Optional[QR] = None
 
-    def __bool__(self):
-        return self.agree
-
 
 def empire_brute(
     scheme: CutProjectScheme,
@@ -511,17 +508,14 @@ def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: 
 class PartialActionData:
     """Truncated generator/relation harvest of a partial action of the
     group Z*g1 + Z*g2 on a window: the elements whose shifted window still
-    meets the window, the composable pairs, and one relation triple
-    (g, g', g+g') per composable pair."""
+    meets the window, in ascending order, and one relation triple
+    (g, g', g+g') per composable pair (g, g'), so the composable pairs are
+    the first two entries of the relations."""
 
     basis: tuple[QR, QR]
     bound: int
     elements: tuple[QR, ...]
-    composable: tuple[tuple[QR, QR], ...]
     relations: tuple[tuple[QR, QR, QR], ...]
-
-    def element_labels(self) -> list[str]:
-        return [str(g) for g in self.elements]
 
 
 def _overlap_nonempty(window: WindowSet, interiors: bool, basis: tuple[QR, QR]) -> bool:
@@ -572,8 +566,7 @@ def partial_action_data(
             triple = overlap_g.intersect(shifted[total])
             if _overlap_nonempty(triple, interiors, basis):
                 relations.append((g, gp, total))
-    composable = tuple((g, gp) for g, gp, _ in relations)
-    return PartialActionData(basis, coeff_bound, tuple(elements), composable, tuple(relations))
+    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(relations))
 
 
 # ---------------------------------------------------------------------------

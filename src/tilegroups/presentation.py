@@ -123,9 +123,17 @@ def presentation_from_pairs(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> Presentation:
     """Relators u * v^-1 from ordered pairs of positive words (reduction
-    cancels their common suffix); trivial ones dropped, duplicates kept once."""
+    cancels their common suffix); trivial ones dropped, duplicates kept once.
+
+    Checks what the public constructor checks: distinct generators, and
+    every label of a kept relator among them, each distinct label once."""
+    generators = tuple(generators)
+    known = set(generators)
+    if len(known) != len(generators):
+        raise ValueError("duplicate generator labels")
     relators: list[FreeWord] = []
     seen = set()
+    used: set[str] = set()
     for u, v in pairs:
         i, j = len(u), len(v)
         while i and j and u[i - 1] == v[j - 1]:
@@ -133,24 +141,12 @@ def presentation_from_pairs(
         key = (tuple(u[:i]), tuple(v[:j]))
         if (i or j) and key not in seen:
             seen.add(key)
+            used.update(key[0], key[1])
             relators.append(_word(tuple(zip(key[0], repeat(1))) + tuple(zip(reversed(key[1]), repeat(-1)))))
-    return Presentation(tuple(generators), tuple(relators))
-
-
-def universal_presentation_from_table(
-    elements: Sequence[str],
-    table: dict[tuple[str, str], str],
-) -> Presentation:
-    """One generator per element, one relation (x)(y) = (x o y) per
-    defined product in the partial-operation table."""
-    known = set(elements)
-    pairs = []
-    for (x, y), z in sorted(table.items()):
-        for label in (x, y, z):
-            if label not in known:
-                raise ValueError(f"table label {label!r} not among elements")
-        pairs.append(([x, y], [z]))
-    return presentation_from_pairs(list(elements), pairs)
+    unknown = used - known
+    if unknown:
+        raise ValueError(f"relator uses unknown labels {sorted(unknown)}")
+    return _presentation(generators, tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Universal-group computations: the equal-length relation harvest for
 1-D point sets, the connected tiling semigroup of a factorial language
-(strings with in/out accents), and presentation assembly from partial
-operation tables.
+(strings with in/out accents), and the universal-group presentation of
+a partial operation, from a difference table or a partial-action
+harvest: one generator per element and one relation x y = z per defined
+product, built by ``presentation_from_pairs``.
 
 Truncation stamps travel with every result: a harvest knows the window
 and factor length it was computed from, and accent products that would
@@ -16,7 +18,7 @@ from typing import Union
 from .exactnum import QuadraticRational as QR
 from .modelset import PartialActionData
 from .pointset import LengthFunction
-from .presentation import Presentation, presentation_from_pairs, universal_presentation_from_table
+from .presentation import Presentation, presentation_from_pairs
 from .sequences import FactorLanguage, IndexedWord, factor_language
 
 
@@ -204,22 +206,17 @@ def universal_group_of_language(lang: FactorLanguage) -> tuple[Presentation, int
 # presentations from partial-operation tables
 
 
-TableSource = Union[dict, PartialActionData]
-
-
-def maxset_presentation(source: TableSource) -> Presentation:
+def maxset_presentation(source: Union[dict, PartialActionData]) -> Presentation:
     """Presentation of the universal group of a finite partial-operation
     structure: a chained-difference table keyed by exact values, or a
-    generator/relation harvest of a partial action.  Generators are
-    labelled by their exact group values."""
-    if isinstance(source, PartialActionData):
-        label = dict(zip(source.elements, source.element_labels()))
-        pairs = [([label[g], label[gp]], [label[total]]) for g, gp, total in source.relations]
-        return presentation_from_pairs(list(label.values()), pairs)
-    elements: set[str] = set()
-    table: dict[tuple[str, str], str] = {}
-    for (a, b), c in source.items():
-        ka, kb, kc = str(a), str(b), str(c)
-        elements.update((ka, kb, kc))
-        table[(ka, kb)] = kc
-    return universal_presentation_from_table(sorted(elements), table)
+    generator/relation harvest of a partial action.  One generator per
+    element, labelled by its exact group value, and one relation x y = z
+    per defined product.  A table's generators are the values occurring in
+    it in ascending order, and its relations follow the table's own order."""
+    elements, relations = (
+        (source.elements, source.relations) if isinstance(source, PartialActionData)
+        else (sorted({v for (x, y), z in source.items() for v in (x, y, z)}),
+              [(x, y, z) for (x, y), z in source.items()]))
+    label = {g: str(g) for g in elements}
+    return presentation_from_pairs(
+        list(label.values()), [([label[x], label[y]], [label[z]]) for x, y, z in relations])

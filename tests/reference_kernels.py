@@ -3,7 +3,9 @@ routes and of the empire oracle, kept as test oracles for the
 output-linear kernels in the package.
 
 Each function is the earlier library code, unchanged apart from its name
-and imports: the all-pairs ``diff_set``, the ``chained_sum`` product table,
+and imports (``partial_action_box`` also no longer returns the composable
+pairs, which ``PartialActionData`` dropped as a copy of the first two
+entries of its relations): the all-pairs ``diff_set``, the ``chained_sum`` product table,
 the round-by-round Tietze loop, the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
@@ -141,7 +143,6 @@ def partial_action_box(
                 elements.append(g)
     elements.sort()
     eset = set(elements)
-    composable: list[tuple[QR, QR]] = []
     relations: list[tuple[QR, QR, QR]] = []
     for g in elements:
         shifted_g = window.translate(g)
@@ -151,9 +152,8 @@ def partial_action_box(
                 continue
             triple = window.intersect(shifted_g).intersect(window.translate(total))
             if _overlap_nonempty(triple, interiors, basis):
-                composable.append((g, gp))
                 relations.append((g, gp, total))
-    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(composable), tuple(relations))
+    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(relations))
 
 
 def free_abelian_by_rotations(pres: Presentation) -> Optional[int]:

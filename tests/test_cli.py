@@ -57,6 +57,27 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "one of the arguments --case --spec --scheme --builtin-scheme is required"),
+        (["--case", "fib", "--builtin-scheme"], "not allowed with argument"),
+    ], ids=["none", "two"])
+    def test_one_source_required(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengths, message", [
+        ([], "--spec needs --lengths"),
+        (["--lengths", "a=2"], "no length for letter 'b'"),
+    ], ids=["no-lengths", "missing-letter"])
+    def test_spec_lengths_diagnostic(self, lengths, message, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"kind":"periodic","word":"ab"}')
+        rc = main(["generate", "--spec", str(spec_file), *lengths])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestPresent:
     def test_fib_report(self, tmp_path):

@@ -597,7 +597,7 @@ class TestPartialActionData:
     def test_empty_window_gives_empty_data(self):
         for interiors in (True, False):
             data = partial_action_data((QR(1), TAU), WindowSet.empty(), 3, interiors)
-            assert data.elements == data.composable == data.relations == ()
+            assert data.elements == data.relations == ()
 
 
 SQRT2 = QR.sqrt_of(2)

@@ -19,7 +19,6 @@ from tilegroups.presentation import (
     reduce_word,
     smith_invariants,
     tietze_simplify,
-    universal_presentation_from_table,
 )
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.patterns import maxset_table
@@ -96,6 +95,31 @@ class TestPresentationBuild:
             if rel and rel not in want:
                 want.append(rel)
         assert presentation_from_pairs("abc", pairs).relators == tuple(want)
+
+    @given(st.lists(st.sampled_from("abcz"), max_size=5),
+           st.lists(st.tuples(st.text("abcz", max_size=5), st.text("abcz", max_size=5)), max_size=10))
+    @example(["a", "a"], [])
+    @example(["a"], [("az", "bz"), ("z", "z")])
+    def test_matches_checking_constructor(self, generators, pairs):
+        # the public constructor over the same relators: equal presentations,
+        # and a ValueError exactly when it raises (a duplicate generator, or
+        # an unknown label in a kept relator; dropped letters are not checked)
+        relators = []
+        for u, v in pairs:
+            rel = reduce_word([(g, 1) for g in u] + [(g, -1) for g in reversed(v)])
+            if rel and rel not in relators:
+                relators.append(rel)
+        try:
+            want = Presentation(tuple(generators), tuple(relators))
+        except ValueError:
+            unknown = sorted({g for rel in relators for g, _ in rel.letters} - set(generators))
+            message = ("duplicate generator labels" if len(set(generators)) < len(generators)
+                       else f"relator uses unknown labels {unknown}")
+            with pytest.raises(ValueError) as info:
+                presentation_from_pairs(generators, pairs)
+            assert str(info.value) == message
+        else:
+            assert presentation_from_pairs(generators, pairs) == want
 
 
 class TestAbelianInvariants:
@@ -368,13 +392,9 @@ class TestHomomorphism:
 
 class TestTable:
     def test_trivial_monoid(self):
-        p = universal_presentation_from_table(["e"], {("e", "e"): "e"})
+        p = maxset_presentation({("e", "e"): "e"})
         q = tietze_simplify(p)
         assert q.generators == () and q.relators == ()
-
-    def test_unknown_value(self):
-        with pytest.raises(ValueError):
-            universal_presentation_from_table(["e"], {("e", "e"): "f"})
 
 
 class TestCertificates:

@@ -234,4 +234,16 @@ class TestMaxsetPresentation:
     def test_partial_action_labels(self):
         data = partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5)
         pairs = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations]
-        assert maxset_presentation(data) == presentation_from_pairs(data.element_labels(), pairs)
+        assert maxset_presentation(data) == presentation_from_pairs([str(g) for g in data.elements], pairs)
+
+    def test_table_generators_in_value_order(self):
+        # one generator per value in the table, in ascending value order
+        # (not string order), and one relator per entry in the table's order
+        ps = build_pointset(two_sided_window(FIB_SPEC, 15), FIB_LEN)
+        table = maxset_table(ps, TAU + 1)
+        values = sorted({v for (x, y), z in table.items() for v in (x, y, z)})
+        pres = maxset_presentation(table)
+        assert pres.generators == tuple(map(str, values))
+        assert list(pres.generators) != sorted(pres.generators)
+        pairs = [([str(x), str(y)], [str(z)]) for (x, y), z in table.items()]
+        assert pres.relators == presentation_from_pairs(pres.generators, pairs).relators

@@ -558,17 +558,36 @@ def _write_out(data: dict, out: Optional[str]) -> None:
         print(text)
 
 
+# the options each generate source reads, besides --out
+_GENERATE_SOURCE_OPTIONS = {
+    "case": ("half_width", "max_len"),
+    "spec": ("lengths", "half_width", "max_len"),
+    "scheme": ("radius",),
+    "builtin_scheme": ("radius",),
+}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
+    source = next(name for name in _GENERATE_SOURCE_OPTIONS if getattr(args, name))
+    ignored = [name for name in ("lengths", "radius", "half_width", "max_len")
+               if getattr(args, name) is not None and name not in _GENERATE_SOURCE_OPTIONS[source]]
+    if ignored:
+        raise ValueError(f"{_option(source)} does not take {', '.join(map(_option, ignored))}")
     if args.scheme or args.builtin_scheme:
         if args.builtin_scheme:
             scheme = fibonacci_scheme()
         else:
             with open(args.scheme) as fh:
                 scheme = CutProjectScheme.from_json_dict(json.load(fh))
-        pts = modelset_points(scheme, QR.from_string(args.radius))
+        radius = "50" if args.radius is None else args.radius
+        pts = modelset_points(scheme, QR.from_string(radius))
         data = {
             "scheme": scheme.to_json_dict(),
-            "radius": args.radius,
+            "radius": radius,
             "count": len(pts),
             "points": [str(p) for p in pts],
         }
@@ -583,17 +602,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         with open(args.spec) as fh:
             spec = SequenceSpec.from_json(fh.read())
         lengths = _parse_lengths(args.lengths)
-    window = two_sided_window(spec, args.half_width)
+    window = two_sided_window(spec, 20 if args.half_width is None else args.half_width)
     missing = sorted(set(window.letters) - lengths.lengths.keys())
     if missing:
         raise ValueError(f"--lengths gives no length for letter {', '.join(map(repr, missing))}")
     ps = build_pointset(window, lengths)
-    lang = factor_language(window, args.max_len)
+    max_len = 8 if args.max_len is None else args.max_len
+    lang = factor_language(window, max_len)
     data = {
         "spec": json.loads(spec.to_json()),
         "window": {"start": window.start_index, "letters": window.letters},
         "pointset": ps.to_json_dict(),
-        "language": {"max_len": args.max_len, "words": sorted(lang.words)},
+        "language": {"max_len": max_len, "words": sorted(lang.words)},
     }
     _write_out(data, args.out)
     return 0
@@ -651,10 +671,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec", help="SequenceSpec JSON file (needs --lengths)")
     source.add_argument("--scheme", help="CutProjectScheme JSON file")
     source.add_argument("--builtin-scheme", action="store_true", help="use the reference Fibonacci scheme")
+    # an option its source does not read is an error, so none has a parser default
     gen.add_argument("--lengths", help="letter lengths for --spec, e.g. a=3/2+1/2*sqrt(5),b=1")
-    gen.add_argument("--radius", default="50")
-    gen.add_argument("--half-width", type=int, default=20)
-    gen.add_argument("--max-len", type=int, default=8)
+    gen.add_argument("--radius", help="model-set radius for a scheme (default 50)")
+    gen.add_argument("--half-width", type=int, help="window half-width for --case or --spec (default 20)")
+    gen.add_argument("--max-len", type=int, help="factor length for --case or --spec (default 8)")
     gen.add_argument("--out")
     gen.set_defaults(func=cmd_generate)
 

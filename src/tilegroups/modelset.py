@@ -243,8 +243,7 @@ def _strip_rows(ns, bands):
 
     A band holds iff m lies in sorted(lo/c2, hi/c2) - n*c1/c2.  Those three
     values of every band are put over one denominator once, so each row's
-    ends are exact integer floors and no value is built per row.  A box
-    clip |m| <= B is the band (-B, B, 0, 1).
+    ends are exact integer floors and no value is built per row.
     """
     values = []
     for lo, hi, c1, c2 in bands:
@@ -373,8 +372,8 @@ def empire_brute(
     Only a g whose star lies in the band [min K - max x*, max K - min x*]
     can carry a pattern point into the window; elsewhere both memberships
     are False.  So for each n the scan visits just the strip of m with
-    band_lo <= n*i1 + m*i2 <= band_hi, clipped to the box (``_strip_rows``,
-    the strip kernel of modelset_points).  That costs O(box_bound * k) for
+    band_lo <= n*i1 + m*i2 <= band_hi (``_strip_rows``, the strip kernel of
+    modelset_points), clipped to the box.  That costs O(box_bound * k) for
     strips of k values, not the (2*box_bound + 1)^2 of the box.  The scan
     order is still n ascending, then m ascending, so the result and the
     first separator found are those of the full box scan.  Memberships are
@@ -407,11 +406,10 @@ def empire_brute(
     # i2 != 0 guaranteed by CutProjectScheme
     klo, khi = scheme.window.hull()
     stars_all = p_stars + q_stars
-    box = (QR(-box_bound), QR(box_bound), QR(0), QR(1))
-    bands = ((klo - max(stars_all), khi - min(stars_all), i1, i2), box)
-    for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), bands):
+    band = (klo - max(stars_all), khi - min(stars_all), i1, i2)
+    for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), (band,)):
         gn = (n * i1p[0], n * i1p[1])
-        for m in range(m_lo, m_hi + 1):
+        for m in range(max(m_lo, -box_bound), min(m_hi, box_bound) + 1):
             g = (gn[0] + m * i2p[0], gn[1] + m * i2p[1])
             in_p = all(member(a, b, g) for a, b in ppairs)
             in_q = all(member(a, b, g) for a, b in qpairs)

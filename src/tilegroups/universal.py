@@ -5,6 +5,10 @@ a partial operation, from a difference table or a partial-action
 harvest: one generator per element and one relation x y = z per defined
 product, built by ``presentation_from_pairs``.
 
+The harvest reports every pair of equal-length factors, but presents
+each length class by one relator u0 v^-1 per non-least factor v, u0 the
+least: the same normal closure as all the pairs, at linear size.
+
 Truncation stamps travel with every result: a harvest knows the window
 and factor length it was computed from, and accent products that would
 leave the materialised language raise instead of guessing.
@@ -28,8 +32,10 @@ from .sequences import FactorLanguage, IndexedWord, factor_language
 
 @dataclass(frozen=True)
 class HarvestReport:
-    """Presentation harvested from one window: every relation pair is two
-    distinct factors of the same exact length."""
+    """Harvest from one window: every relation pair is two distinct
+    factors of the same exact length, and the presentation relates each
+    length class by its spanning star (see
+    ``harvest_equal_length_relations``)."""
 
     presentation: Presentation
     window_start: int
@@ -44,10 +50,15 @@ def harvest_equal_length_relations(
     max_len: int,
 ) -> HarvestReport:
     """Scan the factor language of the window, group factors by exact
-    length, and emit one relation pair per unordered pair of distinct
+    length, and report one relation pair per unordered pair of distinct
     equal-length factors.  The length is computed once per Parikh vector
     (count of each letter), as the sum of count times letter length, not
-    per factor or per letter."""
+    per factor or per letter.
+
+    The presentation takes one relator u0 v^-1 per non-least factor v of
+    each length class, u0 the least: a spanning star, linear in the class
+    where the pairs are quadratic.  It has the same normal closure as the
+    relators of all the pairs, since u v^-1 = (u u0^-1)(u0 v^-1)."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
@@ -60,12 +71,14 @@ def harvest_equal_length_relations(
         length = sum(lengths[c] * n for c, n in zip(generators, counts) if n)
         by_length.setdefault(length, []).extend(words)
     pairs = []
+    spokes = []
     for length in sorted(by_length):
         group = sorted(by_length[length])
+        spokes.extend((group[0], v) for v in group[1:])
         for i, u in enumerate(group):
             for v in group[i + 1:]:
                 pairs.append((u, v, length))
-    pres = presentation_from_pairs(generators, [(u, v) for u, v, _ in pairs])
+    pres = presentation_from_pairs(generators, spokes)
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
 
 

@@ -14,7 +14,9 @@ which returns the point list), the dense Smith-form
 pivot-by-pivot ``smith_normal_form`` with its unimodular transforms
 U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
-with ``FreeWord.cyclic_rotations`` inlined.
+with ``FreeWord.cyclic_rotations`` inlined.  ``harvest_presentation_all_pairs``
+is the presentation the equal-length harvest built before it took one
+spanning star per length class: one relator per harvested pair.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from tilegroups.presentation import (
     IntMatrix,
     Presentation,
     _exponent_rows,
+    presentation_from_pairs,
     reduce_word,
     smith_invariants,
 )
 from tilegroups.sequences import FactorLanguage, IndexedWord
+from tilegroups.universal import HarvestReport
 
 
 def diff_set_pairs(ps: PointSet1D, bound: QR) -> list[DiffElement]:
@@ -184,6 +188,13 @@ def free_abelian_by_rotations(pres: Presentation) -> Optional[int]:
     if needed <= found:
         return len(pres.generators)
     return None
+
+
+def harvest_presentation_all_pairs(report: HarvestReport) -> Presentation:
+    """The harvest's presentation with one relator u v^-1 for every
+    harvested pair (u, v) of equal-length factors."""
+    return presentation_from_pairs(report.presentation.generators,
+                                   [(u, v) for u, v, _ in report.pairs])
 
 
 def empire_brute_box(

@@ -6,7 +6,7 @@ import pytest
 from tilegroups import cli, presentation
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
-from tilegroups.modelset import EmpireBruteResult
+from tilegroups.modelset import EmpireBruteResult, fibonacci_scheme
 from tilegroups.presentation import certificate_free_abelian
 from tilegroups.sequences import two_sided_window
 from tilegroups.universal import harvest_equal_length_relations
@@ -66,6 +66,34 @@ class TestGenerate:
             main(["generate", *argv])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["--builtin-scheme", "--radius", "3", "--lengths", "a=zz", "--max-len", "99"],
+         "--builtin-scheme does not take --lengths, --max-len"),
+        (["--scheme", "SCHEME", "--half-width", "5"], "--scheme does not take --half-width"),
+        (["--case", "fib", "--radius", "5"], "--case does not take --radius"),
+        (["--case", "fib", "--lengths", "a=2,b=1"], "--case does not take --lengths"),
+        (["--spec", "SPEC", "--lengths", "a=2,b=1", "--radius", "5"], "--spec does not take --radius"),
+    ], ids=["builtin-scheme", "scheme", "case-radius", "case-lengths", "spec-radius"])
+    def test_options_the_source_ignores_rejected(self, argv, ignored, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"kind":"periodic","word":"ab"}')
+        scheme_file = tmp_path / "scheme.json"
+        scheme_file.write_text(json.dumps(fibonacci_scheme().to_json_dict()))
+        argv = [{"SPEC": str(spec_file), "SCHEME": str(scheme_file)}.get(a, a) for a in argv]
+        out = tmp_path / "out.json"
+        rc = main(["generate", *argv, "--out", str(out)])
+        assert rc == 2
+        assert ignored in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_defaults_where_read(self, tmp_path):
+        out = tmp_path / "dump.json"
+        assert main(["generate", "--case", "fib", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["pointset"]["points"]) == 42 and data["language"]["max_len"] == 8
+        assert main(["generate", "--builtin-scheme", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["radius"] == "50"
 
     @pytest.mark.parametrize("lengths, message", [
         ([], "--spec needs --lengths"),

@@ -1,14 +1,18 @@
 import pytest
 
 from helpers import word_length
+from reference_kernels import harvest_presentation_all_pairs
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
 from tilegroups.cli import reference_cases
 from tilegroups.presentation import (
+    FreeWord,
+    _commutator_certificate,
     abelian_invariants,
     certificate_free,
     presentation_from_pairs,
+    reduce_word,
     tietze_simplify,
 )
 from tilegroups.patterns import maxset_table
@@ -41,6 +45,11 @@ FIB_LEN = LengthFunction({"a": TAU, "b": QR(1)})
 
 def fib_lang(half_width=40, max_len=6):
     return factor_language(two_sided_window(FIB_SPEC, half_width), max_len)
+
+
+def quotient(u: str, v: str) -> FreeWord:
+    """The free reduction of u v^-1 for positive words u and v."""
+    return reduce_word([(c, 1) for c in u] + [(c, -1) for c in reversed(v)])
 
 
 class TestHarvest:
@@ -82,7 +91,9 @@ class TestHarvest:
     @pytest.mark.parametrize("case", sorted(reference_cases()))
     def test_parikh_grouping_matches_word_length(self, case):
         # grouping every factor by its own exact length gives the same
-        # pairs, in the same order, and the same relators
+        # pairs, in the same order; each pair's relator u v^-1 is, in the
+        # free group, the quotient of two relators of the class's spanning
+        # star, which are all in the presentation
         config = reference_cases()[case]
         window = two_sided_window(config.spec, 60)
         rep = harvest_equal_length_relations(window, config.lengths, 14)
@@ -94,9 +105,30 @@ class TestHarvest:
             group = sorted(by_length[length])
             pairs += [(u, v, length) for i, u in enumerate(group) for v in group[i + 1:]]
         assert rep.pairs == tuple(pairs)
-        generators = sorted(set(window.letters))
-        assert rep.presentation == presentation_from_pairs(
-            generators, [(list(u), list(v)) for u, v, _ in pairs])
+        assert rep.presentation.generators == tuple(sorted(set(window.letters)))
+        relators = set(rep.presentation.relators)
+        for u, v, length in pairs:
+            u0 = min(by_length[length])
+            star_u, star_v = quotient(u0, u), quotient(u0, v)
+            assert (star_u.inverse() * star_v) == quotient(u, v)
+            assert {star_u, star_v} - {FreeWord()} <= relators
+
+    @pytest.mark.parametrize("half_width, max_len", [(60, 14), (400, 30)])
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_star_invariants_match_all_pairs(self, case, half_width, max_len):
+        config = reference_cases()[case]
+        rep = harvest_equal_length_relations(
+            two_sided_window(config.spec, half_width), config.lengths, max_len)
+        star_pres, all_pres = rep.presentation, harvest_presentation_all_pairs(rep)
+        assert set(star_pres.relators) <= set(all_pres.relators)
+
+        def facts(pres):
+            invariants = abelian_invariants(pres)
+            zero_sums = invariants == (len(pres.generators), [])
+            return (invariants, certificate_free(pres),
+                    _commutator_certificate(pres) if zero_sums else None)
+
+        assert facts(star_pres) == facts(all_pres)
 
 
 class TestAccentStrings:

@@ -5,6 +5,7 @@ from .exactnum import QuadraticRational, golden_ratio
 from .modelset import (
     CutProjectScheme,
     EmptyModelSetError,
+    EmpireScan,
     WindowTriple,
     LatticeVector,
     PartialActionData,

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 from .exactnum import QuadraticRational as QR, golden_ratio
 from .modelset import (
     CutProjectScheme,
+    EmpireScan,
     WindowSet,
     obstruction_grade,
-    empire_brute,
     empire_equal,
     fibonacci_scheme,
     partial_action_data,
@@ -304,6 +304,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
     scheme = fibonacci_scheme()
     points = modelset_points(scheme, QR(radius))
     translates = [(x, scheme.window.translate(-star(scheme, x))) for x in points]
+    scan = EmpireScan(scheme, box_bound, points)
     rng = random.Random(seed)
     n_equal = n_unequal = 0
     mismatches = []
@@ -324,7 +325,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
             pat_q = _random_pattern(rng, points, max_points)
         tested += 1
         eq = empire_equal(scheme, pat_p, pat_q)
-        brute = empire_brute(scheme, pat_p, pat_q, box_bound)
+        brute = scan.compare(pat_p, pat_q)
         if eq != brute.agree:
             mismatches.append((pat_p, pat_q))
         if eq:

@@ -12,11 +12,14 @@ a partial group action, and the nearest-integer obstruction example.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR, common_denominator
+from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .pointset import PointSet1D
 from .patterns import PatternClass
 
@@ -275,7 +278,8 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     |p1*n + p2*m| <= radius.  Both bands are exact, so every strip point of
     a component is a point, and the disjoint components give disjoint
     strips.  The cost is O(radius) per component rather than the area of
-    the bounding box.
+    the bounding box.  Each point is built once from the integer pairs of
+    p1 and p2 over their common denominator.
     """
     if radius.sign() <= 0:
         raise ValueError("radius must be positive")
@@ -287,12 +291,13 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     n_lo = min(c.floor() for c in corners_n)
     n_hi = max(c.floor() + 1 for c in corners_n)
     # CutProjectScheme guarantees i2 != 0 and p2 != 0
+    c, d, ((a1, b1), (a2, b2)) = common_denominator((p1, p2))
     out = []
     for lo, hi in scheme.window.components:
         bands = ((lo, hi, i1, i2), (-radius, radius, p1, p2))
         for n, m_lo, m_hi in _strip_rows(range(n_lo, n_hi + 1), bands):
-            base = p1 * n
-            out.extend(base + p2 * m for m in range(m_lo, m_hi + 1))
+            an, bn = a1 * n, b1 * n
+            out.extend(_make(an + a2 * m, bn + b2 * m, c, d) for m in range(m_lo, m_hi + 1))
     out.sort()
     return out
 
@@ -312,18 +317,24 @@ def generate_modelset(scheme: CutProjectScheme, radius: QR) -> PointSet1D:
 # pattern windows and the empire congruence
 
 
-def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
-    """P* = intersection over the pattern of K - x*; empty exactly when no
-    translate of the pattern occurs in the model set."""
-    if not points:
-        raise ValueError("pattern must be non-empty")
+def _window_of_stars(scheme: CutProjectScheme, stars) -> WindowSet:
+    """The intersection over the iterable stars x* of K - x*, stopping at
+    the first empty intersection."""
     out = None
-    for p in points:
-        translate = scheme.window.translate(-star(scheme, p))
+    for s in stars:
+        translate = scheme.window.translate(-s)
         out = translate if out is None else out.intersect(translate)
         if out.is_empty():
             break
+    if out is None:
+        raise ValueError("pattern must be non-empty")
     return out
+
+
+def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
+    """P* = intersection over the pattern of K - x*; empty exactly when no
+    translate of the pattern occurs in the model set."""
+    return _window_of_stars(scheme, (star(scheme, p) for p in points))
 
 
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
@@ -338,18 +349,24 @@ def embeds_oracle(scheme: CutProjectScheme):
     return lambda values: pattern_embeds(scheme, values)
 
 
-def _require_in_modelset(scheme: CutProjectScheme, points: list[QR]) -> None:
+def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[QR]:
+    """The stars of the points, raising ValueError at the first point
+    outside the model set."""
+    stars = []
     for p in points:
-        if not scheme.window.contains(star(scheme, p)):
+        s = star(scheme, p)
+        if not scheme.window.contains(s):
             raise ValueError(f"pattern point {p} is not in the model set")
+        stars.append(s)
+    return stars
 
 
 def empire_equal(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> bool:
     """Same empire iff the pattern windows coincide (kernel of the
     projection functor)."""
-    _require_in_modelset(scheme, pat_p)
-    _require_in_modelset(scheme, pat_q)
-    return pattern_window(scheme, pat_p) == pattern_window(scheme, pat_q)
+    p_stars = _modelset_stars(scheme, pat_p)
+    q_stars = _modelset_stars(scheme, pat_q)
+    return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
 
 
 @dataclass(frozen=True)
@@ -359,64 +376,103 @@ class EmpireBruteResult:
     separator_phys: Optional[QR] = None
 
 
+class EmpireScan:
+    """Independent empire oracle over a pool of lattice points: compare,
+    for every lattice g with coefficients in [-box_bound, box_bound],
+    whether g + P and g + Q land inside the model set, for patterns P and Q
+    drawn from the pool.
+
+    Only a g whose star lies in the band [min K - max x*, max K - min x*]
+    over the pool can carry a pool point into the window; elsewhere every
+    membership is False.  The scan numbers those band cells of the box in
+    scan order, n ascending and then m ascending (``_strip_rows`` on the
+    band, clipped to the box), and gives each pool point x = (a, b) a
+    membership mask, built once when first asked for: bit i is set iff
+    g_i + x lies in the model set.  That is read off the window's own
+    lattice-row strips, one band per window component over the rows
+    -box_bound + min a .. box_bound + max a: g + x is a model-set point
+    iff row n + a of a component's strip holds m + b.  ``compare`` ANDs
+    the masks of each pattern and XORs the two results; the lowest set bit
+    is the first separator of the box scan in its order, and no bit set
+    means agree.
+
+    A mask costs O(box_bound * k) for band rows of k cells, once per pool
+    point; a comparison is then a few integer ANDs and XORs over those
+    bits, instead of a membership test of every band cell per pair.
+    Everything is integer work on exact strip ends, independent of the
+    window calculus of empire_equal.
+    """
+
+    def __init__(self, scheme: CutProjectScheme, box_bound: int, points: list[QR]):
+        if box_bound < 0:
+            raise ValueError("box_bound must be >= 0")
+        if not points:
+            raise ValueError("the point pool must be non-empty")
+        self.scheme = scheme
+        self._coords = {x: scheme.physical_coordinates(x) for x in points}
+        # i2 != 0 is guaranteed by CutProjectScheme
+        i1, i2 = scheme.internal_group_basis()
+        stars = [scheme.star_of_coords(a, b) for a, b in self._coords.values()]
+        klo, khi = scheme.window.hull()
+        band = (klo - max(stars), khi - min(stars), i1, i2)
+        # the band cells row by row: (index of the row's first cell, n, m_lo, m_hi)
+        self._rows = []
+        size = 0
+        for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), (band,)):
+            m_lo, m_hi = max(m_lo, -box_bound), min(m_hi, box_bound)
+            if m_lo <= m_hi:
+                self._rows.append((size, n, m_lo, m_hi))
+                size += m_hi - m_lo + 1
+        self._firsts = [row[0] for row in self._rows]
+        a_values = [a for a, _ in self._coords.values()]
+        ns = range(-box_bound + min(a_values), box_bound + max(a_values) + 1)
+        self._strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
+                        for lo, hi in scheme.window.components]
+        self._masks: dict[QR, int] = {}
+
+    def _mask(self, x: QR) -> int:
+        mask = self._masks.get(x)
+        if mask is None:
+            if x not in self._coords:
+                raise ValueError(f"pattern point {x} is not in the scan's point pool")
+            a, b = self._coords[x]
+            mask = 0
+            for first, n, m_lo, m_hi in self._rows:
+                for strips in self._strips:
+                    strip = strips.get(n + a)
+                    if strip is not None:
+                        lo, hi = max(strip[0] - b, m_lo), min(strip[1] - b, m_hi)
+                        if lo <= hi:
+                            mask |= ((1 << (hi - lo + 1)) - 1) << (first + lo - m_lo)
+            self._masks[x] = mask
+        return mask
+
+    def compare(self, pat_p: list[QR], pat_q: list[QR]) -> EmpireBruteResult:
+        """Agree, or the first g of the scan order that places exactly one
+        of the two patterns inside the model set."""
+        if not pat_p or not pat_q:
+            raise ValueError("pattern must be non-empty")
+        diff = reduce(and_, map(self._mask, pat_p)) ^ reduce(and_, map(self._mask, pat_q))
+        if not diff:
+            return EmpireBruteResult(True)
+        i = (diff & -diff).bit_length() - 1
+        first, n, m_lo, _ = self._rows[bisect_right(self._firsts, i) - 1]
+        m = m_lo + i - first
+        return EmpireBruteResult(False, (n, m), self.scheme.v1.phys * n + self.scheme.v2.phys * m)
+
+
 def empire_brute(
     scheme: CutProjectScheme,
     pat_p: list[QR],
     pat_q: list[QR],
     box_bound: int,
 ) -> EmpireBruteResult:
-    """Independent empire oracle: scan the lattice g with coefficients in
-    [-box_bound, box_bound] and compare, point by point, whether g + P and
-    g + Q land inside the model set.
-
-    Only a g whose star lies in the band [min K - max x*, max K - min x*]
-    can carry a pattern point into the window; elsewhere both memberships
-    are False.  So for each n the scan visits just the strip of m with
-    band_lo <= n*i1 + m*i2 <= band_hi (``_strip_rows``, the strip kernel of
-    modelset_points), clipped to the box.  That costs O(box_bound * k) for
-    strips of k values, not the (2*box_bound + 1)^2 of the box.  The scan
-    order is still n ascending, then m ascending, so the result and the
-    first separator found are those of the full box scan.  Memberships are
-    decided on integerized star coordinates (one common denominator,
-    integer pairs over {1, sqrt(d)}) by code of its own, independent of
-    the window calculus of empire_equal.
-    """
-    if box_bound < 0:
-        raise ValueError("box_bound must be >= 0")
-    i1, i2 = scheme.internal_group_basis()
-    p_stars = [star(scheme, p) for p in pat_p]
-    q_stars = [star(scheme, q) for q in pat_q]
-    ends = [e for comp in scheme.window.components for e in comp]
-    _, d, pairs = common_denominator([i1, i2, *p_stars, *q_stars, *ends])
-    i1p, i2p = pairs[0], pairs[1]
-    k = 2 + len(p_stars)
-    ppairs, qpairs, end_pairs = pairs[2:k], pairs[k:k + len(q_stars)], pairs[k + len(q_stars):]
-    comps = list(zip(end_pairs[::2], end_pairs[1::2]))
-    sign = QR.int_sign
-
-    def member(a: int, b: int, shift: tuple[int, int]) -> bool:
-        # is (a,b) + shift inside the window, all over the common denominator
-        x, y = a + shift[0], b + shift[1]
-        for (alo, blo), (ahi, bhi) in comps:
-            if sign(x - alo, y - blo, d) >= 0 and sign(ahi - x, bhi - y, d) >= 0:
-                return True
-        return False
-
-    # band of star values that could possibly land in any K - x*, with
-    # i2 != 0 guaranteed by CutProjectScheme
-    klo, khi = scheme.window.hull()
-    stars_all = p_stars + q_stars
-    band = (klo - max(stars_all), khi - min(stars_all), i1, i2)
-    for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), (band,)):
-        gn = (n * i1p[0], n * i1p[1])
-        for m in range(max(m_lo, -box_bound), min(m_hi, box_bound) + 1):
-            g = (gn[0] + m * i2p[0], gn[1] + m * i2p[1])
-            in_p = all(member(a, b, g) for a, b in ppairs)
-            in_q = all(member(a, b, g) for a, b in qpairs)
-            if in_p != in_q:
-                g_phys = scheme.v1.phys * n + scheme.v2.phys * m
-                return EmpireBruteResult(False, (n, m), g_phys)
-    return EmpireBruteResult(True)
+    """Independent empire oracle for one pair: ``EmpireScan`` over the
+    points of the two patterns.  The result and the first separator found
+    are those of a scan of the full (2*box_bound + 1)^2 box."""
+    if not pat_p or not pat_q:
+        raise ValueError("pattern must be non-empty")
+    return EmpireScan(scheme, box_bound, pat_p + pat_q).compare(pat_p, pat_q)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +547,7 @@ def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: 
     which is translation invariant.
     """
     placed = [o + placement for o in pattern.offsets]
-    _require_in_modelset(scheme, placed)
+    _modelset_stars(scheme, placed)
     w0 = pattern_window(scheme, list(pattern.offsets))
     out_star = star(scheme, pattern.out_value)
     shift = star(scheme, pattern.out_value - pattern.in_value)

@@ -167,7 +167,7 @@ class TestVerify:
         assert "error:" in out.err and "[PASS]" not in out.out
 
     def test_empire_mismatch_detail_prints_points(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "empire_brute", lambda *args: EmpireBruteResult(True))
+        monkeypatch.setattr(cli.EmpireScan, "compare", lambda *args: EmpireBruteResult(True))
         rc = main(["verify", "--suite", "empire", "--pairs", "5"])
         assert rc == 1
         out = capsys.readouterr().out

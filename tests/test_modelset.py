@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from reference_kernels import empire_brute_box, partial_action_box
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
+from tilegroups import modelset
 from tilegroups.modelset import (
     CutProjectScheme,
     EmptyModelSetError,
     EmpireBruteResult,
+    EmpireScan,
     LatticeVector,
     WindowSet,
     obstruction_grade,
@@ -364,6 +367,33 @@ class TestEmpire:
         with pytest.raises(ValueError):
             empire_equal(fibonacci_scheme(), [QR(1)], [QR(0)])
 
+    def test_checks_both_patterns_before_the_windows(self):
+        # the point of Q outside the model set is reported before P's emptiness
+        with pytest.raises(ValueError, match=r"pattern point 1 is not in the model set"):
+            empire_equal(fibonacci_scheme(), [], [QR(0), QR(1)])
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            empire_equal(fibonacci_scheme(), [], [QR(0)])
+
+    def test_equal_takes_each_star_once(self, monkeypatch):
+        calls = []
+
+        def counted(scheme, y):
+            calls.append(y)
+            return star(scheme, y)
+
+        monkeypatch.setattr(modelset, "star", counted)
+        pat_p, pat_q = [QR(0), TAU], [QR(0), TAU, TAU + 1]
+        assert not empire_equal(fibonacci_scheme(), pat_p, pat_q)
+        assert calls == pat_p + pat_q
+
+    @pytest.mark.parametrize("pat_p, pat_q", [([], [QR(0)]), ([QR(0)], []), ([], [])])
+    def test_brute_rejects_empty_pattern(self, pat_p, pat_q):
+        # the empty pattern fits everywhere, which a scan of the band cannot see
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            empire_brute(fibonacci_scheme(), pat_p, pat_q, 5)
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            EmpireScan(fibonacci_scheme(), 5, [QR(0)]).compare(pat_p, pat_q)
+
     def test_translate_exists_iff_star_in_pattern_window(self):
         # for every lattice g in a box: pattern embeds at g iff g* lands in P*
         scheme = fibonacci_scheme()
@@ -416,17 +446,51 @@ def _empire_pairs(scheme: CutProjectScheme, seed: int, count: int) -> list:
     return out
 
 
+EMPIRE_BOUNDS = (0, 1, 2, 5, 20, 60)
+
+
+@lru_cache(maxsize=None)
+def _empire_box_results(scheme: CutProjectScheme) -> list:
+    """(pat_p, pat_q, bound, result of the (2B+1)^2 box scan) over the
+    seeded pairs and EMPIRE_BOUNDS."""
+    return [(pat_p, pat_q, bound, empire_brute_box(scheme, pat_p, pat_q, bound))
+            for pat_p, pat_q in _empire_pairs(scheme, seed=5, count=24) for bound in EMPIRE_BOUNDS]
+
+
 @pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
 def test_empire_strip_scan_matches_box_scan(scheme):
     # agree, separator_coords and separator_phys all equal those of the
     # (2B+1)^2 box scan, so the first separator found is the same
     results = set()
-    for pat_p, pat_q in _empire_pairs(scheme, seed=5, count=24):
-        for bound in (0, 1, 2, 5, 20, 60):
-            want = empire_brute_box(scheme, pat_p, pat_q, bound)
-            assert empire_brute(scheme, pat_p, pat_q, bound) == want, (pat_p, pat_q, bound)
-            results.add(want.agree)
+    for pat_p, pat_q, bound, want in _empire_box_results(scheme):
+        assert empire_brute(scheme, pat_p, pat_q, bound) == want, (pat_p, pat_q, bound)
+        results.add(want.agree)
     assert results == {True, False}
+
+
+@pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
+def test_empire_scan_reused_matches_box_scan(scheme):
+    # one scan per bound over the whole point pool decides every pair as the
+    # box scan does, whichever pairs built its masks first
+    pool = modelset_points(scheme, QR(20))
+    results = _empire_box_results(scheme)
+    for order in (results, results[::-1]):
+        scans = {bound: EmpireScan(scheme, bound, pool) for bound in EMPIRE_BOUNDS}
+        for pat_p, pat_q, bound, want in order:
+            assert scans[bound].compare(pat_p, pat_q) == want, (pat_p, pat_q, bound)
+            assert scans[bound].compare(pat_q, pat_p) == empire_brute(scheme, pat_q, pat_p, bound)
+
+
+def test_empire_scan_rejects_point_outside_pool():
+    scheme = fibonacci_scheme()
+    scan = EmpireScan(scheme, 5, [QR(0), TAU])
+    assert scan.compare([QR(0)], [QR(0), TAU]) == empire_brute(scheme, [QR(0)], [QR(0), TAU], 5)
+    with pytest.raises(ValueError, match="not in the scan's point pool"):
+        scan.compare([QR(0)], [QR(0), TAU + 1])
+    with pytest.raises(ValueError, match="box_bound"):
+        EmpireScan(scheme, -1, [QR(0)])
+    with pytest.raises(ValueError, match="pool must be non-empty"):
+        EmpireScan(scheme, 5, [])
 
 
 def test_empire_strip_misses_box():

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import and_
+from operator import and_, itemgetter
 from typing import Optional
 
 from .exactnum import QuadraticRational as QR, _make, common_denominator
@@ -81,16 +81,24 @@ class WindowSet:
         return any(lo <= x <= hi for lo, hi in self.components)
 
     def translate(self, shift: QR) -> "WindowSet":
-        return WindowSet(tuple((lo + shift, hi + shift) for lo, hi in self.components))
+        return _window(tuple((lo + shift, hi + shift) for lo, hi in self.components))
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
+        """One merge pass over the sorted components, past the one that
+        ends first at each step; the overlaps come out sorted and disjoint."""
+        a, b = self.components, other.components
         parts = []
-        for lo1, hi1 in self.components:
-            for lo2, hi2 in other.components:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if lo <= hi:
-                    parts.append((lo, hi))
-        return WindowSet.normalized(parts)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (lo1, hi1), (lo2, hi2) = a[i], b[j]
+            lo = lo2 if lo1 < lo2 else lo1
+            if hi1 < hi2:
+                hi, i = hi1, i + 1
+            else:
+                hi, j = hi2, j + 1
+            if not hi < lo:
+                parts.append((lo, hi))
+        return _window(tuple(parts))
 
     def union(self, other: "WindowSet") -> "WindowSet":
         return WindowSet.normalized(list(self.components) + list(other.components))
@@ -108,7 +116,20 @@ class WindowSet:
 
     @staticmethod
     def from_json_list(data: list) -> "WindowSet":
-        return WindowSet.normalized([(QR.from_string(lo), QR.from_string(hi)) for lo, hi in data])
+        """[lo, hi] strings in any order, overlaps merged; lo > hi is an error."""
+        parts = [(QR.from_string(lo), QR.from_string(hi)) for lo, hi in data]
+        for (lo, hi), text in zip(parts, data):
+            if hi < lo:
+                raise ValueError(f"window component [{', '.join(text)}] has lo > hi")
+        return WindowSet.normalized(parts)
+
+
+def _window(components: tuple[tuple[QR, QR], ...]) -> WindowSet:
+    """A WindowSet whose components are known to be sorted, disjoint and
+    each lo <= hi: skips the check."""
+    w = object.__new__(WindowSet)
+    object.__setattr__(w, "components", components)
+    return w
 
 
 def _integer_coordinates(value: QR, b1: QR, b2: QR) -> Optional[tuple[int, int]]:
@@ -592,35 +613,36 @@ def partial_action_data(
     group point (closed windows over a dense group).  V and V - g meet
     only if |g| <= w, the width of V's hull, so each n visits the strip of
     m with |n*g1 + m*g2| <= w and |m| <= coeff_bound (``_strip_rows``).
+    The basis is independent, so each element is keyed by its coordinates
+    (n, m), and the sum of a pair is the element at (n + n', m + m').
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     g1, g2 = basis
     _integer_coordinates(QR(0), g1, g2)  # raises on a rationally dependent basis, so g2 != 0
-    elements: list[QR] = []
+    found: list[tuple[QR, int, int]] = []
     if not window.is_empty():
         lo, hi = window.hull()
         box = (QR(-coeff_bound), QR(coeff_bound), QR(0), QR(1))
         bands = ((lo - hi, hi - lo, g1, g2), box)
+        c, d, ((a1, b1), (a2, b2)) = common_denominator(basis)
         for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
             for m in range(m_lo, m_hi + 1):
-                g = g1 * n + g2 * m
+                g = _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
                 overlap = window.intersect(window.translate(-g))
                 if _overlap_nonempty(overlap, interiors, basis):
-                    elements.append(g)
-    elements.sort()
-    shifted = {g: window.translate(g) for g in elements}
+                    found.append((g, n, m))
+    found.sort(key=itemgetter(0))
+    by_coords = {(n, m): (g, window.translate(g)) for g, n, m in found}
     relations: list[tuple[QR, QR, QR]] = []
-    for g in elements:
-        overlap_g = window.intersect(shifted[g])
-        for gp in elements:
-            total = g + gp
-            if total not in shifted:
-                continue
-            triple = overlap_g.intersect(shifted[total])
-            if _overlap_nonempty(triple, interiors, basis):
-                relations.append((g, gp, total))
-    return PartialActionData(basis, coeff_bound, tuple(elements), tuple(relations))
+    for g, n, m in found:
+        overlap_g = window.intersect(by_coords[n, m][1])
+        for gp, n2, m2 in found:
+            total = by_coords.get((n + n2, m + m2))
+            if total is not None and _overlap_nonempty(overlap_g.intersect(total[1]), interiors, basis):
+                relations.append((g, gp, total[0]))
+    elements = tuple(g for g, _, _ in found)
+    return PartialActionData(basis, coeff_bound, elements, tuple(relations))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class PatternClass:
             raise ValueError("pattern must be non-empty")
         if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
-        if self.offsets[0] != QR(0):
+        if self.offsets[0]:
             raise ValueError("canonical form requires minimum offset 0")
         for idx in (self.out_index, self.in_index):
             if not 0 <= idx < len(self.offsets):

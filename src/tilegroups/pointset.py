@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR, common_denominator
+from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
@@ -56,15 +57,20 @@ class PointSet1D:
         self.anchor = anchor
         # T(i) sits at letters[i - start_index]: T(1), T(2), ... step right
         # from r_0, and T(0), T(-1), ... step left to r_{-1}, r_{-2}, ...
-        size, cut = lengths.lengths, 1 - window.start_index
-        right, run = [anchor], anchor
+        # integer running sums over the anchor and the letters that occur
+        used = sorted(set(window.letters))
+        c, d, ((a0, b0), *steps) = common_denominator([anchor] + [lengths[x] for x in used])
+        step, cut = dict(zip(used, steps)), 1 - window.start_index
+        right, a, b = [anchor], a0, b0
         for letter in window.letters[cut:]:
-            run = run + size[letter]
-            right.append(run)
-        left, run = [], anchor
+            da, db = step[letter]
+            a, b = a + da, b + db
+            right.append(_make(a, b, c, d))
+        left, a, b = [], a0, b0
         for letter in reversed(window.letters[:cut]):
-            run = run - size[letter]
-            left.append(run)
+            da, db = step[letter]
+            a, b = a - da, b - db
+            left.append(_make(a, b, c, d))
         left.reverse()
         self.min_index, self.max_index = lo, hi
         self.points: list[QR] = left + right
@@ -151,17 +157,24 @@ def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:
     two-pointer pass over the sorted points: O(N*k), k points per bound."""
     if bound.sign() <= 0:
         raise ValueError("bound must be positive")
-    pts, base = ps.points, ps.min_index
-    found: dict[QR, list[tuple[int, int]]] = {}
+    base = ps.min_index
+    # integer pairs over one denominator; one value per distinct difference
+    c, d, ((ba, bb), *pts) = common_denominator([bound] + ps.points)
+    sign = QR.int_sign
+    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     lo = hi = 0
-    for i, p in enumerate(pts):
-        while pts[lo] < p - bound:
+    last = len(pts) - 1
+    for i, (pa, pb) in enumerate(pts):
+        while sign(pts[lo][0] - pa + ba, pts[lo][1] - pb + bb, d) < 0:
             lo += 1
-        while hi + 1 < len(pts) and pts[hi + 1] <= p + bound:
+        while hi < last and sign(pa + ba - pts[hi + 1][0], pb + bb - pts[hi + 1][1], d) >= 0:
             hi += 1
         for j in range(lo, hi + 1):
-            found.setdefault(p - pts[j], []).append((i + base, j + base))
-    return [DiffElement(v, tuple(ws)) for v, ws in sorted(found.items())]
+            qa, qb = pts[j]
+            found.setdefault((pa - qa, pb - qb), []).append((i + base, j + base))
+    elems = [DiffElement(_make(a, b, c, d), tuple(ws)) for (a, b), ws in found.items()]
+    elems.sort(key=attrgetter("value"))
+    return elems
 
 
 def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[DiffElement]:

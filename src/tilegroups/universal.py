@@ -17,9 +17,11 @@ leave the materialised language raise instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Union
 
-from .exactnum import QuadraticRational as QR
+from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .modelset import PartialActionData
 from .pointset import LengthFunction
 from .presentation import Presentation, presentation_from_pairs
@@ -53,7 +55,9 @@ def harvest_equal_length_relations(
     length, and report one relation pair per unordered pair of distinct
     equal-length factors.  The length is computed once per Parikh vector
     (count of each letter), as the sum of count times letter length, not
-    per factor or per letter.
+    per factor or per letter: an integer pair over the letters' common
+    denominator, so equal lengths are equal pairs.  Only a class of two or
+    more factors has its exact length built, to order the classes.
 
     The presentation takes one relator u0 v^-1 per non-least factor v of
     each length class, u0 the least: a spanning star, linear in the class
@@ -66,18 +70,19 @@ def harvest_equal_length_relations(
     by_parikh: dict[tuple[int, ...], list[str]] = {}
     for w in lang.words:
         by_parikh.setdefault(tuple(w.count(c) for c in generators), []).append(w)
-    by_length: dict[QR, list[str]] = {}
+    c, d, letter_pairs = common_denominator([lengths[x] for x in generators])
+    by_length: dict[tuple[int, int], list[str]] = {}
     for counts, words in by_parikh.items():
-        length = sum(lengths[c] * n for c, n in zip(generators, counts) if n)
-        by_length.setdefault(length, []).extend(words)
+        key = (sum(n * a for n, (a, _) in zip(counts, letter_pairs)),
+               sum(n * b for n, (_, b) in zip(counts, letter_pairs)))
+        by_length.setdefault(key, []).extend(words)
+    classes = sorted(((_make(a, b, c, d), sorted(words))
+                      for (a, b), words in by_length.items() if len(words) > 1), key=itemgetter(0))
     pairs = []
     spokes = []
-    for length in sorted(by_length):
-        group = sorted(by_length[length])
+    for length, group in classes:
         spokes.extend((group[0], v) for v in group[1:])
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                pairs.append((u, v, length))
+        pairs.extend((u, v, length) for u, v in combinations(group, 2))
     pres = presentation_from_pairs(generators, spokes)
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
 

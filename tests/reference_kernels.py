@@ -17,6 +17,11 @@ U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 with ``FreeWord.cyclic_rotations`` inlined.  ``harvest_presentation_all_pairs``
 is the presentation the equal-length harvest built before it took one
 spanning star per length class: one relator per harvested pair.
+``harvest_exact_sums`` is the equal-length harvest that groups the Parikh
+vectors by exact ``QuadraticRational`` length sums, before the grouping
+moved onto integer pairs, and ``window_intersect_pairwise`` is
+``WindowSet.intersect`` as the pairwise max/min of all component pairs
+passed to ``WindowSet.normalized``, before it became one merge pass.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from tilegroups.presentation import (
     reduce_word,
     smith_invariants,
 )
-from tilegroups.sequences import FactorLanguage, IndexedWord
+from tilegroups.sequences import FactorLanguage, IndexedWord, factor_language
 from tilegroups.universal import HarvestReport
 
 
@@ -195,6 +200,44 @@ def harvest_presentation_all_pairs(report: HarvestReport) -> Presentation:
     harvested pair (u, v) of equal-length factors."""
     return presentation_from_pairs(report.presentation.generators,
                                    [(u, v) for u, v, _ in report.pairs])
+
+
+def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: int) -> HarvestReport:
+    """Every pair of distinct equal-length factors of the window, the
+    lengths summed exactly once per Parikh vector; the presentation takes
+    one relator u0 v^-1 per non-least factor v of each length class."""
+    if max_len < 2:
+        raise ValueError("max_len must be >= 2")
+    lang = factor_language(window, max_len)
+    generators = sorted(set(window.letters))
+    by_parikh: dict[tuple[int, ...], list[str]] = {}
+    for w in lang.words:
+        by_parikh.setdefault(tuple(w.count(c) for c in generators), []).append(w)
+    by_length: dict[QR, list[str]] = {}
+    for counts, words in by_parikh.items():
+        length = sum(lengths[c] * n for c, n in zip(generators, counts) if n)
+        by_length.setdefault(length, []).extend(words)
+    pairs = []
+    spokes = []
+    for length in sorted(by_length):
+        group = sorted(by_length[length])
+        spokes.extend((group[0], v) for v in group[1:])
+        for i, u in enumerate(group):
+            for v in group[i + 1:]:
+                pairs.append((u, v, length))
+    pres = presentation_from_pairs(generators, spokes)
+    return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
+
+
+def window_intersect_pairwise(a: WindowSet, b: WindowSet) -> WindowSet:
+    """The overlap of every component pair, normalized."""
+    parts = []
+    for lo1, hi1 in a.components:
+        for lo2, hi2 in b.components:
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if lo <= hi:
+                parts.append((lo, hi))
+    return WindowSet.normalized(parts)
 
 
 def empire_brute_box(

@@ -57,6 +57,18 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_reversed_scheme_window_component_rejected(self, tmp_path, capsys):
+        # the second component reads [63/100, 0]; it is named, not dropped
+        scheme = fibonacci_scheme().to_json_dict()
+        scheme["window"] = [["-99/100", "-1/2"], ["63/100", "0"]]
+        scheme_file = tmp_path / "reversed.json"
+        scheme_file.write_text(json.dumps(scheme))
+        out = tmp_path / "model.json"
+        rc = main(["generate", "--scheme", str(scheme_file), "--radius", "10", "--out", str(out)])
+        assert rc == 2
+        assert "[63/100, 0] has lo > hi" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         ([], "one of the arguments --case --spec --scheme --builtin-scheme is required"),
         (["--case", "fib", "--builtin-scheme"], "not allowed with argument"),

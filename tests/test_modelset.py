@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_kernels import empire_brute_box, partial_action_box
+from reference_kernels import empire_brute_box, partial_action_box, window_intersect_pairwise
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups import modelset
 from tilegroups.modelset import (
@@ -54,6 +54,25 @@ def _odd_denominator_scheme() -> CutProjectScheme:
                             LatticeVector(p2, p2.conjugate()), interval(-1, 1))
 
 
+WINDOW_ENDS = sorted({QR(Fraction(p, 2)) + TAU * q for p in range(-6, 7) for q in (-1, 0, 1)})
+
+
+@st.composite
+def windows(draw):
+    """A WindowSet with up to eight components whose ends come from
+    WINDOW_ENDS; each component is a point or a proper interval."""
+    ends = sorted(draw(st.sets(st.sampled_from(WINDOW_ENDS), max_size=8)))
+    parts, k = [], 0
+    while k < len(ends):
+        if k + 1 < len(ends) and draw(st.booleans()):
+            parts.append((ends[k], ends[k + 1]))
+            k += 2
+        else:
+            parts.append((ends[k], ends[k]))
+            k += 1
+    return WindowSet(tuple(parts))
+
+
 class TestWindowSet:
     def test_intersect(self):
         a, b = interval(0, 2), interval(1, 3)
@@ -82,6 +101,23 @@ class TestWindowSet:
     def test_json_roundtrip(self):
         w = WindowSet.normalized([(QR(0), TAU), (QR(5), QR(6))])
         assert WindowSet.from_json_list(w.to_json_list()) == w
+
+    def test_json_reversed_component_rejected(self):
+        # a reversed component is an error in the file, not an empty part
+        with pytest.raises(ValueError, match=r"\[63/100, 0\] has lo > hi"):
+            WindowSet.from_json_list([["-99/100", "-1/2"], ["63/100", "0"]])
+
+    @given(st.data())
+    def test_intersect_matches_pairwise_oracle(self, data):
+        # sorted, disjoint windows over one pool of rational and tau
+        # endpoints, so components of the two windows often touch or share
+        # an end; degenerate components and empty windows included
+        a, b = data.draw(windows()), data.draw(windows())
+        got = a.intersect(b)
+        assert got == window_intersect_pairwise(a, b)
+        assert WindowSet(got.components) == got
+        moved = a.translate(TAU / 3)
+        assert WindowSet(moved.components) == moved
 
     def test_meets_group_interior(self):
         assert window_meets_group(interval(0, 1), QR(1), TAU)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from helpers import diff_lookup
 from reference_kernels import diff_set_pairs, pointset_points_indexed
 from tilegroups.cli import case_pointset, reference_cases
-from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.pointset import (
     LengthFunction,
     PointSet1D,
@@ -28,25 +28,43 @@ def fib_ps(half_width=12):
     return build_pointset(two_sided_window(FIB_SPEC, half_width), FIB_LEN)
 
 THREE_LEN = LengthFunction({"a": TAU, "b": QR(1), "c": QR(Fraction(-1, 2), Fraction(1, 3), 5)})
+SQRT2 = QR.sqrt_of(2)
+# each length function with anchors from its own field
+LENGTHS_AND_ANCHORS = (
+    (THREE_LEN, (QR(0), QR(-3), TAU, -TAU / 2)),
+    (LengthFunction({"a": QR(3), "b": QR(2), "c": QR(Fraction(5, 7))}), (QR(0), QR(Fraction(-7, 3)))),
+    (LengthFunction({"a": SQRT2, "b": QR(Fraction(1, 3)), "c": SQRT2 / 4 + 1}), (QR(0), -SQRT2 / 3)),
+)
 
 
 @st.composite
 def anchored_windows(draw):
     """A non-empty word over a-c whose start index runs from 1 (r_0 is the
-    first point) down to -len + 1 (r_0 is the last), and an anchor."""
+    first point) down to -len + 1 (r_0 is the last), a length function and
+    an anchor."""
     text = draw(st.text(alphabet="abc", min_size=1, max_size=60))
     start = draw(st.integers(-len(text) + 1, 1))
-    anchor = draw(st.sampled_from((QR(0), QR(-3), TAU, -TAU / 2)))
-    return IndexedWord(start, text), anchor
+    lengths, anchors = draw(st.sampled_from(LENGTHS_AND_ANCHORS))
+    return IndexedWord(start, text), lengths, draw(st.sampled_from(anchors))
 
 
 @given(anchored_windows())
 def test_points_match_indexed_loop(case):
-    window, anchor = case
-    ps = PointSet1D(window, THREE_LEN, anchor)
-    assert ps.points == pointset_points_indexed(window, THREE_LEN, anchor)
+    window, lengths, anchor = case
+    ps = PointSet1D(window, lengths, anchor)
+    assert ps.points == pointset_points_indexed(window, lengths, anchor)
     assert (ps.min_index, ps.max_index) == (window.start_index - 1, window.end_index - 1)
     assert ps.point(0) == anchor
+
+
+def test_mixed_field_lengths():
+    # a letter from another field builds while the window does not use it,
+    # and raises once it does
+    lengths = LengthFunction({"a": TAU, "b": QR(1), "c": SQRT2})
+    window = IndexedWord(-2, "abaab")
+    assert PointSet1D(window, lengths).points == pointset_points_indexed(window, lengths)
+    with pytest.raises(DiscriminantMismatch):
+        PointSet1D(IndexedWord(-2, "abcab"), lengths)
 
 
 class TestBuild:

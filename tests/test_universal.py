@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import word_length
-from reference_kernels import harvest_presentation_all_pairs
+from reference_kernels import harvest_exact_sums, harvest_presentation_all_pairs
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
@@ -17,6 +20,7 @@ from tilegroups.presentation import (
 )
 from tilegroups.patterns import maxset_table
 from tilegroups.sequences import (
+    IndexedWord,
     SequenceSpec,
     TruncationError,
     factor_language,
@@ -41,6 +45,13 @@ from tilegroups.universal import (
 TAU = golden_ratio()
 FIB_SPEC = SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a")
 FIB_LEN = LengthFunction({"a": TAU, "b": QR(1)})
+
+
+SQRT2 = QR.sqrt_of(2)
+HARVEST_LENGTHS = (
+    LengthFunction({"a": QR(3), "b": QR(2), "c": QR(1)}),
+    LengthFunction({"a": SQRT2, "b": QR(1), "c": SQRT2 / 2 + QR(Fraction(1, 2))}),
+)
 
 
 def fib_lang(half_width=40, max_len=6):
@@ -129,6 +140,23 @@ class TestHarvest:
                     _commutator_certificate(pres) if zero_sums else None)
 
         assert facts(star_pres) == facts(all_pres)
+
+    @pytest.mark.parametrize("half_width, max_len", [(40, 12), (400, 30)])
+    @pytest.mark.parametrize("case", sorted(reference_cases()))
+    def test_integer_keys_match_exact_sums(self, case, half_width, max_len):
+        config = reference_cases()[case]
+        window = two_sided_window(config.spec, half_width)
+        assert (harvest_equal_length_relations(window, config.lengths, max_len)
+                == harvest_exact_sums(window, config.lengths, max_len))
+
+    @given(st.text(alphabet="abc", min_size=1, max_size=40), st.integers(2, 8),
+           st.sampled_from(HARVEST_LENGTHS))
+    def test_integer_keys_match_exact_sums_on_words(self, text, max_len, lengths):
+        # rational lengths collide often (aa = bbb); d = 2 lengths only on
+        # equal letter counts
+        window = IndexedWord(-len(text) // 2, text)
+        assert (harvest_equal_length_relations(window, lengths, max_len)
+                == harvest_exact_sums(window, lengths, max_len))
 
 
 class TestAccentStrings:

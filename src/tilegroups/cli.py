@@ -304,7 +304,8 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
         raise ValueError("pairs must be >= 1")
     scheme = fibonacci_scheme()
     points = modelset_points(scheme, QR(radius))
-    translates = [(x, scheme.window.translate(-star(scheme, x))) for x in points]
+    stars = {x: star(scheme, x) for x in points}
+    translates = [(x, scheme.window.translate(-s)) for x, s in stars.items()]
     scan = EmpireScan(scheme, box_bound, points)
     rng = random.Random(seed)
     n_equal = n_unequal = 0
@@ -338,8 +339,8 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
             else:
                 n, m = brute.separator_coords
                 gs = scheme.star_of_coords(n, m)
-                in_p = all(scheme.window.contains(star(scheme, p) + gs) for p in pat_p)
-                in_q = all(scheme.window.contains(star(scheme, q) + gs) for q in pat_q)
+                in_p = all(scheme.window.contains(stars[p] + gs) for p in pat_p)
+                in_q = all(scheme.window.contains(stars[q] + gs) for q in pat_q)
                 if in_p == in_q:
                     separators_ok = False
 
@@ -476,8 +477,10 @@ def suite_language_free() -> list[Check]:
 def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
     cases = reference_cases()
     checks = []
+    harvest_invs = {}
 
     rep = build_case_report(cases["fib"], half_width, max_len)
+    harvest_invs["fib"] = tuple(rep["universal_group"]["abelian_invariants"])
     checks.append(Check(
         "case fib: Z^2 certificate and difference group of rank 2",
         rep["universal_group"]["statement"].startswith("Z^2") and rep["difference_group"]["rank"] == 2
@@ -485,6 +488,7 @@ def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
     ))
 
     rep = build_case_report(cases["periodic-ab-2-1"], half_width, max_len)
+    harvest_invs["periodic-ab-2-1"] = tuple(rep["universal_group"]["abelian_invariants"])
     checks.append(Check(
         "case periodic: Z^2 certificate and difference group of rank 1",
         rep["universal_group"]["statement"].startswith("Z^2") and rep["difference_group"]["rank"] == 1
@@ -502,7 +506,7 @@ def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
     window = two_sided_window(case.spec, half_width)
     harvest = harvest_equal_length_relations(window, case.lengths, max_len)
     has_pair = any((u, v) == ("aa", "bbb") for u, v, _ in harvest.pairs)
-    inv = abelian_invariants(harvest.presentation)
+    inv = harvest_invs[case.name] = abelian_invariants(harvest.presentation)
     checks.append(Check(
         "case splice-rational: pair (aa, bbb) harvested and abelianization Z",
         has_pair and inv == (1, []),
@@ -519,15 +523,10 @@ def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
         ps = case_pointset(cases[name], 14)
         table = maxset_table(ps, bound)
         table_inv = abelian_invariants(maxset_presentation(table))
-        if name == case.name:
-            harvest_inv = inv  # the harvest above, same window
-        else:
-            harvest_inv = abelian_invariants(harvest_equal_length_relations(
-                two_sided_window(cases[name].spec, half_width), cases[name].lengths, max_len).presentation)
         checks.append(Check(
             f"case {name}: diff-table and harvest abelianizations agree",
-            table_inv == harvest_inv == expected,
-            f"table {table_inv}, harvest {harvest_inv}",
+            table_inv == harvest_invs[name] == expected,
+            f"table {table_inv}, harvest {harvest_invs[name]}",
         ))
     return checks
 
@@ -626,8 +625,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _parse_lengths(text: str) -> LengthFunction:
     table = {}
     for item in text.split(","):
-        letter, _, value = item.partition("=")
-        table[letter.strip()] = QR.from_string(value)
+        letter, eq, value = item.partition("=")
+        letter = letter.strip()
+        if not letter or not eq or not value.strip():
+            raise ValueError(f"--lengths item {item!r} is not letter=length")
+        if letter in table:
+            raise ValueError(f"--lengths item {item!r} repeats the letter {letter!r}")
+        table[letter] = QR.from_string(value)
     return LengthFunction(table)
 
 

@@ -19,7 +19,7 @@ from functools import reduce
 from operator import and_, itemgetter
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR, _make, common_denominator
+from .exactnum import QuadraticRational as QR, _make, common_denominator, golden_ratio
 from .pointset import PointSet1D
 from .patterns import PatternClass
 
@@ -51,8 +51,6 @@ class WindowSet:
 
     @staticmethod
     def interval(lo: QR, hi: QR) -> "WindowSet":
-        if hi < lo:
-            raise ValueError("interval needs lo <= hi")
         return WindowSet(((lo, hi),))
 
     @staticmethod
@@ -247,7 +245,7 @@ def fibonacci_scheme() -> CutProjectScheme:
     being non-integers, are never equal to a lattice star, so membership
     tests stay boundary-free at every radius.
     """
-    tau = QR(Fraction(1, 2), Fraction(1, 2), 5)
+    tau = golden_ratio()
     return CutProjectScheme(
         LatticeVector(QR(1), QR(1)),
         LatticeVector(tau, QR(1) - tau),
@@ -612,7 +610,7 @@ def partial_action_data(
     interiors=False additionally accepts degenerate overlaps containing a
     group point (closed windows over a dense group).  V and V - g meet
     only if |g| <= w, the width of V's hull, so each n visits the strip of
-    m with |n*g1 + m*g2| <= w and |m| <= coeff_bound (``_strip_rows``).
+    m with |n*g1 + m*g2| <= w (``_strip_rows``), clamped to |m| <= coeff_bound.
     The basis is independent, so each element is keyed by its coordinates
     (n, m), and the sum of a pair is the element at (n + n', m + m').
     """
@@ -623,11 +621,10 @@ def partial_action_data(
     found: list[tuple[QR, int, int]] = []
     if not window.is_empty():
         lo, hi = window.hull()
-        box = (QR(-coeff_bound), QR(coeff_bound), QR(0), QR(1))
-        bands = ((lo - hi, hi - lo, g1, g2), box)
         c, d, ((a1, b1), (a2, b2)) = common_denominator(basis)
-        for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
-            for m in range(m_lo, m_hi + 1):
+        ns = range(-coeff_bound, coeff_bound + 1)
+        for n, m_lo, m_hi in _strip_rows(ns, ((lo - hi, hi - lo, g1, g2),)):
+            for m in range(max(m_lo, -coeff_bound), min(m_hi, coeff_bound) + 1):
                 g = _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
                 overlap = window.intersect(window.translate(-g))
                 if _overlap_nonempty(overlap, interiors, basis):

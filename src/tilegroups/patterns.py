@@ -15,7 +15,6 @@ from typing import Callable, Optional
 
 from .exactnum import QuadraticRational as QR
 from .pointset import DiffElement, PointSet1D, diff_set
-from .sequences import TruncationError
 
 
 @dataclass(frozen=True)
@@ -125,16 +124,12 @@ def aligned_union(x: PatternClass, y: PatternClass) -> tuple[list[QR], QR, QR]:
     return values, x.out_value, y.in_value + shift
 
 
-def _embeds(ps: PointSet1D, values: list[QR]) -> bool:
-    """Search all anchor alignments of the values into the truncated set."""
-
-    def fits(shift: QR) -> bool:
-        try:
-            return all((v + shift) in ps for v in values)
-        except TruncationError:
-            return False
-
-    return any(fits(p - values[0]) for p in ps.values())
+def _embeds(ps: PointSet1D, offsets: tuple[QR, ...]) -> bool:
+    """Whether p + offsets lies in the truncated set for some point p, the
+    offsets canonical (the least is 0): a value past either end of the
+    truncation is simply not a key of the point index."""
+    index = ps._index_of
+    return any(all(p + o in index for o in offsets) for p in ps.points)
 
 
 def multiply(
@@ -152,7 +147,7 @@ def multiply(
     """
     values, out_v, in_v = aligned_union(x, y)
     result = pattern_class(values, out_v, in_v)
-    if _embeds(ps, values):
+    if _embeds(ps, result.offsets):
         return ProductResult(DEFINED, result)
     if embeds_oracle is not None:
         if embeds_oracle(values):

@@ -9,8 +9,8 @@ difference so decompositions can be replayed in tests.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 from typing import Optional
@@ -76,11 +76,12 @@ class PointSet1D:
         self.points: list[QR] = left + right
 
     @classmethod
-    def from_points(cls, points: list[QR], anchor_index: Optional[int] = None) -> "PointSet1D":
+    def from_points(cls, points: list[QR]) -> "PointSet1D":
         """Rebuild window + lengths from an explicit sorted point list.
 
         Gap letters are assigned 'a', 'b', ... by decreasing gap length.
-        The anchor r_0 is the largest point <= 0 unless an index is given.
+        The anchor r_0 is the largest point <= 0 (the least point if all
+        are positive).
         """
         if len(points) < 2:
             raise ValueError("need at least two points")
@@ -92,9 +93,7 @@ class PointSet1D:
         if len(distinct) > 26:
             raise ValueError("too many distinct gaps to letter")
         letter = {g: chr(ord("a") + k) for k, g in enumerate(distinct)}
-        if anchor_index is None:
-            below = [i for i, p in enumerate(pts) if p.sign() <= 0]
-            anchor_index = below[-1] if below else 0
+        anchor_index = max(bisect_right(pts, QR(0)) - 1, 0)
         word = "".join(letter[g] for g in gaps)
         window = IndexedWord(1 - anchor_index, word)
         lengths = LengthFunction({letter[g]: g for g in distinct})
@@ -181,19 +180,15 @@ def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[Diff
     """Chained sum: defined iff some x, y, z in the truncated set satisfy
     a = x - y and b = y - z; then the value is a + b.  None means no chain
     inside this window."""
-    value = a.value + b.value
+    index = ps._index_of
     witnesses = []
-    for (i, j) in a.witnesses:
-        y = ps.point(j)
-        z = y - b.value
-        try:
-            if z in ps:
-                witnesses.append((i, ps.index_of(z)))
-        except TruncationError:
-            continue
+    for i, j in a.witnesses:
+        k = index.get(ps.point(j) - b.value)
+        if k is not None:
+            witnesses.append((i, k))
     if not witnesses:
         return None
-    return DiffElement(value, tuple(witnesses))
+    return DiffElement(a.value + b.value, tuple(witnesses))
 
 
 def bounded_generator_set(ps: PointSet1D, radius: QR) -> list[DiffElement]:
@@ -236,5 +231,5 @@ def difference_group_invariants(values: list[QR]) -> tuple[int, list[QR]]:
         return 0, []
     denom, disc, pairs = common_denominator(vals)
     rank, basis_rows = hnf([[b, a] for a, b in pairs])
-    basis = [QR(Fraction(p, denom), Fraction(q, denom), disc if q else 0) for q, p in basis_rows]
+    basis = [_make(p, q, denom, disc) for q, p in basis_rows]
     return rank, basis

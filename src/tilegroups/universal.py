@@ -136,17 +136,11 @@ def accent_multiply(p: AccentString, q: AccentString, lang: FactorLanguage):
     None if the words mismatch or the glued word is not in the language."""
     offset = p.in_pos - q.out_pos  # q's frame shifted into p's frame
     lo = min(0, offset)
-    hi = max(len(p.word), offset + len(q.word))
     over_lo, over_hi = max(0, offset), min(len(p.word), offset + len(q.word))
     if p.word[over_lo:over_hi] != q.word[over_lo - offset:over_hi - offset]:
         return None
-    glued = []
-    for i in range(lo, hi):
-        if 0 <= i < len(p.word):
-            glued.append(p.word[i])
-        else:
-            glued.append(q.word[i - offset])
-    word = "".join(glued)
+    # q's letters left of p, p, then q's letters right of p
+    word = q.word[:-lo] + p.word + q.word[len(p.word) - offset:]
     if word not in lang:  # may raise TruncationError beyond the stamp
         return None
     return AccentString(word, p.out_pos - lo, q.in_pos + offset - lo)
@@ -179,17 +173,12 @@ def enumerate_language_semigroup(lang: FactorLanguage) -> list[AccentString]:
 
 def enumerate_end_accented_and_max(lang: FactorLanguage) -> tuple[list[AccentString], list[AccentString]]:
     """C = out accent on the first letter, in accent on the last; the
-    maximal elements are C together with its inverses."""
+    maximal elements are C together with its inverses.  Only the inverse
+    of a one-letter string lies in C, and distinct words have distinct
+    inverses, so the maximal elements are C and then the inverses of its
+    strings of length >= 2."""
     c_elems = [AccentString(w, 0, len(w) - 1) for w in sorted(lang.words)]
-    maximal = list(c_elems)
-    seen = {(e.word, e.out_pos, e.in_pos) for e in maximal}
-    for e in c_elems:
-        inv = accent_inverse(e)
-        key = (inv.word, inv.out_pos, inv.in_pos)
-        if key not in seen:
-            seen.add(key)
-            maximal.append(inv)
-    return c_elems, maximal
+    return c_elems, c_elems + [accent_inverse(e) for e in c_elems if len(e.word) > 1]
 
 
 def decompose_into_two_letter(c: AccentString) -> list[AccentString]:

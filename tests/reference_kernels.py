@@ -22,12 +22,19 @@ vectors by exact ``QuadraticRational`` length sums, before the grouping
 moved onto integer pairs, and ``window_intersect_pairwise`` is
 ``WindowSet.intersect`` as the pairwise max/min of all component pairs
 passed to ``WindowSet.normalized``, before it became one merge pass.
+``multiply_truncated_scan`` is the pattern-class product deciding by the
+earlier ``_embeds`` (as ``embeds_truncated_scan``), which tried every
+anchor alignment through ``PointSet1D.__contains__`` and read its
+``TruncationError`` as "no", before the search became a lookup of the
+canonical offsets in the point index; ``accent_multiply_glue`` is the
+accent product gluing its word letter by letter, before it took three
+slices.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import (
@@ -37,6 +44,15 @@ from tilegroups.modelset import (
     WindowSet,
     _overlap_nonempty,
     star,
+)
+from tilegroups.patterns import (
+    DEFINED,
+    UNDEFINED,
+    UNKNOWN,
+    PatternClass,
+    ProductResult,
+    aligned_union,
+    pattern_class,
 )
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, chained_sum
 from tilegroups.presentation import (
@@ -48,8 +64,8 @@ from tilegroups.presentation import (
     reduce_word,
     smith_invariants,
 )
-from tilegroups.sequences import FactorLanguage, IndexedWord, factor_language
-from tilegroups.universal import HarvestReport
+from tilegroups.sequences import FactorLanguage, IndexedWord, TruncationError, factor_language
+from tilegroups.universal import AccentString, HarvestReport
 
 
 def diff_set_pairs(ps: PointSet1D, bound: QR) -> list[DiffElement]:
@@ -227,6 +243,59 @@ def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: in
                 pairs.append((u, v, length))
     pres = presentation_from_pairs(generators, spokes)
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
+
+
+def embeds_truncated_scan(ps: PointSet1D, values: list[QR]) -> bool:
+    """Search all anchor alignments of the values into the truncated set."""
+
+    def fits(shift: QR) -> bool:
+        try:
+            return all((v + shift) in ps for v in values)
+        except TruncationError:
+            return False
+
+    return any(fits(p - values[0]) for p in ps.values())
+
+
+def multiply_truncated_scan(
+    x: PatternClass,
+    y: PatternClass,
+    ps: PointSet1D,
+    embeds_oracle: Optional[Callable[[list[QR]], bool]] = None,
+) -> ProductResult:
+    """Product in the pattern-class semigroup over the truncated set, the
+    truncated search by ``embeds_truncated_scan``."""
+    values, out_v, in_v = aligned_union(x, y)
+    result = pattern_class(values, out_v, in_v)
+    if embeds_truncated_scan(ps, values):
+        return ProductResult(DEFINED, result)
+    if embeds_oracle is not None:
+        if embeds_oracle(values):
+            return ProductResult(DEFINED, result)
+        return ProductResult(UNDEFINED)
+    return ProductResult(UNKNOWN)
+
+
+def accent_multiply_glue(p: AccentString, q: AccentString, lang: FactorLanguage):
+    """Place p above q with p's in-letter over q's out-letter; match on the
+    overlap ignoring accents, glue, keep p's out accent and q's in accent.
+    None if the words mismatch or the glued word is not in the language."""
+    offset = p.in_pos - q.out_pos  # q's frame shifted into p's frame
+    lo = min(0, offset)
+    hi = max(len(p.word), offset + len(q.word))
+    over_lo, over_hi = max(0, offset), min(len(p.word), offset + len(q.word))
+    if p.word[over_lo:over_hi] != q.word[over_lo - offset:over_hi - offset]:
+        return None
+    glued = []
+    for i in range(lo, hi):
+        if 0 <= i < len(p.word):
+            glued.append(p.word[i])
+        else:
+            glued.append(q.word[i - offset])
+    word = "".join(glued)
+    if word not in lang:  # may raise TruncationError beyond the stamp
+        return None
+    return AccentString(word, p.out_pos - lo, q.in_pos + offset - lo)
 
 
 def window_intersect_pairwise(a: WindowSet, b: WindowSet) -> WindowSet:

@@ -110,13 +110,32 @@ class TestGenerate:
     @pytest.mark.parametrize("lengths, message", [
         ([], "--spec needs --lengths"),
         (["--lengths", "a=2"], "no length for letter 'b'"),
-    ], ids=["no-lengths", "missing-letter"])
+        (["--lengths", "a=1,a=2,b=3"], "item 'a=2' repeats the letter 'a'"),
+        (["--lengths", "a=1,,b=3"], "item '' is not letter=length"),
+        (["--lengths", "=2,b=1"], "item '=2' is not letter=length"),
+    ], ids=["no-lengths", "missing-letter", "repeated-letter", "empty-item", "no-letter"])
     def test_spec_lengths_diagnostic(self, lengths, message, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"kind":"periodic","word":"ab"}')
         rc = main(["generate", "--spec", str(spec_file), *lengths])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+class TestParseLengths:
+    def test_letters_and_values(self):
+        assert cli._parse_lengths("a=2, b=1/2").lengths == {"a": QR(2), "b": QR.from_string("1/2")}
+
+    @pytest.mark.parametrize("text, item", [
+        ("a=1,a=2,b=3", "'a=2'"),
+        ("a=1,,b=3", "''"),
+        ("=2,b=1", "'=2'"),
+        ("a=1,b", "'b'"),
+        ("a=,b=1", "'a='"),
+    ], ids=["repeated-letter", "empty-item", "no-letter", "no-equals", "no-length"])
+    def test_malformed_item_named(self, text, item):
+        with pytest.raises(ValueError, match=f"item {item}"):
+            cli._parse_lengths(text)
 
 
 class TestPresent:

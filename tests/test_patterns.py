@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import diff_lookup
-from reference_kernels import maxset_table_chained
+from reference_kernels import maxset_table_chained, multiply_truncated_scan
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import embeds_oracle, fibonacci_scheme
@@ -194,3 +195,41 @@ def test_index_join_matches_chained_sums(case):
         for bound in (QR(1), TAU, TAU + 1, QR(6)):
             table = maxset_table(ps, bound)
             assert list(table.items()) == list(maxset_table_chained(ps, bound).items())
+
+
+# patterns of up to 4 points within 10 consecutive points of a wide
+# window, multiplied over a narrow one: their unions often span more than
+# the narrow truncation, and every search tries shifts past its right end
+WIDE = {name: case_pointset(reference_cases()[name], 30) for name in ("fib", "periodic-ab-2-1")}
+NARROW = {name: case_pointset(reference_cases()[name], 6) for name in WIDE}
+
+
+@st.composite
+def wide_patterns(draw, name):
+    ps = WIDE[name]
+    start = draw(st.integers(ps.min_index, ps.max_index))
+    span = range(start, min(start + 10, ps.max_index + 1))
+    indices = draw(st.lists(st.sampled_from(span), min_size=1, max_size=4, unique=True))
+    return make_element(ps, indices, draw(st.sampled_from(indices)), draw(st.sampled_from(indices)))
+
+
+@pytest.mark.parametrize("name, oracle", [
+    ("fib", None),
+    ("fib", embeds_oracle(fibonacci_scheme())),
+    ("periodic-ab-2-1", None),
+], ids=["fib", "fib-oracle", "periodic"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_truncated_scan(name, oracle, data):
+    x, y = data.draw(wide_patterns(name)), data.draw(wide_patterns(name))
+    ps = NARROW[name]
+    assert multiply(x, y, ps, oracle) == multiply_truncated_scan(x, y, ps, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_product_wider_than_truncation_unknown(name):
+    # the first and last points of the narrow set, out at the last: the
+    # square spans twice the truncation and embeds nowhere inside it
+    ps = NARROW[name]
+    x = make_element(ps, [ps.min_index, ps.max_index], ps.max_index, ps.min_index)
+    assert multiply(x, x, ps).status == multiply_truncated_scan(x, x, ps).status == "unknown"

@@ -103,6 +103,18 @@ class TestBuild:
         assert rebuilt.values() == ps.values()
         assert rebuilt.anchor == QR(0)
 
+    @pytest.mark.parametrize("points, anchor, start", [
+        ([-3, -1, 2, 4], -1, 0),
+        ([-3, -1, 0, 4], 0, -1),
+        ([1, 2, 4], 1, 1),
+        ([-4, -2, -1], -1, -1),
+    ], ids=["zero-between", "zero-a-point", "all-positive", "all-negative"])
+    def test_from_points_anchor(self, points, anchor, start):
+        # the anchor r_0 is the largest point <= 0, else the least point
+        ps = PointSet1D.from_points([QR(p) for p in points])
+        assert ps.anchor == QR(anchor) and ps.window.start_index == start
+        assert ps.values() == [QR(p) for p in points]
+
 
 class TestDiffSet:
     def test_small_example(self):

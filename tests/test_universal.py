@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import word_length
-from reference_kernels import harvest_exact_sums, harvest_presentation_all_pairs
+from reference_kernels import accent_multiply_glue, harvest_exact_sums, harvest_presentation_all_pairs
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
@@ -44,6 +44,7 @@ from tilegroups.universal import (
 
 TAU = golden_ratio()
 FIB_SPEC = SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a")
+THUE_MORSE_SPEC = SequenceSpec("substitution", rule={"a": "ab", "b": "ba"}, seed="a")
 FIB_LEN = LengthFunction({"a": TAU, "b": QR(1)})
 
 
@@ -202,6 +203,29 @@ class TestAccentStrings:
         c = AccentString("a", 0, 0)
         assert accent_inverse(c) == c
 
+    @pytest.mark.parametrize("spec", [
+        FIB_SPEC, reference_cases()["periodic-ab-2-1"].spec, THUE_MORSE_SPEC,
+    ], ids=["fib", "periodic", "thue-morse"])
+    def test_slices_match_glue_loop(self, spec):
+        # every pair of accent strings of words of at most 3 letters; at
+        # max_len 4 a glued word of 5 letters raises on both sides
+        lang = factor_language(two_sided_window(spec, 40), 4)
+        small = [s for s in enumerate_language_semigroup(lang) if len(s.word) <= 3]
+
+        def outcome(product, p, q):
+            try:
+                return product(p, q, lang)
+            except TruncationError:
+                return "truncated"
+
+        seen = set()
+        for p in small:
+            for q in small:
+                got = outcome(accent_multiply, p, q)
+                assert got == outcome(accent_multiply_glue, p, q), (p, q)
+                seen.add(got if got in (None, "truncated") else "defined")
+        assert seen == {None, "truncated", "defined"}
+
     def test_natural_order(self):
         big = AccentString("aba", 1, 1)
         small = AccentString("b", 0, 0)
@@ -226,6 +250,13 @@ class TestEnumerate:
         assert all(x.out_pos == 0 and x.in_pos == len(x.word) - 1 for x in c)
         inverses = [x for x in m if x not in c]
         assert all(x.out_pos == len(x.word) - 1 and x.in_pos == 0 for x in inverses)
+
+    def test_maximal_are_c_then_inverses_of_longer_strings(self):
+        lang = factor_language(two_sided_window(FIB_SPEC, 30), 3)
+        c, m = enumerate_end_accented_and_max(lang)
+        assert c == [AccentString(w, 0, len(w) - 1) for w in sorted(lang.words)]
+        assert m == c + [AccentString(w, len(w) - 1, 0) for w in sorted(lang.words) if len(w) >= 2]
+        assert len(set(m)) == len(m)
 
     def test_every_element_below_exactly_one_maximal(self):
         lang = factor_language(two_sided_window(FIB_SPEC, 20), 4)

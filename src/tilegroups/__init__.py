@@ -34,7 +34,6 @@ from .pointset import (
     diff_set,
     bounded_generator_set,
     difference_group_invariants,
-    chained_sum,
 )
 from .presentation import (
     FreeWord,

@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Optional
 
 from .exactnum import QuadraticRational as QR, golden_ratio
@@ -357,15 +358,19 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
     return checks
 
 
-def suite_modelset_vs_substitution(radius: int = 50, half_width: int = 45) -> list[Check]:
+def suite_modelset_vs_substitution(radius: int = 50) -> list[Check]:
     scheme = fibonacci_scheme()
     model = modelset_points(scheme, QR(radius))
-    case = reference_cases()["fib"]
-    ps = case_pointset(case, half_width)
+    # every tile is at least 1 long, so the points -radius-1 ... radius of
+    # the chain cover [-radius, radius]
+    ps = case_pointset(reference_cases()["fib"], radius)
     bound = QR(radius)
     substitution = [p for p in ps.values() if abs(p) <= bound]
     same = model == substitution
     detail = f"{len(model)} model-set points vs {len(substitution)} substitution points"
+    if not same:
+        p, q = next((p, q) for p, q in zip_longest(model, substitution) if p != q)
+        detail += f"; first difference {p} vs {q}"
     return [Check(f"model set equals substitution chain at radius {radius}", same, detail)]
 
 

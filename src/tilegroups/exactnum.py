@@ -293,7 +293,10 @@ class QuadraticRational:
             if m.group("coef") is None and m.group("surd") is None:
                 raise ValueError(f"cannot parse {text!r} at position {pos}")
             sign = -1 if m.group("sign") == "-" else 1
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            try:
+                coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
             if m.group("surd"):
                 d = int(m.group("disc"))
                 if disc and d != disc and surd != 0:

@@ -11,7 +11,7 @@ Defined/Undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .exactnum import QuadraticRational as QR
 from .pointset import DiffElement, PointSet1D, diff_set
@@ -66,10 +66,6 @@ def make_element(ps: PointSet1D, indices: list[int], out: int, in_: int) -> Patt
     return pattern_class(values, ps.point(out), ps.point(in_))
 
 
-def identity_element() -> PatternClass:
-    return PatternClass((QR(0),), 0, 0)
-
-
 def inverse(x: PatternClass) -> PatternClass:
     return PatternClass(x.offsets, x.in_index, x.out_index)
 
@@ -116,14 +112,6 @@ class ProductResult:
 DEFINED, UNDEFINED, UNKNOWN = "defined", "undefined", "unknown"
 
 
-def aligned_union(x: PatternClass, y: PatternClass) -> tuple[list[QR], QR, QR]:
-    """Union of the two patterns after aligning in(x) with out(y); returns
-    (values, out value, in value) in the x-anchored frame."""
-    shift = x.in_value - y.out_value
-    values = sorted(set(x.offsets) | {v + shift for v in y.offsets})
-    return values, x.out_value, y.in_value + shift
-
-
 def _embeds(ps: PointSet1D, offsets: tuple[QR, ...]) -> bool:
     """Whether p + offsets lies in the truncated set for some point p, the
     offsets canonical (the least is 0): a value past either end of the
@@ -136,24 +124,24 @@ def multiply(
     x: PatternClass,
     y: PatternClass,
     ps: PointSet1D,
-    embeds_oracle: Optional[Callable[[list[QR]], bool]] = None,
+    embeds_oracle: Optional[Callable[[Sequence[QR]], bool]] = None,
 ) -> ProductResult:
     """Product in the pattern-class semigroup over the truncated set.
 
-    embeds_oracle, when given, decides exactly whether a list of pattern
-    values embeds anywhere in the infinite set (cut-and-project window
-    calculus); it turns a failed truncated search into an exact Defined or
-    Undefined answer.
+    The union of x and of y shifted by in(x) - out(y) is canonicalised once.
+    Its offsets are the union in x's frame less min(0, shift), a difference
+    of two pattern points and so a lattice vector; "embeds anywhere" does
+    not change under such a translation, so the truncated search and
+    embeds_oracle both take them.  embeds_oracle, when given, decides
+    exactly whether a sequence of pattern values embeds anywhere in the
+    infinite set (cut-and-project window calculus); it turns a failed
+    truncated search into an exact Defined or Undefined answer.
     """
-    values, out_v, in_v = aligned_union(x, y)
-    result = pattern_class(values, out_v, in_v)
-    if _embeds(ps, result.offsets):
+    shift = x.in_value - y.out_value
+    result = pattern_class([*x.offsets, *(v + shift for v in y.offsets)], x.out_value, y.in_value + shift)
+    if _embeds(ps, result.offsets) or (embeds_oracle is not None and embeds_oracle(result.offsets)):
         return ProductResult(DEFINED, result)
-    if embeds_oracle is not None:
-        if embeds_oracle(values):
-            return ProductResult(DEFINED, result)
-        return ProductResult(UNDEFINED)
-    return ProductResult(UNKNOWN)
+    return ProductResult(UNKNOWN if embeds_oracle is None else UNDEFINED)
 
 
 def maxset_table(ps: PointSet1D, bound: QR) -> dict[tuple[QR, QR], QR]:

@@ -1,10 +1,9 @@
-"""1-D point sets from symbolic windows, their difference sets and the
-partial operation of chained differences.
+"""1-D point sets from symbolic windows and their difference sets.
 
-Every membership or definedness answer is relative to the materialised
-truncation: an undefined chained sum means "no witness chain inside this
-window", never a global claim.  Witness index pairs travel with every
-difference so decompositions can be replayed in tests.
+Every membership answer is relative to the materialised truncation, never
+a global claim.  Witness index pairs travel with every difference, so
+chained differences are decided by joining them (``patterns.maxset_table``)
+and decompositions can be replayed in tests.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Optional
 
 from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .presentation import hnf
@@ -116,11 +114,6 @@ class PointSet1D:
             raise TruncationError(f"{value} outside the materialised range")
         return value in self._index_of
 
-    def index_of(self, value: QR) -> int:
-        if value not in self:
-            raise KeyError(f"{value} is not a point of the set")
-        return self._index_of[value]
-
     def point(self, index: int) -> QR:
         if not self.min_index <= index <= self.max_index:
             raise TruncationError(f"point index {index} outside truncation")
@@ -174,21 +167,6 @@ def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:
     elems = [DiffElement(_make(a, b, c, d), tuple(ws)) for (a, b), ws in found.items()]
     elems.sort(key=attrgetter("value"))
     return elems
-
-
-def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[DiffElement]:
-    """Chained sum: defined iff some x, y, z in the truncated set satisfy
-    a = x - y and b = y - z; then the value is a + b.  None means no chain
-    inside this window."""
-    index = ps._index_of
-    witnesses = []
-    for i, j in a.witnesses:
-        k = index.get(ps.point(j) - b.value)
-        if k is not None:
-            witnesses.append((i, k))
-    if not witnesses:
-        return None
-    return DiffElement(a.value + b.value, tuple(witnesses))
 
 
 def bounded_generator_set(ps: PointSet1D, radius: QR) -> list[DiffElement]:

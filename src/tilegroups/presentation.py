@@ -99,10 +99,9 @@ class Presentation:
         gens = set(self.generators)
         if len(gens) != len(self.generators):
             raise ValueError("duplicate generator labels")
-        for rel in self.relators:
-            unknown = rel.generators() - gens
-            if unknown:
-                raise ValueError(f"relator uses unknown labels {sorted(unknown)}")
+        unknown = {g for rel in self.relators for g, _ in rel.letters} - gens
+        if unknown:
+            raise ValueError(f"relator uses unknown labels {sorted(unknown)}")
 
     def __str__(self):
         rels = "; ".join(str(r) for r in self.relators)
@@ -123,17 +122,9 @@ def presentation_from_pairs(
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> Presentation:
     """Relators u * v^-1 from ordered pairs of positive words (reduction
-    cancels their common suffix); trivial ones dropped, duplicates kept once.
-
-    Checks what the public constructor checks: distinct generators, and
-    every label of a kept relator among them, each distinct label once."""
-    generators = tuple(generators)
-    known = set(generators)
-    if len(known) != len(generators):
-        raise ValueError("duplicate generator labels")
+    cancels their common suffix); trivial ones dropped, duplicates kept once."""
     relators: list[FreeWord] = []
     seen = set()
-    used: set[str] = set()
     for u, v in pairs:
         i, j = len(u), len(v)
         while i and j and u[i - 1] == v[j - 1]:
@@ -141,12 +132,8 @@ def presentation_from_pairs(
         key = (tuple(u[:i]), tuple(v[:j]))
         if (i or j) and key not in seen:
             seen.add(key)
-            used.update(key[0], key[1])
             relators.append(_word(tuple(zip(key[0], repeat(1))) + tuple(zip(reversed(key[1]), repeat(-1)))))
-    unknown = used - known
-    if unknown:
-        raise ValueError(f"relator uses unknown labels {sorted(unknown)}")
-    return _presentation(generators, tuple(relators))
+    return Presentation(tuple(generators), tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Helpers only the tests use: a value-keyed difference lookup, the exact
-length of a word letter by letter, exponent sums of a word and two
-triviality predicates for check_homomorphism."""
+length of a word letter by letter, the identity pattern class, exponent
+sums of a word and two triviality predicates for check_homomorphism."""
 
 from typing import Callable
 
 from tilegroups.exactnum import QuadraticRational as QR
+from tilegroups.patterns import PatternClass
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, diff_set
 from tilegroups.presentation import FreeWord
 
@@ -18,6 +19,10 @@ def word_length(word: str, lengths: LengthFunction) -> QR:
     for c in word:
         total = total + lengths[c]
     return total
+
+
+def identity_element() -> PatternClass:
+    return PatternClass((QR(0),), 0, 0)
 
 
 def free_target_oracle() -> Callable[[FreeWord], bool]:

@@ -26,9 +26,14 @@ passed to ``WindowSet.normalized``, before it became one merge pass.
 earlier ``_embeds`` (as ``embeds_truncated_scan``), which tried every
 anchor alignment through ``PointSet1D.__contains__`` and read its
 ``TruncationError`` as "no", before the search became a lookup of the
-canonical offsets in the point index; ``accent_multiply_glue`` is the
-accent product gluing its word letter by letter, before it took three
-slices.
+canonical offsets in the point index.  It aligns the factors by
+``aligned_union``, the union sorted in x's frame, and hands those values
+to the window oracle, where ``multiply`` now canonicalises once and hands
+it the canonical offsets.  ``chained_sum`` is the chained partial sum of
+two differences, the reference semantics of the witness-index join in
+``maxset_table`` (through ``maxset_table_chained``).
+``accent_multiply_glue`` is the accent product gluing its word letter by
+letter, before it took three slices.
 """
 
 from __future__ import annotations
@@ -51,10 +56,9 @@ from tilegroups.patterns import (
     UNKNOWN,
     PatternClass,
     ProductResult,
-    aligned_union,
     pattern_class,
 )
-from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, chained_sum
+from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D
 from tilegroups.presentation import (
     FreeWord,
     IntMatrix,
@@ -81,6 +85,21 @@ def diff_set_pairs(ps: PointSet1D, bound: QR) -> list[DiffElement]:
             if abs(v) <= bound:
                 found.setdefault(v, []).append((i, j))
     return [DiffElement(v, tuple(ws)) for v, ws in sorted(found.items())]
+
+
+def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[DiffElement]:
+    """Chained sum: defined iff some x, y, z in the truncated set satisfy
+    a = x - y and b = y - z; then the value is a + b.  None means no chain
+    inside this window."""
+    index = ps._index_of
+    witnesses = []
+    for i, j in a.witnesses:
+        k = index.get(ps.point(j) - b.value)
+        if k is not None:
+            witnesses.append((i, k))
+    if not witnesses:
+        return None
+    return DiffElement(a.value + b.value, tuple(witnesses))
 
 
 def maxset_table_chained(ps: PointSet1D, bound: QR) -> dict[tuple[QR, QR], QR]:
@@ -243,6 +262,14 @@ def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: in
                 pairs.append((u, v, length))
     pres = presentation_from_pairs(generators, spokes)
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
+
+
+def aligned_union(x: PatternClass, y: PatternClass) -> tuple[list[QR], QR, QR]:
+    """Union of the two patterns after aligning in(x) with out(y); returns
+    (values, out value, in value) in the x-anchored frame."""
+    shift = x.in_value - y.out_value
+    values = sorted(set(x.offsets) | {v + shift for v in y.offsets})
+    return values, x.out_value, y.in_value + shift
 
 
 def embeds_truncated_scan(ps: PointSet1D, values: list[QR]) -> bool:

@@ -121,6 +121,25 @@ class TestGenerate:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--builtin-scheme", "--radius", "1/0"],
+        ["--spec", "SPEC", "--lengths", "a=1/0,b=3"],
+        ["--scheme", "SCHEME"],
+    ], ids=["radius", "lengths", "scheme-window"])
+    def test_zero_denominator_diagnostic(self, argv, tmp_path, capsys):
+        # one error line and exit 2, not a ZeroDivisionError traceback
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text('{"kind":"periodic","word":"ab"}')
+        scheme = fibonacci_scheme().to_json_dict()
+        scheme["window"] = [["-99/100", "1/0"]]
+        scheme_file = tmp_path / "scheme.json"
+        scheme_file.write_text(json.dumps(scheme))
+        argv = [{"SPEC": str(spec_file), "SCHEME": str(scheme_file)}.get(a, a) for a in argv]
+        rc = main(["generate", *argv])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "zero denominator in '1/0'" in err[0]
+
 
 class TestParseLengths:
     def test_letters_and_values(self):
@@ -184,6 +203,18 @@ class TestVerify:
         assert not any(line.startswith("[FAIL]") for line in lines)
         data = json.loads(out.read_text())
         assert data["failed"] == 0
+
+    def test_modelset_vs_substitution_at_radius_100(self, capsys):
+        # the substitution chain is built out to the radius
+        rc = main(["verify", "--suite", "modelset-vs-substitution", "--radius", "100"])
+        assert rc == 0
+        assert "(145 model-set points vs 145 substitution points)" in capsys.readouterr().out
+
+    def test_modelset_vs_substitution_names_first_difference(self, capsys):
+        # past the slack of the reference scheme's rational window
+        rc = main(["verify", "--suite", "modelset-vs-substitution", "--radius", "150"])
+        assert rc == 1
+        assert "first difference 61+27*sqrt(5) vs 121/2+55/2*sqrt(5)" in capsys.readouterr().out
 
     def test_empire_suite_seeded(self, capsys):
         rc = main(["verify", "--suite", "empire", "--pairs", "30", "--seed", "7"])

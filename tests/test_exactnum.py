@@ -114,6 +114,12 @@ class TestTextForm:
         with pytest.raises(ValueError):
             QR.from_string("sqrt(5)+sqrt(2)x")
 
+    @pytest.mark.parametrize("text", ["1/0", "1/0*sqrt(5)", "2+3/0*sqrt(5)", "0/0"])
+    def test_zero_denominator_names_text(self, text):
+        with pytest.raises(ValueError) as info:
+            QR.from_string(text)
+        assert str(info.value) == f"zero denominator in {text!r}"
+
 
 small_fractions = st.fractions(max_denominator=12, min_value=-8, max_value=8)
 

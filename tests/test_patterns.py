@@ -1,16 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import diff_lookup
-from reference_kernels import maxset_table_chained, multiply_truncated_scan
+from helpers import diff_lookup, identity_element
+from reference_kernels import aligned_union, maxset_table_chained, multiply_truncated_scan
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import embeds_oracle, fibonacci_scheme
 from tilegroups.pointset import LengthFunction, build_pointset
 from tilegroups.patterns import (
     PatternClass,
-    aligned_union,
-    identity_element,
     inverse,
     is_idempotent,
     make_element,
@@ -224,6 +222,22 @@ def test_multiply_matches_truncated_scan(name, oracle, data):
     x, y = data.draw(wide_patterns(name)), data.draw(wide_patterns(name))
     ps = NARROW[name]
     assert multiply(x, y, ps, oracle) == multiply_truncated_scan(x, y, ps, oracle)
+
+
+@pytest.mark.parametrize("oracle", [None, embeds_oracle(fibonacci_scheme())], ids=["scan", "oracle"])
+def test_multiply_negative_shift_matches_truncated_scan(oracle):
+    # in(x) < out(y) for every pair: the canonical frame is not x's, so the
+    # oracle receives the two frames; 32 of the 64 products miss the narrow
+    # truncation and 16 of those embed beyond it
+    xs = [make_element(WIDE["fib"], [i, i + 4], i + 4, i) for i in range(-4, 4)]
+    statuses = {}
+    for x in xs:
+        for y in xs:
+            assert x.in_value < y.out_value
+            got = multiply(x, y, NARROW["fib"], oracle)
+            assert got == multiply_truncated_scan(x, y, NARROW["fib"], oracle)
+            statuses[got.status] = statuses.get(got.status, 0) + 1
+    assert statuses == ({"defined": 32, "unknown": 32} if oracle is None else {"defined": 48, "undefined": 16})
 
 
 @pytest.mark.parametrize("name", sorted(WIDE))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import diff_lookup
-from reference_kernels import diff_set_pairs, pointset_points_indexed
+from reference_kernels import chained_sum, diff_set_pairs, pointset_points_indexed
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.pointset import (
@@ -15,7 +15,6 @@ from tilegroups.pointset import (
     diff_set,
     bounded_generator_set,
     difference_group_invariants,
-    chained_sum,
 )
 from tilegroups.sequences import IndexedWord, SequenceSpec, TruncationError, two_sided_window
 

@@ -85,6 +85,13 @@ class TestPresentationBuild:
         with pytest.raises(ValueError):
             presentation_from_pairs(["a"], [(["a"], ["z"])])
 
+    def test_constructor_names_unknown_labels_of_all_relators(self):
+        # every unknown label of every relator, sorted, not only the first
+        # offending relator's
+        with pytest.raises(ValueError) as info:
+            Presentation(("a", "b"), (word("a", "z"), word("b"), word("y", "x-", "z")))
+        assert str(info.value) == "relator uses unknown labels ['x', 'y', 'z']"
+
     @given(st.lists(st.tuples(st.text("abc", max_size=6), st.text("abc", max_size=6)), max_size=12))
     def test_suffix_cut_matches_free_reduction(self, pairs):
         # same relators, in the same order, as reducing u * v^-1 letter by

@@ -294,28 +294,26 @@ def suite_semigroup_axioms(seed: int = 0) -> list[Check]:
     return checks
 
 
-def _random_pattern(rng: random.Random, points: list[QR], max_points: int) -> list[QR]:
-    k = rng.randint(1, max_points)
-    return sorted(rng.sample(points, k))
-
-
-def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
-                 box_bound: int = 60, max_points: int = 5) -> list[Check]:
+def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[Check]:
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     scheme = fibonacci_scheme()
-    points = modelset_points(scheme, QR(radius))
+    points = modelset_points(scheme, QR(30))
     stars = {x: star(scheme, x) for x in points}
     translates = [(x, scheme.window.translate(-s)) for x, s in stars.items()]
     scan = EmpireScan(scheme, box_bound, points)
     rng = random.Random(seed)
+
+    def random_pattern() -> list[QR]:
+        return sorted(rng.sample(points, rng.randint(1, 5)))
+
     n_equal = n_unequal = 0
     mismatches = []
     separators_ok = True
 
     tested = 0
     while tested < pairs:
-        pat_p = _random_pattern(rng, points, max_points)
+        pat_p = random_pattern()
         if tested % 5 == 4:
             # a pair that is empire-equal by construction: add a point
             # whose window translate already covers the pattern window
@@ -325,7 +323,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, radius: int = 30,
                 continue
             pat_q = sorted(pat_p + [extra])
         else:
-            pat_q = _random_pattern(rng, points, max_points)
+            pat_q = random_pattern()
         tested += 1
         eq = empire_equal(scheme, pat_p, pat_q)
         brute = scan.compare(pat_p, pat_q)
@@ -374,13 +372,13 @@ def suite_modelset_vs_substitution(radius: int = 50) -> list[Check]:
     return [Check(f"model set equals substitution chain at radius {radius}", same, detail)]
 
 
-def suite_partial_action(bounds: tuple[int, ...] = (3, 4, 5)) -> list[Check]:
+def suite_partial_action() -> list[Check]:
     tau = golden_ratio()
     window = WindowSet.interval(QR(0), QR(1))
     checks = []
     prev_relations: Optional[set] = None
     prev_elements: Optional[set] = None
-    for bound in bounds:
+    for bound in (3, 4, 5):
         data = partial_action_data((QR(1), tau), window, bound)
         pres = maxset_presentation(data)
         inv = abelian_invariants(pres)
@@ -479,8 +477,9 @@ def suite_language_free() -> list[Check]:
     return checks
 
 
-def suite_table(half_width: int = 40, max_len: int = 12) -> list[Check]:
+def suite_table() -> list[Check]:
     cases = reference_cases()
+    half_width, max_len = 40, 12
     checks = []
     harvest_invs = {}
 

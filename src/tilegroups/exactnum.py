@@ -276,6 +276,8 @@ class QuadraticRational:
 
         Accepts e.g. "2", "-1/2", "sqrt(5)", "3/2+1/2*sqrt(5)", "1-sqrt(2)".
         """
+        if not isinstance(text, str):
+            raise ValueError(f"a number is written as a string, not {text!r}")
         s = text.strip()
         if not s:
             raise ValueError("empty number string")

@@ -115,6 +115,8 @@ class WindowSet:
     @staticmethod
     def from_json_list(data: list) -> "WindowSet":
         """[lo, hi] strings in any order, overlaps merged; lo > hi is an error."""
+        if not isinstance(data, list) or not all(isinstance(c, list) and len(c) == 2 for c in data):
+            raise ValueError("a window is a list of [lo, hi] pairs")
         parts = [(QR.from_string(lo), QR.from_string(hi)) for lo, hi in data]
         for (lo, hi), text in zip(parts, data):
             if hi < lo:
@@ -226,8 +228,16 @@ class CutProjectScheme:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CutProjectScheme":
-        vec = lambda d: LatticeVector(QR.from_string(d["phys"]), QR.from_string(d["int"]))
-        return cls(vec(data["v1"]), vec(data["v2"]), WindowSet.from_json_list(data["window"]))
+        def get(*path: str):
+            obj = data
+            for i, key in enumerate(path, 1):
+                if not isinstance(obj, dict) or key not in obj:
+                    raise ValueError(f"scheme JSON has no {'.'.join(path[:i])}")
+                obj = obj[key]
+            return obj
+
+        vec = lambda v: LatticeVector(QR.from_string(get(v, "phys")), QR.from_string(get(v, "int")))
+        return cls(vec("v1"), vec("v2"), WindowSet.from_json_list(get("window")))
 
 
 def star(scheme: CutProjectScheme, y: QR) -> QR:
@@ -392,7 +402,6 @@ def empire_equal(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> 
 class EmpireBruteResult:
     agree: bool
     separator_coords: Optional[tuple[int, int]] = None
-    separator_phys: Optional[QR] = None
 
 
 class EmpireScan:
@@ -412,8 +421,8 @@ class EmpireScan:
     -box_bound + min a .. box_bound + max a: g + x is a model-set point
     iff row n + a of a component's strip holds m + b.  ``compare`` ANDs
     the masks of each pattern and XORs the two results; the lowest set bit
-    is the first separator of the box scan in its order, and no bit set
-    means agree.
+    is the first separator of the box scan in its order, reported as its
+    lattice coordinates (n, m), and no bit set means agree.
 
     A mask costs O(box_bound * k) for band rows of k cells, once per pool
     point; a comparison is then a few integer ANDs and XORs over those
@@ -427,7 +436,6 @@ class EmpireScan:
             raise ValueError("box_bound must be >= 0")
         if not points:
             raise ValueError("the point pool must be non-empty")
-        self.scheme = scheme
         self._coords = {x: scheme.physical_coordinates(x) for x in points}
         # i2 != 0 is guaranteed by CutProjectScheme
         i1, i2 = scheme.internal_group_basis()
@@ -442,7 +450,6 @@ class EmpireScan:
             if m_lo <= m_hi:
                 self._rows.append((size, n, m_lo, m_hi))
                 size += m_hi - m_lo + 1
-        self._firsts = [row[0] for row in self._rows]
         a_values = [a for a, _ in self._coords.values()]
         ns = range(-box_bound + min(a_values), box_bound + max(a_values) + 1)
         self._strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
@@ -475,9 +482,8 @@ class EmpireScan:
         if not diff:
             return EmpireBruteResult(True)
         i = (diff & -diff).bit_length() - 1
-        first, n, m_lo, _ = self._rows[bisect_right(self._firsts, i) - 1]
-        m = m_lo + i - first
-        return EmpireBruteResult(False, (n, m), self.scheme.v1.phys * n + self.scheme.v2.phys * m)
+        first, n, m_lo, _ = self._rows[bisect_right(self._rows, i, key=itemgetter(0)) - 1]
+        return EmpireBruteResult(False, (n, m_lo + i - first))
 
 
 def empire_brute(
@@ -591,26 +597,16 @@ class PartialActionData:
     relations: tuple[tuple[QR, QR, QR], ...]
 
 
-def _overlap_nonempty(window: WindowSet, interiors: bool, basis: tuple[QR, QR]) -> bool:
-    return window.has_interior() if interiors else window_meets_group(window, *basis)
-
-
-def partial_action_data(
-    basis: tuple[QR, QR],
-    window: WindowSet,
-    coeff_bound: int,
-    interiors: bool = True,
-) -> PartialActionData:
+def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: int) -> PartialActionData:
     """Elements are the boxed group values g with V and V - g overlapping;
     pairs (g, g') are composable when the triple overlap of V, g+V and
     g+g'+V is non-empty with all three members boxed; each composable pair
     contributes the relation equating the formal product with the sum.
 
-    interiors=True tests overlap of interiors (the open-subset setting);
-    interiors=False additionally accepts degenerate overlaps containing a
-    group point (closed windows over a dense group).  V and V - g meet
-    only if |g| <= w, the width of V's hull, so each n visits the strip of
-    m with |n*g1 + m*g2| <= w (``_strip_rows``), clamped to |m| <= coeff_bound.
+    Overlaps are overlaps of interiors (the open-subset setting): windows
+    that touch in one point do not overlap.  V and V - g meet only if
+    |g| <= w, the width of V's hull, so each n visits the strip of m with
+    |n*g1 + m*g2| <= w (``_strip_rows``), clamped to |m| <= coeff_bound.
     The basis is independent, so each element is keyed by its coordinates
     (n, m), and the sum of a pair is the element at (n + n', m + m').
     """
@@ -626,8 +622,7 @@ def partial_action_data(
         for n, m_lo, m_hi in _strip_rows(ns, ((lo - hi, hi - lo, g1, g2),)):
             for m in range(max(m_lo, -coeff_bound), min(m_hi, coeff_bound) + 1):
                 g = _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
-                overlap = window.intersect(window.translate(-g))
-                if _overlap_nonempty(overlap, interiors, basis):
+                if window.intersect(window.translate(-g)).has_interior():
                     found.append((g, n, m))
     found.sort(key=itemgetter(0))
     by_coords = {(n, m): (g, window.translate(g)) for g, n, m in found}
@@ -636,7 +631,7 @@ def partial_action_data(
         overlap_g = window.intersect(by_coords[n, m][1])
         for gp, n2, m2 in found:
             total = by_coords.get((n + n2, m + m2))
-            if total is not None and _overlap_nonempty(overlap_g.intersect(total[1]), interiors, basis):
+            if total is not None and overlap_g.intersect(total[1]).has_interior():
                 relations.append((g, gp, total[0]))
     elements = tuple(g for g, _, _ in found)
     return PartialActionData(basis, coeff_bound, elements, tuple(relations))

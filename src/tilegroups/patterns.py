@@ -49,11 +49,12 @@ class PatternClass:
 def pattern_class(values: list[QR], out_value: QR, in_value: QR) -> PatternClass:
     """Canonicalize arbitrary point values into a PatternClass."""
     pts = sorted(set(values))
-    if out_value not in pts or in_value not in pts:
-        raise ValueError("pointed values must belong to the pattern")
+    try:
+        out_index, in_index = pts.index(out_value), pts.index(in_value)
+    except ValueError:
+        raise ValueError("pointed values must belong to the pattern") from None
     base = pts[0]
-    offsets = tuple(p - base for p in pts)
-    return PatternClass(offsets, pts.index(out_value), pts.index(in_value))
+    return PatternClass(tuple(p - base for p in pts), out_index, in_index)
 
 
 def make_element(ps: PointSet1D, indices: list[int], out: int, in_: int) -> PatternClass:

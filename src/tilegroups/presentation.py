@@ -285,14 +285,13 @@ def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
 # Tietze simplification
 
 
-def tietze_simplify(pres: Presentation, budget: int = 100) -> Presentation:
-    """Bounded simplification: drop empty/duplicate relators and eliminate
-    generators defined by relators of length <= 2.  Output presents an
-    isomorphic group.  Each round eliminates by the earliest defining
-    relator and keeps the earliest of relators equal up to inversion; it
-    touches only the relators that hold the eliminated generator."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+def tietze_simplify(pres: Presentation) -> Presentation:
+    """Drop empty/duplicate relators and eliminate generators defined by
+    relators of length <= 2, until no relator defines a generator.  Output
+    presents an isomorphic group.  Each round eliminates one generator by
+    the earliest defining relator, so there are at most as many rounds as
+    generators, and keeps the earliest of relators equal up to inversion;
+    it touches only the relators that hold the eliminated generator."""
     gens = list(pres.generators)
     live: dict[int, tuple[FreeWord, tuple]] = {}  # input position -> (relator, dedup key)
     kept: dict[tuple, int] = {}  # dedup key -> position
@@ -331,12 +330,11 @@ def tietze_simplify(pres: Presentation, budget: int = 100) -> Presentation:
 
     for p, rel in enumerate(pres.relators):
         place(p, rel)
-    for _ in range(budget):
-        while short and definition(short[0]) is None:
-            short.pop(0)
-        if not short:
-            break
-        gen, image = definition(short[0])
+    while short:
+        step = definition(short.pop(0))
+        if step is None:
+            continue
+        gen, image = step
         gens.remove(gen)
         changed = [(p, live[p][0]) for p in uses[gen]]
         for p, _ in changed:

@@ -9,7 +9,7 @@ result carries its truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -89,9 +89,19 @@ class SequenceSpec:
     right: Optional[str] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "rule" and value is not None and not isinstance(value, str):
+                raise ValueError(f"spec field {f.name!r} must be a string")
+        if self.rule is not None and not (isinstance(self.rule, dict) and all(
+                isinstance(k, str) and len(k) == 1 and isinstance(v, str) for k, v in self.rule.items())):
+            raise ValueError("spec rule must map letters to words")
         if self.kind == "substitution":
             if not self.rule or not self.seed:
                 raise ValueError("substitution spec needs rule and seed")
+            unruled = set(self.seed + (self.seed_left or "") + "".join(self.rule.values())) - self.rule.keys()
+            if unruled:
+                raise ValueError(f"substitution rule has no image for letter {', '.join(map(repr, sorted(unruled)))}")
             u, _ = _resolve_seed_pair(self.rule, self.seed, self.seed_left)
             object.__setattr__(self, "seed_left", u)
         elif self.kind == "periodic":
@@ -117,6 +127,11 @@ class SequenceSpec:
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":
         data = json.loads(text)
+        if not isinstance(data, dict) or "kind" not in data:
+            raise ValueError('a sequence spec is a JSON object with a "kind"')
+        unknown = data.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown sequence spec keys {sorted(unknown)}")
         return cls(**data)
 
 

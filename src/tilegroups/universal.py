@@ -108,19 +108,6 @@ class AccentString:
             if not 0 <= pos < len(self.word):
                 raise ValueError("accent position out of range")
 
-    def __str__(self):
-        marks = []
-        for i, c in enumerate(self.word):
-            if i == self.out_pos == self.in_pos:
-                marks.append(f"{c}^")
-            elif i == self.out_pos:
-                marks.append(f"{c}`")
-            elif i == self.in_pos:
-                marks.append(f"{c}'")
-            else:
-                marks.append(c)
-        return "".join(marks)
-
 
 def accent_inverse(p: AccentString) -> AccentString:
     return AccentString(p.word, p.in_pos, p.out_pos)

@@ -3,10 +3,16 @@ routes and of the empire oracle, kept as test oracles for the
 output-linear kernels in the package.
 
 Each function is the earlier library code, unchanged apart from its name
-and imports (``partial_action_box`` also no longer returns the composable
-pairs, which ``PartialActionData`` dropped as a copy of the first two
-entries of its relations): the all-pairs ``diff_set``, the ``chained_sum`` product table,
-the round-by-round Tietze loop, the box-scan ``partial_action_data``, the
+and imports, and apart from the outputs and settings the library dropped
+later: ``partial_action_box`` no longer returns the composable pairs,
+which ``PartialActionData`` dropped as a copy of the first two entries of
+its relations, and always tests overlaps of interiors, as
+``partial_action_data`` does; ``empire_brute_box`` reports the first
+separator by its lattice coordinates only.  The oracles are the all-pairs
+``diff_set``, the ``chained_sum`` product table, the round-by-round Tietze
+loop (``tietze_rounds``, run for at most ``budget`` rounds; a budget of
+the number of generators reaches the fixed point that ``tietze_simplify``
+computes), the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
 which returns the point list), the dense Smith-form
@@ -47,7 +53,6 @@ from tilegroups.modelset import (
     EmpireBruteResult,
     PartialActionData,
     WindowSet,
-    _overlap_nonempty,
     star,
 )
 from tilegroups.patterns import (
@@ -116,7 +121,7 @@ def maxset_table_chained(ps: PointSet1D, bound: QR) -> dict[tuple[QR, QR], QR]:
     return table
 
 
-def tietze_rounds(pres: Presentation, budget: int = 100) -> Presentation:
+def tietze_rounds(pres: Presentation, budget: int) -> Presentation:
     """Bounded simplification: drop empty/duplicate relators and eliminate
     generators defined by relators of length <= 2.  Output presents an
     isomorphic group."""
@@ -160,20 +165,12 @@ def tietze_rounds(pres: Presentation, budget: int = 100) -> Presentation:
     return Presentation(tuple(gens), tuple(final))
 
 
-def partial_action_box(
-    basis: tuple[QR, QR],
-    window: WindowSet,
-    coeff_bound: int,
-    interiors: bool = True,
-) -> PartialActionData:
+def partial_action_box(basis: tuple[QR, QR], window: WindowSet, coeff_bound: int) -> PartialActionData:
     """Elements are the boxed group values g with V and V - g overlapping;
     pairs (g, g') are composable when the triple overlap of V, g+V and
     g+g'+V is non-empty with all three members boxed; each composable pair
     contributes the relation equating the formal product with the sum.
-
-    interiors=True tests overlap of interiors (the open-subset setting);
-    interiors=False additionally accepts degenerate overlaps containing a
-    group point (closed windows over a dense group).
+    Overlaps are overlaps of interiors (the open-subset setting).
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -182,8 +179,7 @@ def partial_action_box(
     for n in range(-coeff_bound, coeff_bound + 1):
         for m in range(-coeff_bound, coeff_bound + 1):
             g = g1 * n + g2 * m
-            overlap = window.intersect(window.translate(-g))
-            if _overlap_nonempty(overlap, interiors, basis):
+            if window.intersect(window.translate(-g)).has_interior():
                 elements.append(g)
     elements.sort()
     eset = set(elements)
@@ -195,7 +191,7 @@ def partial_action_box(
             if total not in eset:
                 continue
             triple = window.intersect(shifted_g).intersect(window.translate(total))
-            if _overlap_nonempty(triple, interiors, basis):
+            if triple.has_interior():
                 relations.append((g, gp, total))
     return PartialActionData(basis, coeff_bound, tuple(elements), tuple(relations))
 
@@ -394,8 +390,7 @@ def empire_brute_box(
             in_p = all(member(a, b, (ga, gb)) for a, b in ppairs)
             in_q = all(member(a, b, (ga, gb)) for a, b in qpairs)
             if in_p != in_q:
-                g_phys = scheme.v1.phys * n + scheme.v2.phys * m
-                return EmpireBruteResult(False, (n, m), g_phys)
+                return EmpireBruteResult(False, (n, m))
     return EmpireBruteResult(True)
 
 

@@ -148,7 +148,7 @@ def test_c06_modelset_vs_substitution():
 
 
 def test_c07_empire_oracle():
-    checks = suite_empire(pairs=100, seed=0, radius=30, box_bound=60, max_points=5)
+    checks = suite_empire(pairs=100, seed=0, box_bound=60)
     for c in checks:
         assert c.passed, c.name
     report(7, f"{checks[0].name}; separating translations exhibited")

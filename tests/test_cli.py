@@ -1,7 +1,12 @@
 import inspect
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tilegroups import cli, presentation
 from tilegroups.cli import build_case_report, main, reference_cases
@@ -140,6 +145,85 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "zero denominator in '1/0'" in err[0]
 
+    @pytest.mark.parametrize("source, text, message", [
+        ("--spec", '{"kind":"periodic","word":"ab","foo":1}', "unknown sequence spec keys ['foo']"),
+        ("--spec", '["periodic"]', 'a sequence spec is a JSON object with a "kind"'),
+        ("--spec", '{"kind":"periodic","word":7}', "spec field 'word' must be a string"),
+        ("--spec", '{"kind":"substitution","rule":{"a":"ab","b":"a"},"seed":"c"}',
+         "substitution rule has no image for letter 'c'"),
+        ("--scheme", "[]", "scheme JSON has no v1"),
+        ("--scheme", json.dumps({**fibonacci_scheme().to_json_dict(), "window": [["0", 1]]}),
+         "a number is written as a string, not 1"),
+    ], ids=["unknown-key", "not-an-object", "word-not-a-string", "seed-letter-without-rule",
+            "scheme-not-an-object", "window-end-not-a-string"])
+    def test_malformed_json_diagnostic(self, source, text, message, tmp_path, capsys):
+        # one error line and exit 2, not a TypeError, AttributeError or bare KeyError
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        lengths = ["--lengths", "a=1,b=2"] if source == "--spec" else []
+        rc = main(["generate", source, str(path), *lengths])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == f"error: {message}"
+
+
+SPEC_KEYS = ("kind", "rule", "seed", "seed_left", "word", "left", "right", "foo")
+WORDS = st.text("abc", max_size=3)  # c never has a length
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(WORDS, inner, max_size=3),
+    max_leaves=6)
+SPECS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(SPEC_KEYS), st.sampled_from(("substitution", "periodic", "spliced")) | JSON_VALUES, max_size=5)
+LENGTHS = st.lists(st.text("ab=/+-*sqrt()0123456789 ", max_size=10), min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def misshapen_schemes(draw):
+    """The reference scheme with one part dropped or replaced by a value
+    that is not a number string, or JSON of any shape."""
+    scheme = fibonacci_scheme().to_json_dict()
+    parts = [(scheme, "v1"), (scheme, "v2"), (scheme, "window"), (scheme["window"], 0), (scheme["window"][0], 1),
+             *((scheme[v], k) for v in ("v1", "v2") for k in ("phys", "int"))]
+    where, key = draw(st.sampled_from(parts))
+    if draw(st.booleans()):
+        del where[key]
+    else:
+        where[key] = draw(JSON_VALUES)
+    return draw(st.just(scheme) | JSON_VALUES)
+
+
+def _fully_ruled_substitution(spec) -> bool:
+    """A substitution spec whose every letter has a rule: finding its seed
+    pair may expand the seed to billions of letters, so none is drawn."""
+    if not (isinstance(spec, dict) and spec.get("kind") == "substitution" and isinstance(spec.get("rule"), dict)):
+        return False
+    rule = spec["rule"]
+    text = "".join(v for v in (spec.get("seed"), spec.get("seed_left"), *rule.values()) if isinstance(v, str))
+    return all(c in rule for c in text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=SPECS, scheme=misshapen_schemes(), lengths=LENGTHS)
+def test_malformed_input_exits_cleanly(spec, scheme, lengths):
+    # a run ends with exit 0, or with exit 2 and one error line; a
+    # traceback would propagate out of main
+    assume(not _fully_ruled_substitution(spec))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp, f"{name}.json") for name in ("spec", "periodic", "scheme")}
+        files["spec"].write_text(json.dumps(spec))
+        files["periodic"].write_text('{"kind":"periodic","word":"ab"}')
+        files["scheme"].write_text(json.dumps(scheme))
+        for argv in (["--spec", str(files["spec"]), "--lengths=a=1,b=2", "--half-width", "5"],
+                     ["--spec", str(files["periodic"]), f"--lengths={lengths}", "--half-width", "5"],
+                     ["--scheme", str(files["scheme"]), "--radius", "5"]):
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err):
+                rc = main(["generate", *argv])
+            lines = err.getvalue().splitlines()
+            assert rc in (0, 2), (argv, lines)
+            assert len(lines) == (rc == 2) and all(line.startswith("error: ") for line in lines), (argv, lines)
+
 
 class TestParseLengths:
     def test_letters_and_values(self):
@@ -259,6 +343,12 @@ class TestVerify:
             "language-free": {},
             "table": {},
         }
+
+    def test_suites_take_exactly_their_options(self):
+        # every suite parameter is a verify option, so no setting is left
+        # that only a library caller could vary
+        for name, (suite, options) in cli.SUITES.items():
+            assert tuple(inspect.signature(suite).parameters) == options, name
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):

@@ -114,6 +114,11 @@ class TestTextForm:
         with pytest.raises(ValueError):
             QR.from_string("sqrt(5)+sqrt(2)x")
 
+    @pytest.mark.parametrize("value", [1, None, ["1"]])
+    def test_non_string_rejected(self, value):
+        with pytest.raises(ValueError, match="a number is written as a string"):
+            QR.from_string(value)
+
     @pytest.mark.parametrize("text", ["1/0", "1/0*sqrt(5)", "2+3/0*sqrt(5)", "0/0"])
     def test_zero_denominator_names_text(self, text):
         with pytest.raises(ValueError) as info:

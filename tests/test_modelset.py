@@ -495,8 +495,8 @@ def _empire_box_results(scheme: CutProjectScheme) -> list:
 
 @pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
 def test_empire_strip_scan_matches_box_scan(scheme):
-    # agree, separator_coords and separator_phys all equal those of the
-    # (2B+1)^2 box scan, so the first separator found is the same
+    # agree and separator_coords both equal those of the (2B+1)^2 box
+    # scan, so the first separator found is the same
     results = set()
     for pat_p, pat_q, bound, want in _empire_box_results(scheme):
         assert empire_brute(scheme, pat_p, pat_q, bound) == want, (pat_p, pat_q, bound)
@@ -690,14 +690,12 @@ class TestPartialActionData:
     def test_dependent_basis_rejected(self):
         # a rational ratio would label distinct (n, m) with one value
         for basis in ((QR(1), QR(2)), (TAU, TAU * 3), (QR(1), QR(0))):
-            for interiors in (True, False):
-                with pytest.raises(ValueError, match="rationally dependent"):
-                    partial_action_data(basis, WindowSet.interval(QR(0), QR(1)), 3, interiors)
+            with pytest.raises(ValueError, match="rationally dependent"):
+                partial_action_data(basis, WindowSet.interval(QR(0), QR(1)), 3)
 
     def test_empty_window_gives_empty_data(self):
-        for interiors in (True, False):
-            data = partial_action_data((QR(1), TAU), WindowSet.empty(), 3, interiors)
-            assert data.elements == data.relations == ()
+        data = partial_action_data((QR(1), TAU), WindowSet.empty(), 3)
+        assert data.elements == data.relations == ()
 
 
 SQRT2 = QR.sqrt_of(2)
@@ -726,15 +724,14 @@ def test_strip_scan_matches_box_scan(basis, window):
     # elements, composable pairs and relations agree, in order, with the
     # (2b+1)^2 box scan; a window from another quadratic field than the
     # basis fails the same way in both
-    for interiors in (True, False):
-        for bound in (1, 3, 6):
-            try:
-                want = partial_action_box(basis, window, bound, interiors)
-            except DiscriminantMismatch:
-                with pytest.raises(DiscriminantMismatch):
-                    partial_action_data(basis, window, bound, interiors)
-                continue
-            assert partial_action_data(basis, window, bound, interiors) == want
+    for bound in (1, 3, 6):
+        try:
+            want = partial_action_box(basis, window, bound)
+        except DiscriminantMismatch:
+            with pytest.raises(DiscriminantMismatch):
+                partial_action_data(basis, window, bound)
+            continue
+        assert partial_action_data(basis, window, bound) == want
 
 
 class TestObstructionGrade:

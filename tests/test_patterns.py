@@ -52,6 +52,11 @@ class TestMakeElement:
         with pytest.raises(ValueError):
             make_element(fib_ps(4), [0, 1], 0, 2)
 
+    @pytest.mark.parametrize("out, in_", [(QR(1), QR(0)), (QR(0), QR(1))], ids=["out", "in"])
+    def test_pointed_value_outside_pattern_rejected(self, out, in_):
+        with pytest.raises(ValueError, match="pointed values must belong to the pattern"):
+            pattern_class([QR(0), TAU], out, in_)
+
 
 class TestMultiply:
     def test_identity_law(self):

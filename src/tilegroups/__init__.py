@@ -4,17 +4,14 @@ sets, cut-and-project model sets and tilings."""
 from .exactnum import QuadraticRational, golden_ratio
 from .modelset import (
     CutProjectScheme,
-    EmptyModelSetError,
     EmpireScan,
     WindowTriple,
     LatticeVector,
     PartialActionData,
     WindowSet,
     obstruction_grade,
-    empire_brute,
     empire_equal,
     fibonacci_scheme,
-    generate_modelset,
     triple_identity,
     triple_inverse,
     triple_max_and_shift,

@@ -20,12 +20,7 @@ from operator import and_, itemgetter
 from typing import Optional
 
 from .exactnum import QuadraticRational as QR, _make, common_denominator, golden_ratio
-from .pointset import PointSet1D
 from .patterns import PatternClass
-
-
-class EmptyModelSetError(ValueError):
-    """The window/lattice configuration selected no points at all."""
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +205,6 @@ class CutProjectScheme:
             raise ValueError(f"{y} is not in the physical lattice image")
         return coords
 
-    def in_physical_lattice(self, y: QR) -> bool:
-        return _integer_coordinates(y, self.v1.phys, self.v2.phys) is not None
-
     def star_of_coords(self, n: int, m: int) -> QR:
         return self.v1.internal * n + self.v2.internal * m
 
@@ -331,17 +323,6 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     return out
 
 
-def generate_modelset(scheme: CutProjectScheme, radius: QR) -> PointSet1D:
-    """Model set in point-set form (window letters assigned by decreasing
-    gap)."""
-    pts = modelset_points(scheme, radius)
-    if not pts:
-        raise EmptyModelSetError("no lattice point projects into the window at this radius")
-    if len(pts) == 1:
-        raise EmptyModelSetError("a single projected point does not determine a gap word")
-    return PointSet1D.from_points(pts)
-
-
 # ---------------------------------------------------------------------------
 # pattern windows and the empire congruence
 
@@ -428,7 +409,10 @@ class EmpireScan:
     point; a comparison is then a few integer ANDs and XORs over those
     bits, instead of a membership test of every band cell per pair.
     Everything is integer work on exact strip ends, independent of the
-    window calculus of empire_equal.
+    window calculus of empire_equal.  One pair P, Q is compared by
+    ``EmpireScan(scheme, box_bound, P + Q).compare(P, Q)``; the result and
+    the first separator are those of a scan of the full
+    (2*box_bound + 1)^2 box.
     """
 
     def __init__(self, scheme: CutProjectScheme, box_bound: int, points: list[QR]):
@@ -484,20 +468,6 @@ class EmpireScan:
         i = (diff & -diff).bit_length() - 1
         first, n, m_lo, _ = self._rows[bisect_right(self._rows, i, key=itemgetter(0)) - 1]
         return EmpireBruteResult(False, (n, m_lo + i - first))
-
-
-def empire_brute(
-    scheme: CutProjectScheme,
-    pat_p: list[QR],
-    pat_q: list[QR],
-    box_bound: int,
-) -> EmpireBruteResult:
-    """Independent empire oracle for one pair: ``EmpireScan`` over the
-    points of the two patterns.  The result and the first separator found
-    are those of a scan of the full (2*box_bound + 1)^2 box."""
-    if not pat_p or not pat_q:
-        raise ValueError("pattern must be non-empty")
-    return EmpireScan(scheme, box_bound, pat_p + pat_q).compare(pat_p, pat_q)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ and decompositions can be replayed in tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -41,10 +40,10 @@ class PointSet1D:
     """Points r_i with r_i - r_{i-1} = |T(i)| over a finite window of T.
 
     The window covers indices [start, start+n), so points r_{start-1}
-    through r_{start+n-1} are materialised; the anchor fixes r_0.
+    through r_{start+n-1} are materialised, with r_0 = 0.
     """
 
-    def __init__(self, window: IndexedWord, lengths: LengthFunction, anchor: QR = QR(0)):
+    def __init__(self, window: IndexedWord, lengths: LengthFunction):
         if len(window) == 0:
             raise ValueError("window must be non-empty")
         lo, hi = window.start_index - 1, window.end_index - 1
@@ -52,19 +51,18 @@ class PointSet1D:
             raise ValueError("window must cover the anchor index 0")
         self.window = window
         self.lengths = lengths
-        self.anchor = anchor
         # T(i) sits at letters[i - start_index]: T(1), T(2), ... step right
         # from r_0, and T(0), T(-1), ... step left to r_{-1}, r_{-2}, ...
-        # integer running sums over the anchor and the letters that occur
+        # integer running sums over the letters that occur
         used = sorted(set(window.letters))
-        c, d, ((a0, b0), *steps) = common_denominator([anchor] + [lengths[x] for x in used])
+        c, d, steps = common_denominator([lengths[x] for x in used])
         step, cut = dict(zip(used, steps)), 1 - window.start_index
-        right, a, b = [anchor], a0, b0
+        right, a, b = [_make(0, 0, c, d)], 0, 0
         for letter in window.letters[cut:]:
             da, db = step[letter]
             a, b = a + da, b + db
             right.append(_make(a, b, c, d))
-        left, a, b = [], a0, b0
+        left, a, b = [], 0, 0
         for letter in reversed(window.letters[:cut]):
             da, db = step[letter]
             a, b = a - da, b - db
@@ -72,30 +70,6 @@ class PointSet1D:
         left.reverse()
         self.min_index, self.max_index = lo, hi
         self.points: list[QR] = left + right
-
-    @classmethod
-    def from_points(cls, points: list[QR]) -> "PointSet1D":
-        """Rebuild window + lengths from an explicit sorted point list.
-
-        Gap letters are assigned 'a', 'b', ... by decreasing gap length.
-        The anchor r_0 is the largest point <= 0 (the least point if all
-        are positive).
-        """
-        if len(points) < 2:
-            raise ValueError("need at least two points")
-        pts = sorted(points)
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        if any(g.sign() <= 0 for g in gaps):
-            raise ValueError("points must be strictly increasing")
-        distinct = sorted(set(gaps), reverse=True)
-        if len(distinct) > 26:
-            raise ValueError("too many distinct gaps to letter")
-        letter = {g: chr(ord("a") + k) for k, g in enumerate(distinct)}
-        anchor_index = max(bisect_right(pts, QR(0)) - 1, 0)
-        word = "".join(letter[g] for g in gaps)
-        window = IndexedWord(1 - anchor_index, word)
-        lengths = LengthFunction({letter[g]: g for g in distinct})
-        return cls(window, lengths, pts[anchor_index])
 
     @cached_property
     def _index_of(self) -> dict[QR, int]:
@@ -123,11 +97,11 @@ class PointSet1D:
         return max(b - a for a, b in zip(self.points, self.points[1:]))
 
     def to_json_dict(self) -> dict:
-        return {"anchor": str(self.anchor), "points": [str(p) for p in self.points]}
+        return {"anchor": "0", "points": [str(p) for p in self.points]}
 
 
-def build_pointset(window: IndexedWord, lengths: LengthFunction, anchor: QR = QR(0)) -> PointSet1D:
-    return PointSet1D(window, lengths, anchor)
+def build_pointset(window: IndexedWord, lengths: LengthFunction) -> PointSet1D:
+    return PointSet1D(window, lengths)
 
 
 @dataclass(frozen=True)

@@ -51,19 +51,44 @@ def expand_substitution(rule: dict[str, str], seed: str, iterations: int) -> str
     return word
 
 
+def _windows_of_iterate(rule: dict[str, str], word: str, iterations: int, m: int) -> set[str]:
+    """The factors of length m of sigma^iterations(word) (the iterate itself
+    if shorter), a step at a time: sigma is non-erasing, so each factor of
+    length m of sigma(w) lies in the image of one of w, and no word longer
+    than |sigma| * m is built."""
+
+    def windows(text: str) -> set[str]:
+        return {text[i:i + m] for i in range(max(len(text) - m, 0) + 1)}
+
+    found = windows(word)
+    for _ in range(iterations):
+        step = set().union(*(windows(expand_substitution(rule, w, 1)) for w in found))
+        if step == found:  # a fixed point of the step stays one
+            break
+        found = step
+    return found
+
+
 def _resolve_seed_pair(rule: dict[str, str], seed: str, seed_left: Optional[str]) -> tuple[str, int]:
     """Find (u, k): sigma^k(seed) starts with seed, sigma^k(u) ends with u,
-    and the two-letter pair u+seed occurs in the language."""
+    and u+seed occurs in sigma^max(4k, 8)(seed); the least such k, then the
+    first such u (seed_left, else the letters in order).
+
+    sigma is non-erasing, so the first len(seed) letters of sigma(w) depend
+    only on those of w, and the last len(u) likewise: each step keeps just
+    those, and the probe its factors of length len(u + seed)
+    (``_windows_of_iterate``).  No iterate sigma^k is built.
+    """
+    candidates = [seed_left] if seed_left else sorted(rule)
+    head, tails = seed, candidates
     for k in range(1, 9):
-        image = expand_substitution(rule, seed, k)
-        if not image.startswith(seed):
+        head = expand_substitution(rule, head, 1)[:len(seed)]
+        tails = [expand_substitution(rule, t, 1)[-len(u):] for u, t in zip(candidates, tails)]
+        ends = [u for u, tail in zip(candidates, tails) if tail == u]
+        if head != seed or not ends:
             continue
-        candidates = [seed_left] if seed_left else sorted(rule)
-        for u in candidates:
-            if not expand_substitution(rule, u, k).endswith(u):
-                continue
-            # legality of the seed pair: u+seed must occur
-            probe = expand_substitution(rule, seed, max(k * 4, 8))
+        probe = _windows_of_iterate(rule, seed, max(k * 4, 8), len(candidates[0]) + len(seed))
+        for u in ends:
             if u + seed in probe:
                 return u, k
     raise ValueError(f"no legal two-sided seed pair for seed {seed!r}"
@@ -156,10 +181,15 @@ def two_sided_window(spec: SequenceSpec, half_width: int) -> IndexedWord:
         right = "".join(spec.right[(i - 1) % nr] for i in range(1, h + 1))
         return IndexedWord(-h, left + right)
     u, k = _resolve_seed_pair(spec.rule, spec.seed, spec.seed_left)
+    # sigma^jk(u) ends with sigma^(j-1)k(u) and sigma^jk(seed) starts with
+    # sigma^(j-1)k(seed), so the last h + 1 and the first h letters of each
+    # step are all the window needs
     left, right = u, spec.seed
     while len(left) < h + 1 or len(right) < h:
-        grown_left = expand_substitution(spec.rule, left, k)
-        grown_right = expand_substitution(spec.rule, right, k)
+        grown_left, grown_right = left, right
+        for _ in range(k):
+            grown_left = expand_substitution(spec.rule, grown_left, 1)[-(h + 1):]
+            grown_right = expand_substitution(spec.rule, grown_right, 1)[:h]
         if len(grown_left) == len(left) and len(grown_right) == len(right):
             raise ValueError("substitution does not grow; two-sided extension undefined")
         left, right = grown_left, grown_right
@@ -185,7 +215,7 @@ class FactorLanguage:
         return sorted(w for w in self.words if len(w) == n)
 
 
-def factor_language(word, max_len: int) -> FactorLanguage:
+def factor_language(word: IndexedWord, max_len: int) -> FactorLanguage:
     """All distinct non-empty factors of length <= max_len in the window.
 
     A factor of length L <= max_len starting at index i is a prefix of
@@ -198,11 +228,8 @@ def factor_language(word, max_len: int) -> FactorLanguage:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if isinstance(word, IndexedWord):
-        text, start = word.letters, word.start_index
-    else:
-        text, start = str(word), 0
+    text = word.letters
     n = len(text)
     heads = {text[i:i + max_len] for i in range(n)}
     found = frozenset(h[:k] for h in heads for k in range(1, len(h) + 1))
-    return FactorLanguage(found, max_len, start, n)
+    return FactorLanguage(found, max_len, word.start_index, n)

@@ -8,7 +8,9 @@ later: ``partial_action_box`` no longer returns the composable pairs,
 which ``PartialActionData`` dropped as a copy of the first two entries of
 its relations, and always tests overlaps of interiors, as
 ``partial_action_data`` does; ``empire_brute_box`` reports the first
-separator by its lattice coordinates only.  The oracles are the all-pairs
+separator by its lattice coordinates only; ``factor_language_scan`` takes
+an ``IndexedWord`` only and ``pointset_points_indexed`` fixes r_0 = 0,
+as the library does.  The oracles are the all-pairs
 ``diff_set``, the ``chained_sum`` product table, the round-by-round Tietze
 loop (``tietze_rounds``, run for at most ``budget`` rounds; a budget of
 the number of generators reaches the fixed point that ``tietze_simplify``
@@ -39,12 +41,22 @@ it the canonical offsets.  ``chained_sum`` is the chained partial sum of
 two differences, the reference semantics of the witness-index join in
 ``maxset_table`` (through ``maxset_table_chained``).
 ``accent_multiply_glue`` is the accent product gluing its word letter by
-letter, before it took three slices.
+letter, before it took three slices.  ``resolve_seed_pair_expanded`` and
+``two_sided_window_expanded`` are the substitution seed-pair search and
+window that expand whole iterates sigma^k(w), before each step kept only
+the letters the result reads.  They can build words of billions of
+letters, or grow one half forever while the other stays short, so they
+expand through ``expand_capped``, which counts the length from
+letter-count vectors first and raises ``ExpansionCapped`` beyond
+``EXPANSION_CAP`` letters; tests skip the specs where it does.
+``is_square_free_trial`` is ``is_square_free`` by trial division up to
+sqrt(d).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Optional
 
 from tilegroups.exactnum import QuadraticRational as QR
@@ -73,7 +85,14 @@ from tilegroups.presentation import (
     reduce_word,
     smith_invariants,
 )
-from tilegroups.sequences import FactorLanguage, IndexedWord, TruncationError, factor_language
+from tilegroups.sequences import (
+    FactorLanguage,
+    IndexedWord,
+    SequenceSpec,
+    TruncationError,
+    expand_substitution,
+    factor_language,
+)
 from tilegroups.universal import AccentString, HarvestReport
 
 
@@ -394,14 +413,11 @@ def empire_brute_box(
     return EmpireBruteResult(True)
 
 
-def factor_language_scan(word, max_len: int) -> FactorLanguage:
+def factor_language_scan(word: IndexedWord, max_len: int) -> FactorLanguage:
     """All distinct non-empty factors of length <= max_len in the window."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if isinstance(word, IndexedWord):
-        text, start = word.letters, word.start_index
-    else:
-        text, start = str(word), 0
+    text, start = word.letters, word.start_index
     found = set()
     n = len(text)
     for i in range(n):
@@ -410,23 +426,101 @@ def factor_language_scan(word, max_len: int) -> FactorLanguage:
     return FactorLanguage(frozenset(found), max_len, start, n)
 
 
-def pointset_points_indexed(window: IndexedWord, lengths: LengthFunction, anchor: QR = QR(0)) -> list[QR]:
-    """Points r_{start-1} .. r_{start+n-1} with r_i - r_{i-1} = |T(i)| and r_0 = anchor."""
+def pointset_points_indexed(window: IndexedWord, lengths: LengthFunction) -> list[QR]:
+    """Points r_{start-1} .. r_{start+n-1} with r_i - r_{i-1} = |T(i)| and r_0 = 0."""
     if len(window) == 0:
         raise ValueError("window must be non-empty")
     lo, hi = window.start_index - 1, window.end_index - 1
     if not lo <= 0 <= hi:
         raise ValueError("window must cover the anchor index 0")
-    pts: dict[int, QR] = {0: anchor}
-    run = anchor
+    pts: dict[int, QR] = {0: QR(0)}
+    run = QR(0)
     for i in range(1, hi + 1):
         run = run + lengths[window.at(i)]
         pts[i] = run
-    run = anchor
+    run = QR(0)
     for i in range(0, lo, -1):
         run = run - lengths[window.at(i)]
         pts[i - 1] = run
     return [pts[i] for i in range(lo, hi + 1)]
+
+
+EXPANSION_CAP = 10 ** 5
+
+
+class ExpansionCapped(Exception):
+    """An expanding oracle would build a word of more than EXPANSION_CAP
+    letters; not a ValueError, so it is never mistaken for a spec error."""
+
+
+def iterate_length(rule: dict[str, str], word: str, iterations: int) -> int:
+    """|sigma^iterations(word)|, from letter-count vectors without expanding."""
+    counts = Counter(word)
+    for _ in range(iterations):
+        step = Counter()
+        for letter, times in counts.items():
+            for image_letter, k in Counter(rule[letter]).items():
+                step[image_letter] += k * times
+        counts = step
+    return sum(counts.values())
+
+
+def expand_capped(rule: dict[str, str], word: str, iterations: int) -> str:
+    """``expand_substitution``, raising ExpansionCapped instead where the
+    result would exceed EXPANSION_CAP letters."""
+    if iterate_length(rule, word, iterations) > EXPANSION_CAP:
+        raise ExpansionCapped(f"sigma^{iterations}({word!r}) exceeds {EXPANSION_CAP} letters")
+    return expand_substitution(rule, word, iterations)
+
+
+def resolve_seed_pair_expanded(rule: dict[str, str], seed: str, seed_left: Optional[str]) -> tuple[str, int]:
+    """Find (u, k): sigma^k(seed) starts with seed, sigma^k(u) ends with u,
+    and the two-letter pair u+seed occurs in the language."""
+    for k in range(1, 9):
+        image = expand_capped(rule, seed, k)
+        if not image.startswith(seed):
+            continue
+        candidates = [seed_left] if seed_left else sorted(rule)
+        for u in candidates:
+            if not expand_capped(rule, u, k).endswith(u):
+                continue
+            # legality of the seed pair: u+seed must occur
+            probe = expand_capped(rule, seed, max(k * 4, 8))
+            if u + seed in probe:
+                return u, k
+    raise ValueError(f"no legal two-sided seed pair for seed {seed!r}"
+                     + (f" with left letter {seed_left!r}" if seed_left else ""))
+
+
+def two_sided_window_expanded(spec: SequenceSpec, half_width: int) -> IndexedWord:
+    """Letters of the substitution's bi-infinite fixed point at indices
+    [-half_width, half_width]."""
+    if half_width < 1:
+        raise ValueError("half_width must be >= 1")
+    h = half_width
+    u, k = resolve_seed_pair_expanded(spec.rule, spec.seed, spec.seed_left)
+    left, right = u, spec.seed
+    while len(left) < h + 1 or len(right) < h:
+        grown_left = expand_capped(spec.rule, left, k)
+        grown_right = expand_capped(spec.rule, right, k)
+        if len(grown_left) == len(left) and len(grown_right) == len(right):
+            raise ValueError("substitution does not grow; two-sided extension undefined")
+        left, right = grown_left, grown_right
+    return IndexedWord(-h, left[-(h + 1):] + right[:h])
+
+
+def is_square_free_trial(d: int) -> bool:
+    """No square of an integer p >= 2 divides d, tried for every p <= sqrt(d)."""
+    if d < 0:
+        return False
+    if d in (0, 1):
+        return True
+    p = 2
+    while p * p <= d:
+        if d % (p * p) == 0:
+            return False
+        p += 1
+    return True
 
 
 def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:

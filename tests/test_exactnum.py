@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
+from reference_kernels import is_square_free_trial
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio, is_square_free
 
 
 def tau():
@@ -44,6 +45,22 @@ class TestArithmetic:
 
     def test_disc_one_folds(self):
         assert QR(1, 2, 1) == QR(3)
+
+
+class TestSquareFree:
+    def test_matches_trial_division(self):
+        assert [d for d in range(-3, 20000) if is_square_free(d) != is_square_free_trial(d)] == []
+
+    @given(st.integers(2, 10**5), st.integers(1, 10**4))
+    def test_square_factor_found(self, q, m):
+        assert not is_square_free(q * q * m)
+
+    def test_beyond_the_cube_root(self):
+        # what is left after trial division to the cube root: a prime, a
+        # product of two distinct primes, or the square of a prime
+        p, q = 1000003, 999983
+        assert is_square_free(p) and is_square_free(p * q) and is_square_free(10000000000037)
+        assert not is_square_free(p * p) and not is_square_free(p * p * q)
 
 
 class TestSign:

@@ -28,32 +28,29 @@ def fib_ps(half_width=12):
 
 THREE_LEN = LengthFunction({"a": TAU, "b": QR(1), "c": QR(Fraction(-1, 2), Fraction(1, 3), 5)})
 SQRT2 = QR.sqrt_of(2)
-# each length function with anchors from its own field
-LENGTHS_AND_ANCHORS = (
-    (THREE_LEN, (QR(0), QR(-3), TAU, -TAU / 2)),
-    (LengthFunction({"a": QR(3), "b": QR(2), "c": QR(Fraction(5, 7))}), (QR(0), QR(Fraction(-7, 3)))),
-    (LengthFunction({"a": SQRT2, "b": QR(Fraction(1, 3)), "c": SQRT2 / 4 + 1}), (QR(0), -SQRT2 / 3)),
+LENGTHS = (
+    THREE_LEN,
+    LengthFunction({"a": QR(3), "b": QR(2), "c": QR(Fraction(5, 7))}),
+    LengthFunction({"a": SQRT2, "b": QR(Fraction(1, 3)), "c": SQRT2 / 4 + 1}),
 )
 
 
 @st.composite
-def anchored_windows(draw):
+def windows_and_lengths(draw):
     """A non-empty word over a-c whose start index runs from 1 (r_0 is the
-    first point) down to -len + 1 (r_0 is the last), a length function and
-    an anchor."""
+    first point) down to -len + 1 (r_0 is the last), and a length function."""
     text = draw(st.text(alphabet="abc", min_size=1, max_size=60))
     start = draw(st.integers(-len(text) + 1, 1))
-    lengths, anchors = draw(st.sampled_from(LENGTHS_AND_ANCHORS))
-    return IndexedWord(start, text), lengths, draw(st.sampled_from(anchors))
+    return IndexedWord(start, text), draw(st.sampled_from(LENGTHS))
 
 
-@given(anchored_windows())
+@given(windows_and_lengths())
 def test_points_match_indexed_loop(case):
-    window, lengths, anchor = case
-    ps = PointSet1D(window, lengths, anchor)
-    assert ps.points == pointset_points_indexed(window, lengths, anchor)
+    window, lengths = case
+    ps = PointSet1D(window, lengths)
+    assert ps.points == pointset_points_indexed(window, lengths)
     assert (ps.min_index, ps.max_index) == (window.start_index - 1, window.end_index - 1)
-    assert ps.point(0) == anchor
+    assert ps.point(0) == QR(0)
 
 
 def test_mixed_field_lengths():
@@ -95,24 +92,6 @@ class TestBuild:
         ps = fib_ps(4)
         with pytest.raises(TruncationError):
             QR(100) in ps
-
-    def test_roundtrip_from_points(self):
-        ps = fib_ps(8)
-        rebuilt = PointSet1D.from_points(ps.values())
-        assert rebuilt.values() == ps.values()
-        assert rebuilt.anchor == QR(0)
-
-    @pytest.mark.parametrize("points, anchor, start", [
-        ([-3, -1, 2, 4], -1, 0),
-        ([-3, -1, 0, 4], 0, -1),
-        ([1, 2, 4], 1, 1),
-        ([-4, -2, -1], -1, -1),
-    ], ids=["zero-between", "zero-a-point", "all-positive", "all-negative"])
-    def test_from_points_anchor(self, points, anchor, start):
-        # the anchor r_0 is the largest point <= 0, else the least point
-        ps = PointSet1D.from_points([QR(p) for p in points])
-        assert ps.anchor == QR(anchor) and ps.window.start_index == start
-        assert ps.values() == [QR(p) for p in points]
 
 
 class TestDiffSet:

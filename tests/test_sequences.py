@@ -1,11 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
-from reference_kernels import factor_language_scan
+from reference_kernels import (
+    ExpansionCapped,
+    factor_language_scan,
+    resolve_seed_pair_expanded,
+    two_sided_window_expanded,
+)
 from tilegroups.sequences import (
     IndexedWord,
     SequenceSpec,
     TruncationError,
+    _resolve_seed_pair,
     expand_substitution,
     factor_language,
     two_sided_window,
@@ -75,20 +81,91 @@ class TestTwoSidedWindow:
             two_sided_window(fib_spec(), 0)
 
 
+@st.composite
+def substitutions(draw):
+    """A rule over 1-3 letters with images of 1-3 letters, a seed of 1-3
+    letters, and no seed_left or one of 1-2 letters."""
+    letters = draw(st.sampled_from(("a", "ab", "abc")))
+
+    def words(lo, hi):
+        return st.text(alphabet=letters, min_size=lo, max_size=hi)
+
+    rule = {c: draw(words(1, 3)) for c in letters}
+    return rule, draw(words(1, 3)), draw(st.none() | words(1, 2))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitutions(), st.sampled_from((1, 5, 20, 60)))
+def test_seed_pair_and_window_match_expansion(case, half_width):
+    # the expanding oracles stop with ExpansionCapped before building a
+    # word of more than 10^5 letters; such specs compare nothing there
+    rule, seed, seed_left = case
+    try:
+        want = _outcome(resolve_seed_pair_expanded, rule, seed, seed_left)
+    except ExpansionCapped:
+        reject()
+    assert _outcome(_resolve_seed_pair, rule, seed, seed_left) == want
+    if isinstance(want, str):
+        return
+    spec = SequenceSpec("substitution", rule=rule, seed=seed, seed_left=seed_left)
+    try:
+        want = _outcome(two_sided_window_expanded, spec, half_width)
+    except ExpansionCapped:
+        return
+    assert _outcome(two_sided_window, spec, half_width) == want
+
+
+def test_fully_ruled_seed_pair_read_from_windows():
+    # every letter has a rule: sigma^6 is the least power that fixes both
+    # ends of the pair a|a, and sigma^24(a), where its occurrence is looked
+    # up, has 3^24 letters; only its factors of length 2 are built
+    from tilegroups.sequences import _windows_of_iterate
+
+    rule = {"a": "bbb", "b": "cca", "c": "aaa"}
+    assert _windows_of_iterate(rule, "a", 24, 2) == {"aa", "ab", "ac", "ba", "bb", "bc", "ca", "cc"}
+    spec = SequenceSpec("substitution", rule=rule, seed="a")
+    assert spec.seed_left == "a"
+    # sigma^12(a) ends with sigma^6(a) and starts with it, and it is longer
+    # than both halves of the window
+    full = expand_substitution(rule, "a", 12)
+    assert two_sided_window(spec, 2000).letters == full[-2001:] + full[:2000]
+
+
+def test_left_half_that_never_grows_rejected():
+    # sigma(c) = c: the legal pair c|a has a left half that stays one
+    # letter while the right half grows, so there is no two-sided fixed
+    # point to take a window of
+    from tilegroups.sequences import _windows_of_iterate
+
+    rule = {"a": "aca", "c": "c"}
+    assert "ca" in _windows_of_iterate(rule, "a", 8, 2)
+    spec = SequenceSpec("substitution", rule=rule, seed="a")
+    assert spec.seed_left == "c"
+    with pytest.raises(ValueError, match="does not grow"):
+        two_sided_window(spec, 5)
+
+
 class TestFactorLanguage:
     def test_direct_scan(self):
-        lang = factor_language("abab", 2)
+        lang = factor_language(IndexedWord(0, "abab"), 2)
         assert lang.words == frozenset({"a", "b", "ab", "ba"})
 
     def test_fibonacci_no_bb(self):
         # oracle: scan sigma^8(a); images of a,b never put b next to b
         lang = factor_language(two_sided_window(fib_spec(), 10), 2)
         assert lang.words == frozenset({"a", "b", "aa", "ab", "ba"})
-        oracle = factor_language(expand_substitution(FIB, "a", 8), 2)
+        oracle = factor_language(IndexedWord(0, expand_substitution(FIB, "a", 8)), 2)
         assert lang.words == oracle.words
 
     def test_single_letter_runs(self):
-        assert factor_language("aaa", 3).words == frozenset({"a", "aa", "aaa"})
+        assert factor_language(IndexedWord(0, "aaa"), 3).words == frozenset({"a", "aa", "aaa"})
 
     def test_factorial_closure(self):
         lang = factor_language(two_sided_window(fib_spec(), 15), 5)
@@ -111,7 +188,7 @@ class TestFactorLanguage:
         assert counts[1:] == [L + 1 for L in range(1, 61)]
 
     def test_truncation_stamp_enforced(self):
-        lang = factor_language("abab", 2)
+        lang = factor_language(IndexedWord(0, "abab"), 2)
         with pytest.raises(TruncationError):
             "aba" in lang
 
@@ -119,7 +196,7 @@ class TestFactorLanguage:
 @st.composite
 def windows(draw):
     """A word over 1-3 letters of length 0-80, a max_len from 1 to n + 5,
-    and a start index for its IndexedWord form."""
+    and a start index for its IndexedWord."""
     letters = draw(st.sampled_from(("a", "ab", "abc")))
     text = draw(st.text(alphabet=letters, max_size=80))
     max_len = draw(st.integers(1, len(text) + 5))
@@ -129,10 +206,10 @@ def windows(draw):
 @given(windows())
 def test_factor_language_matches_scan(case):
     text, max_len, start = case
-    for word in (text, IndexedWord(start, text)):
-        # dataclass equality: the words and the max_len, window_start and
-        # window_len stamps
-        assert factor_language(word, max_len) == factor_language_scan(word, max_len)
+    word = IndexedWord(start, text)
+    # dataclass equality: the words and the max_len, window_start and
+    # window_len stamps
+    assert factor_language(word, max_len) == factor_language_scan(word, max_len)
 
 
 class TestSpecPlumbing:

@@ -237,7 +237,7 @@ class TestAccentStrings:
 
 class TestEnumerate:
     def test_single_letter_language(self):
-        lang = factor_language("aaa", 1)
+        lang = factor_language(IndexedWord(0, "aaa"), 1)
         c, m = enumerate_end_accented_and_max(lang)
         assert c == [AccentString("a", 0, 0)]
         assert m == [AccentString("a", 0, 0)]
@@ -301,7 +301,7 @@ class TestUniversalGroupSL:
         assert rank == 2 and pres.generators == ("ab", "ba")
 
     def test_single_letter_rank_one(self):
-        pres, rank = universal_group_of_language(factor_language("aaaaa", 3))
+        pres, rank = universal_group_of_language(factor_language(IndexedWord(0, "aaaaa"), 3))
         assert rank == 1 and pres.generators == ("aa",)
 
 

@@ -4,12 +4,12 @@ Every geometric quantity in this package (tile lengths, point
 coordinates, window endpoints) is a ``QuadraticRational``: a number
 (a + b*sqrt(d))/c stored as four normalised integers, with d a fixed
 square-free non-negative integer.  Arithmetic, comparisons, floors,
-ceilings and ``str`` work on those integers only.  ``Fraction`` is still
-used by the public constructor, :meth:`QuadraticRational.from_string`,
-the ``rat``/``surd`` views, ``repr`` (which shows those views) and the
-hash of a non-integer rational value (so that it hashes like the equal
-``Fraction``).  Floats appear only in
-:meth:`QuadraticRational.to_float` for report output.
+ceilings, nearest integers and ``str`` work on those integers only.
+``Fraction`` is still used by the public constructor,
+:meth:`QuadraticRational.from_string`, the ``rat``/``surd`` views,
+``repr`` (which shows those views) and the hash of a non-integer
+rational value (so that it hashes like the equal ``Fraction``).  Floats
+appear only in :meth:`QuadraticRational.to_float` for report output.
 """
 
 from __future__ import annotations
@@ -263,9 +263,11 @@ class QuadraticRational:
         return -(-self).floor()
 
     def nearest_int(self) -> int:
-        """Nearest integer; raises ValueError on an exact half-integer tie."""
-        n = (self + Fraction(1, 2)).floor()
-        if self - n == Fraction(1, 2) or n - self == Fraction(1, 2):
+        """Nearest integer n = floor(x + 1/2); raises ValueError on an exact
+        half-integer tie, which x + 1/2 < n + 1 leaves only at x = n - 1/2."""
+        a, b, c, d = self._q
+        n = self.int_floor(2 * a + c, 2 * b, 2 * c, d)
+        if not b and 2 * a == (2 * n - 1) * c:
             raise ValueError(f"{self} is equidistant from two integers")
         return n
 

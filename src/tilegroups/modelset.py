@@ -8,6 +8,15 @@ the empire congruence (equality of pattern windows, which is the kernel
 of the projection functor) are decided exactly.  The same window calculus
 drives the semigroup of window triples, the generator/relation harvest of
 a partial group action, and the nearest-integer obstruction example.
+
+The calculus runs in an integer frame: the least common denominator c and
+the one field d of a group basis and a window's ends (a scheme builds its
+frame once).  There a value (a + b*sqrt(d))/c is the integer pair (a, b),
+a star n*i1 + m*i2 an integer combination of two pairs, and a window a
+sorted tuple of disjoint components (lo_a, lo_b, hi_a, hi_b).  Pairs over
+one c are canonical, so equal windows are equal tuples; a translation is
+an integer addition, and an order test the ``QR.int_sign`` of a
+difference.  ``WindowSet`` keeps exact ends and converts at the boundary.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, itemgetter
 from typing import Optional
 
@@ -26,12 +35,84 @@ from .patterns import PatternClass
 # ---------------------------------------------------------------------------
 # windows
 
+_sign = QR.int_sign
+
+
+def _in_frame(windows: tuple, values: tuple = ()) -> tuple[int, int, list[tuple], list[tuple[int, int]]]:
+    """(c, d, the windows, the values as pairs) in the frame of the values
+    and the windows' ends."""
+    ends = [e for w in windows for comp in w.components for e in comp]
+    c, d, pairs = common_denominator([*ends, *values])
+    it = iter(pairs)
+    framed = [tuple((*next(it), *next(it)) for _ in w.components) for w in windows]
+    return c, d, framed, list(it)
+
+
+def _window_set(w: tuple, c: int, d: int) -> "WindowSet":
+    """The WindowSet of a window of the frame (c, d), unchecked: the
+    calculus keeps components sorted, disjoint and each lo <= hi."""
+    out = object.__new__(WindowSet)
+    object.__setattr__(out, "components", tuple((_make(la, lb, c, d), _make(ha, hb, c, d))
+                                                 for la, lb, ha, hb in w))
+    return out
+
+
+def _shifted(w: tuple, a: int, b: int) -> tuple:
+    return tuple((la + a, lb + b, ha + a, hb + b) for la, lb, ha, hb in w)
+
+
+def _meet(w1: tuple, w2: tuple, d: int) -> tuple:
+    """The intersection: one merge pass over the sorted components, past the
+    one that ends first at each step; the overlaps come out sorted and
+    disjoint."""
+    parts, i, j = [], 0, 0
+    while i < len(w1) and j < len(w2):
+        (la, lb, ha, hb), (la2, lb2, ha2, hb2) = w1[i], w2[j]
+        if _sign(la - la2, lb - lb2, d) < 0:
+            la, lb = la2, lb2
+        if _sign(ha - ha2, hb - hb2, d) < 0:
+            i += 1
+        else:
+            ha, hb, j = ha2, hb2, j + 1
+        if _sign(ha - la, hb - lb, d) >= 0:
+            parts.append((la, lb, ha, hb))
+    return tuple(parts)
+
+
+def _has_interior(w: tuple, d: int) -> bool:
+    return any(_sign(ha - la, hb - lb, d) > 0 for la, lb, ha, hb in w)
+
+
+def _holds(w: tuple, a: int, b: int, d: int) -> bool:
+    return any(_sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0 for la, lb, ha, hb in w)
+
+
+def _solve(a: int, b: int, basis: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """The integers n, m with (a, b) = n*(a1, b1) + m*(a2, b2) for the basis
+    pairs, or None (Cramer's rule); in an irrational field, the coordinates
+    of a value in the group the basis spans."""
+    (a1, b1), (a2, b2) = basis
+    det = a1 * b2 - a2 * b1
+    if det == 0:
+        raise ValueError("basis vectors are rationally dependent")
+    n, n_rem = divmod(a * b2 - a2 * b, det)
+    m, m_rem = divmod(a1 * b - a * b1, det)
+    return None if n_rem or m_rem else (n, m)
+
+
+def _meets_group(w: tuple, basis: list[tuple[int, int]], d: int) -> bool:
+    """Does the window contain a point of the group spanned by the basis
+    pairs?  A component with interior always does (the group is dense); a
+    point is solved exactly."""
+    return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
+
 
 @dataclass(frozen=True)
 class WindowSet:
     """A finite union of disjoint closed intervals [lo, hi], kept sorted
     and merged.  Degenerate components (lo == hi) may appear as
-    intermediate intersection results."""
+    intermediate intersection results.  Each operation runs in the frame
+    of the windows and values it is given."""
 
     components: tuple[tuple[QR, QR], ...]
 
@@ -68,36 +149,27 @@ class WindowSet:
         return not self.components
 
     def has_interior(self) -> bool:
-        return any(lo < hi for lo, hi in self.components)
+        _, d, (w,), _ = _in_frame((self,))
+        return _has_interior(w, d)
 
     def contains(self, x: QR) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.components)
+        _, d, (w,), (p,) = _in_frame((self,), (x,))
+        return _holds(w, *p, d)
 
     def translate(self, shift: QR) -> "WindowSet":
-        return _window(tuple((lo + shift, hi + shift) for lo, hi in self.components))
+        c, d, (w,), (p,) = _in_frame((self,), (shift,))
+        return _window_set(_shifted(w, *p), c, d)
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
-        """One merge pass over the sorted components, past the one that
-        ends first at each step; the overlaps come out sorted and disjoint."""
-        a, b = self.components, other.components
-        parts = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (lo1, hi1), (lo2, hi2) = a[i], b[j]
-            lo = lo2 if lo1 < lo2 else lo1
-            if hi1 < hi2:
-                hi, i = hi1, i + 1
-            else:
-                hi, j = hi2, j + 1
-            if not hi < lo:
-                parts.append((lo, hi))
-        return _window(tuple(parts))
+        c, d, (w1, w2), _ = _in_frame((self, other))
+        return _window_set(_meet(w1, w2, d), c, d)
 
     def union(self, other: "WindowSet") -> "WindowSet":
         return WindowSet.normalized(list(self.components) + list(other.components))
 
     def issubset(self, other: "WindowSet") -> bool:
-        return self.intersect(other) == self
+        _, d, (w1, w2), _ = _in_frame((self, other))
+        return _meet(w1, w2, d) == w1
 
     def hull(self) -> tuple[QR, QR]:
         if self.is_empty():
@@ -119,43 +191,12 @@ class WindowSet:
         return WindowSet.normalized(parts)
 
 
-def _window(components: tuple[tuple[QR, QR], ...]) -> WindowSet:
-    """A WindowSet whose components are known to be sorted, disjoint and
-    each lo <= hi: skips the check."""
-    w = object.__new__(WindowSet)
-    object.__setattr__(w, "components", components)
-    return w
-
-
-def _integer_coordinates(value: QR, b1: QR, b2: QR) -> Optional[tuple[int, int]]:
-    """Solve value = n*b1 + m*b2 with integer n, m; None if unsolvable.
-    Requires b1, b2 to be Q-linearly independent in the field.  Cramer's
-    rule on the integer triples (a + s*sqrt(d))/c of the three values."""
-    if value.disc and value.disc != (b1.disc or b2.disc):
-        return None  # a value from another quadratic field
-    a, b, c = value.triple
-    a1, s1, c1 = b1.triple
-    a2, s2, c2 = b2.triple
-    det = (a1 * s2 - a2 * s1) * c
-    if det == 0:
-        raise ValueError("basis vectors are rationally dependent")
-    n, n_rem = divmod((a * s2 - a2 * b) * c1, det)
-    m, m_rem = divmod((a1 * b - a * s1) * c2, det)
-    if n_rem or m_rem:
-        return None
-    return n, m
-
-
 def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
     """Does the window contain a point of the dense subgroup Z*b1 + Z*b2?
     Components with interior always do; degenerate points are solved
     exactly."""
-    for lo, hi in window.components:
-        if lo < hi:
-            return True
-        if _integer_coordinates(lo, b1, b2) is not None:
-            return True
-    return False
+    _, d, (w,), basis = _in_frame((window,), (b1, b2))
+    return _meets_group(w, basis, d)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +240,15 @@ class CutProjectScheme:
             if hi <= lo:
                 raise ValueError("acceptance window must be the closure of its interior")
 
+    @cached_property
+    def _physical_frame(self) -> tuple[int, int, list[tuple[int, int]]]:
+        return common_denominator((self.v1.phys, self.v2.phys))
+
     def physical_coordinates(self, y: QR) -> tuple[int, int]:
-        coords = _integer_coordinates(y, self.v1.phys, self.v2.phys)
+        # the denominator of a lattice value divides c, and its field is d
+        c, d, basis = self._physical_frame
+        (a, b, k), e = y.triple, y.disc
+        coords = None if c % k or e not in (0, d) else _solve(a * (c // k), b * (c // k), basis)
         if coords is None:
             raise ValueError(f"{y} is not in the physical lattice image")
         return coords
@@ -210,6 +258,18 @@ class CutProjectScheme:
 
     def internal_group_basis(self) -> tuple[QR, QR]:
         return self.v1.internal, self.v2.internal
+
+    @cached_property
+    def _frame(self) -> tuple[int, int, list[tuple], list[tuple[int, int]]]:
+        """(c, d, [K], [i1, i2]): the window and the internal basis in their
+        frame, built once."""
+        return _in_frame((self.window,), self.internal_group_basis())
+
+    def _star_pair(self, y: QR) -> tuple[int, int]:
+        """star(y) as a pair of the scheme's frame."""
+        n, m = self.physical_coordinates(y)
+        (a1, b1), (a2, b2) = self._frame[3]
+        return a1 * n + a2 * m, b1 * n + b2 * m
 
     def to_json_dict(self) -> dict:
         return {
@@ -327,14 +387,15 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
 # pattern windows and the empire congruence
 
 
-def _window_of_stars(scheme: CutProjectScheme, stars) -> WindowSet:
-    """The intersection over the iterable stars x* of K - x*, stopping at
-    the first empty intersection."""
+def _window_of_stars(scheme: CutProjectScheme, stars) -> tuple:
+    """The intersection over the iterable star pairs (a, b) of K - x*, in
+    the scheme's frame, stopping at the first empty intersection."""
+    _, d, (k,), _ = scheme._frame
     out = None
-    for s in stars:
-        translate = scheme.window.translate(-s)
-        out = translate if out is None else out.intersect(translate)
-        if out.is_empty():
+    for a, b in stars:
+        moved = _shifted(k, -a, -b)
+        out = moved if out is None else _meet(out, moved, d)
+        if not out:
             break
     if out is None:
         raise ValueError("pattern must be non-empty")
@@ -344,14 +405,15 @@ def _window_of_stars(scheme: CutProjectScheme, stars) -> WindowSet:
 def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
     """P* = intersection over the pattern of K - x*; empty exactly when no
     translate of the pattern occurs in the model set."""
-    return _window_of_stars(scheme, (star(scheme, p) for p in points))
+    c, d, _, _ = scheme._frame
+    return _window_set(_window_of_stars(scheme, map(scheme._star_pair, points)), c, d)
 
 
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
     """Exact decision: some lattice translate places the pattern inside the
     model set iff the pattern window contains an internal lattice value."""
-    window = pattern_window(scheme, points)
-    return window_meets_group(window, *scheme.internal_group_basis())
+    _, d, _, basis = scheme._frame
+    return _meets_group(_window_of_stars(scheme, map(scheme._star_pair, points)), basis, d)
 
 
 def embeds_oracle(scheme: CutProjectScheme):
@@ -359,13 +421,14 @@ def embeds_oracle(scheme: CutProjectScheme):
     return lambda values: pattern_embeds(scheme, values)
 
 
-def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[QR]:
-    """The stars of the points, raising ValueError at the first point
+def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[tuple[int, int]]:
+    """The star pairs of the points, raising ValueError at the first point
     outside the model set."""
+    _, d, (k,), _ = scheme._frame
     stars = []
     for p in points:
-        s = star(scheme, p)
-        if not scheme.window.contains(s):
+        s = scheme._star_pair(p)
+        if not _holds(k, *s, d):
             raise ValueError(f"pattern point {p} is not in the model set")
         stars.append(s)
     return stars
@@ -373,7 +436,7 @@ def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[QR]:
 
 def empire_equal(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> bool:
     """Same empire iff the pattern windows coincide (kernel of the
-    projection functor)."""
+    projection functor); in the scheme's frame they are equal tuples."""
     p_stars = _modelset_stars(scheme, pat_p)
     q_stars = _modelset_stars(scheme, pat_q)
     return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
@@ -578,32 +641,34 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
     |g| <= w, the width of V's hull, so each n visits the strip of m with
     |n*g1 + m*g2| <= w (``_strip_rows``), clamped to |m| <= coeff_bound.
     The basis is independent, so each element is keyed by its coordinates
-    (n, m), and the sum of a pair is the element at (n + n', m + m').
+    (n, m), and the sum of a pair is the element at (n + n', m + m').  The
+    overlaps are decided in the frame of the basis and the window.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     g1, g2 = basis
-    _integer_coordinates(QR(0), g1, g2)  # raises on a rationally dependent basis, so g2 != 0
-    found: list[tuple[QR, int, int]] = []
-    if not window.is_empty():
+    c, d, (w,), pairs = _in_frame((window,), basis)
+    _solve(0, 0, pairs)  # raises on a rationally dependent basis, so g2 != 0
+    found: list[tuple[QR, int, int, tuple]] = []
+    if w:
+        (a1, b1), (a2, b2) = pairs
         lo, hi = window.hull()
-        c, d, ((a1, b1), (a2, b2)) = common_denominator(basis)
         ns = range(-coeff_bound, coeff_bound + 1)
         for n, m_lo, m_hi in _strip_rows(ns, ((lo - hi, hi - lo, g1, g2),)):
             for m in range(max(m_lo, -coeff_bound), min(m_hi, coeff_bound) + 1):
-                g = _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
-                if window.intersect(window.translate(-g)).has_interior():
-                    found.append((g, n, m))
+                a, b = a1 * n + a2 * m, b1 * n + b2 * m
+                if _has_interior(_meet(w, _shifted(w, -a, -b), d), d):
+                    found.append((_make(a, b, c, d), n, m, _shifted(w, a, b)))
     found.sort(key=itemgetter(0))
-    by_coords = {(n, m): (g, window.translate(g)) for g, n, m in found}
+    by_coords = {(n, m): (g, moved) for g, n, m, moved in found}
     relations: list[tuple[QR, QR, QR]] = []
-    for g, n, m in found:
-        overlap_g = window.intersect(by_coords[n, m][1])
-        for gp, n2, m2 in found:
+    for g, n, m, moved in found:
+        overlap_g = _meet(w, moved, d)
+        for gp, n2, m2, _ in found:
             total = by_coords.get((n + n2, m + m2))
-            if total is not None and overlap_g.intersect(total[1]).has_interior():
+            if total is not None and _has_interior(_meet(overlap_g, total[1], d), d):
                 relations.append((g, gp, total[0]))
-    elements = tuple(g for g, _, _ in found)
+    elements = tuple(g for g, _, _, _ in found)
     return PartialActionData(basis, coeff_bound, elements, tuple(relations))
 
 
@@ -625,7 +690,9 @@ def obstruction_grade(r: QR, s: QR, x: QR) -> int:
         nearest = q.nearest_int()
     except ValueError as exc:
         raise ValueError(f"{x}/{s} sits exactly between two integers") from exc
-    gap = abs(q - nearest)
-    if (gap - Fraction(1, 4)).sign() >= 0:
+    # q = (a + b*sqrt(d))/c is within 1/4 of n iff c -+ 4*(a - n*c + b*sqrt(d)) > 0
+    a, b, c = q.triple
+    p = 4 * (a - nearest * c)
+    if QR.int_sign(c - p, -4 * b, q.disc) <= 0 or QR.int_sign(c + p, 4 * b, q.disc) <= 0:
         raise ValueError(f"{x}/{s} is not within 1/4 of an integer; x outside the harvest range")
     return nearest

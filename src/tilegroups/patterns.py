@@ -54,7 +54,17 @@ def pattern_class(values: list[QR], out_value: QR, in_value: QR) -> PatternClass
     except ValueError:
         raise ValueError("pointed values must belong to the pattern") from None
     base = pts[0]
-    return PatternClass(tuple(p - base for p in pts), out_index, in_index)
+    return _pattern(tuple(p - base for p in pts), out_index, in_index)
+
+
+def _pattern(offsets: tuple[QR, ...], out_index: int, in_index: int) -> PatternClass:
+    """A PatternClass whose offsets are known to be canonical and whose
+    indices are in range: skips the checks."""
+    x = object.__new__(PatternClass)
+    object.__setattr__(x, "offsets", offsets)
+    object.__setattr__(x, "out_index", out_index)
+    object.__setattr__(x, "in_index", in_index)
+    return x
 
 
 def make_element(ps: PointSet1D, indices: list[int], out: int, in_: int) -> PatternClass:
@@ -68,7 +78,7 @@ def make_element(ps: PointSet1D, indices: list[int], out: int, in_: int) -> Patt
 
 
 def inverse(x: PatternClass) -> PatternClass:
-    return PatternClass(x.offsets, x.in_index, x.out_index)
+    return _pattern(x.offsets, x.in_index, x.out_index)
 
 
 def is_idempotent(x: PatternClass) -> bool:

@@ -102,7 +102,8 @@ class SequenceSpec:
 
     For substitutions the two-sided fixed point is seeded from the legal
     pair seed_left | seed; when seed_left is omitted it is resolved once
-    and recorded so runs are reproducible.
+    and recorded so runs are reproducible.  The power k of the pair is
+    kept too, for two_sided_window.
     """
 
     kind: str
@@ -127,8 +128,9 @@ class SequenceSpec:
             unruled = set(self.seed + (self.seed_left or "") + "".join(self.rule.values())) - self.rule.keys()
             if unruled:
                 raise ValueError(f"substitution rule has no image for letter {', '.join(map(repr, sorted(unruled)))}")
-            u, _ = _resolve_seed_pair(self.rule, self.seed, self.seed_left)
+            u, k = _resolve_seed_pair(self.rule, self.seed, self.seed_left)
             object.__setattr__(self, "seed_left", u)
+            object.__setattr__(self, "_power", k)
         elif self.kind == "periodic":
             if not self.word:
                 raise ValueError("periodic spec needs a word")
@@ -180,7 +182,7 @@ def two_sided_window(spec: SequenceSpec, half_width: int) -> IndexedWord:
         left = "".join(spec.left[(i - 1) % nl] for i in range(-h, 1))
         right = "".join(spec.right[(i - 1) % nr] for i in range(1, h + 1))
         return IndexedWord(-h, left + right)
-    u, k = _resolve_seed_pair(spec.rule, spec.seed, spec.seed_left)
+    u, k = spec.seed_left, spec._power
     # sigma^jk(u) ends with sigma^(j-1)k(u) and sigma^jk(seed) starts with
     # sigma^(j-1)k(seed), so the last h + 1 and the first h letters of each
     # step are all the window needs

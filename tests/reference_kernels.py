@@ -51,12 +51,26 @@ letter-count vectors first and raises ``ExpansionCapped`` beyond
 ``EXPANSION_CAP`` letters; tests skip the specs where it does.
 ``is_square_free_trial`` is ``is_square_free`` by trial division up to
 sqrt(d).
+
+The ``window_*_qr`` functions are ``WindowSet``'s operations on exact
+``QuadraticRational`` ends (``translate``, ``intersect`` as one merge
+pass, ``contains``, ``has_interior`` and ``issubset``), and
+``window_meets_group_qr``, ``pattern_window_qr`` and ``empire_equal_qr``
+the window decisions built on them, with the stars taken by ``star`` and
+points solved by ``integer_coordinates`` (the triple-wise Cramer solve
+that ``CutProjectScheme.physical_coordinates`` used): the window calculus
+before it moved onto integer pairs in one frame.
+``partial_action_box`` runs on them, so it shares no window code with
+``partial_action_data``.  ``obstruction_grade_qr`` is ``obstruction_grade``
+with its nearest integer floor(x + 1/2) and its 1/4 gap computed by
+``QuadraticRational`` arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Callable, Optional
 
 from tilegroups.exactnum import QuadraticRational as QR
@@ -198,19 +212,19 @@ def partial_action_box(basis: tuple[QR, QR], window: WindowSet, coeff_bound: int
     for n in range(-coeff_bound, coeff_bound + 1):
         for m in range(-coeff_bound, coeff_bound + 1):
             g = g1 * n + g2 * m
-            if window.intersect(window.translate(-g)).has_interior():
+            if window_has_interior_qr(window_intersect_qr(window, window_translate_qr(window, -g))):
                 elements.append(g)
     elements.sort()
     eset = set(elements)
     relations: list[tuple[QR, QR, QR]] = []
     for g in elements:
-        shifted_g = window.translate(g)
+        shifted_g = window_translate_qr(window, g)
         for gp in elements:
             total = g + gp
             if total not in eset:
                 continue
-            triple = window.intersect(shifted_g).intersect(window.translate(total))
-            if triple.has_interior():
+            triple = window_intersect_qr(window_intersect_qr(window, shifted_g), window_translate_qr(window, total))
+            if window_has_interior_qr(triple):
                 relations.append((g, gp, total))
     return PartialActionData(basis, coeff_bound, tuple(elements), tuple(relations))
 
@@ -338,6 +352,109 @@ def accent_multiply_glue(p: AccentString, q: AccentString, lang: FactorLanguage)
     if word not in lang:  # may raise TruncationError beyond the stamp
         return None
     return AccentString(word, p.out_pos - lo, q.in_pos + offset - lo)
+
+
+def window_translate_qr(w: WindowSet, shift: QR) -> WindowSet:
+    return WindowSet(tuple((lo + shift, hi + shift) for lo, hi in w.components))
+
+
+def window_intersect_qr(a: WindowSet, b: WindowSet) -> WindowSet:
+    """One merge pass over the sorted components, past the one that ends
+    first at each step; the overlaps come out sorted and disjoint."""
+    a, b = a.components, b.components
+    parts = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (lo1, hi1), (lo2, hi2) = a[i], b[j]
+        lo = lo2 if lo1 < lo2 else lo1
+        if hi1 < hi2:
+            hi, i = hi1, i + 1
+        else:
+            hi, j = hi2, j + 1
+        if not hi < lo:
+            parts.append((lo, hi))
+    return WindowSet(tuple(parts))
+
+
+def window_contains_qr(w: WindowSet, x: QR) -> bool:
+    return any(lo <= x <= hi for lo, hi in w.components)
+
+
+def window_has_interior_qr(w: WindowSet) -> bool:
+    return any(lo < hi for lo, hi in w.components)
+
+
+def window_issubset_qr(a: WindowSet, b: WindowSet) -> bool:
+    return window_intersect_qr(a, b) == a
+
+
+def integer_coordinates(value: QR, b1: QR, b2: QR) -> Optional[tuple[int, int]]:
+    """Solve value = n*b1 + m*b2 with integer n, m; None if unsolvable.
+    Requires b1, b2 to be Q-linearly independent in the field.  Cramer's
+    rule on the integer triples (a + s*sqrt(d))/c of the three values."""
+    if value.disc and value.disc != (b1.disc or b2.disc):
+        return None  # a value from another quadratic field
+    a, b, c = value.triple
+    a1, s1, c1 = b1.triple
+    a2, s2, c2 = b2.triple
+    det = (a1 * s2 - a2 * s1) * c
+    if det == 0:
+        raise ValueError("basis vectors are rationally dependent")
+    n, n_rem = divmod((a * s2 - a2 * b) * c1, det)
+    m, m_rem = divmod((a1 * b - a * s1) * c2, det)
+    if n_rem or m_rem:
+        return None
+    return n, m
+
+
+def window_meets_group_qr(window: WindowSet, b1: QR, b2: QR) -> bool:
+    """Does the window contain a point of the dense subgroup Z*b1 + Z*b2?
+    Components with interior always do; degenerate points are solved
+    exactly."""
+    for lo, hi in window.components:
+        if lo < hi:
+            return True
+        if integer_coordinates(lo, b1, b2) is not None:
+            return True
+    return False
+
+
+def pattern_window_qr(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
+    """The intersection over the points of K - x*, stopping at the first
+    empty intersection."""
+    out = None
+    for p in points:
+        translate = window_translate_qr(scheme.window, -star(scheme, p))
+        out = translate if out is None else window_intersect_qr(out, translate)
+        if out.is_empty():
+            break
+    if out is None:
+        raise ValueError("pattern must be non-empty")
+    return out
+
+
+def empire_equal_qr(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> bool:
+    """Same empire iff the pattern windows coincide, after checking that
+    every point of both patterns lies in the model set."""
+    for p in pat_p + pat_q:
+        if not window_contains_qr(scheme.window, star(scheme, p)):
+            raise ValueError(f"pattern point {p} is not in the model set")
+    return pattern_window_qr(scheme, pat_p) == pattern_window_qr(scheme, pat_q)
+
+
+def obstruction_grade_qr(r: QR, s: QR, x: QR) -> int:
+    """Nearest integer to x/s, for x drawn from the difference harvest of
+    the two-component window (0, r) union (s, s+r) with |s| > 8r."""
+    if (abs(s) - r * 8).sign() <= 0:
+        raise ValueError("requires |s| > 8r")
+    q = x / s
+    half = Fraction(1, 2)
+    nearest = (q + half).floor()
+    if q - nearest == half or nearest - q == half:
+        raise ValueError(f"{x}/{s} sits exactly between two integers")
+    if (abs(q - nearest) - Fraction(1, 4)).sign() >= 0:
+        raise ValueError(f"{x}/{s} is not within 1/4 of an integer; x outside the harvest range")
+    return nearest
 
 
 def window_intersect_pairwise(a: WindowSet, b: WindowSet) -> WindowSet:

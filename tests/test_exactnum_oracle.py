@@ -170,3 +170,25 @@ def test_text_edge_grid_matches_oracle(disc):
     for rat in EDGE_RATS:
         for surd in EDGE_SURDS:
             assert same(QR(rat, surd, disc), OldQR(rat, surd, disc)), (rat, surd, disc)
+
+
+def _nearest(x):
+    try:
+        return x.nearest_int()
+    except ValueError as exc:
+        return str(exc)
+
+
+# quarter and half steps, so that exact half-integer ties and values a
+# quarter from an integer come up often, with any sign
+quarters = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from((1, 2, 4)))
+
+
+@given(st.one_of(pairs(), st.builds(lambda q: (QR(q), OldQR(q)), quarters),
+                 st.builds(lambda q, s, d: (QR(q, s, d), OldQR(q, s, d)),
+                           quarters, fractions.filter(bool), st.sampled_from(DISCS))))
+def test_nearest_int_matches_oracle(xo):
+    # the integer floor of (2a + c + 2b*sqrt(d))/(2c) and the tie test
+    # b == 0, 2a == (2n - 1)*c against the Fraction path
+    x, ox = xo
+    assert _nearest(x) == _nearest(ox)

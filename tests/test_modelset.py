@@ -5,7 +5,21 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_kernels import empire_brute_box, partial_action_box, window_intersect_pairwise
+from reference_kernels import (
+    empire_brute_box,
+    empire_equal_qr,
+    obstruction_grade_qr,
+    partial_action_box,
+    pattern_window_qr,
+    window_contains_qr,
+    window_has_interior_qr,
+    window_intersect_pairwise,
+    window_intersect_qr,
+    window_issubset_qr,
+    window_meets_group_qr,
+    window_translate_qr,
+)
+from tilegroups import cli
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups import modelset
 from tilegroups.modelset import (
@@ -51,14 +65,16 @@ def _odd_denominator_scheme() -> CutProjectScheme:
                             LatticeVector(p2, p2.conjugate()), interval(-1, 1))
 
 
+SQRT2 = QR.sqrt_of(2)
 WINDOW_ENDS = sorted({QR(Fraction(p, 2)) + TAU * q for p in range(-6, 7) for q in (-1, 0, 1)})
+SQRT2_ENDS = sorted({QR(Fraction(p, 3)) + SQRT2 * q / 2 for p in range(-6, 7) for q in (-1, 0, 1)})
 
 
 @st.composite
-def windows(draw):
-    """A WindowSet with up to eight components whose ends come from
-    WINDOW_ENDS; each component is a point or a proper interval."""
-    ends = sorted(draw(st.sets(st.sampled_from(WINDOW_ENDS), max_size=8)))
+def windows(draw, pool=WINDOW_ENDS):
+    """A WindowSet with up to eight components whose ends come from the
+    pool; each component is a point or a proper interval."""
+    ends = sorted(draw(st.sets(st.sampled_from(pool), max_size=8)))
     parts, k = [], 0
     while k < len(ends):
         if k + 1 < len(ends) and draw(st.booleans()):
@@ -115,6 +131,29 @@ class TestWindowSet:
         assert WindowSet(got.components) == got
         moved = a.translate(TAU / 3)
         assert WindowSet(moved.components) == moved
+
+    @given(st.sampled_from(((WINDOW_ENDS, TAU), (SQRT2_ENDS, SQRT2))), st.data())
+    def test_calculus_matches_qr_oracles(self, field, data):
+        # the integer kernels behind the WindowSet operations against the
+        # operations on exact ends, in Q(sqrt5) and Q(sqrt2): windows from
+        # one pool of ends touch, share ends, repeat, hold points or are
+        # empty; shifts have other denominators than the ends
+        pool, g = field
+        a = data.draw(windows(pool))
+        b = data.draw(st.one_of(st.just(a), windows(pool)))
+        x = data.draw(st.sampled_from(pool))
+        shift = x / data.draw(st.sampled_from((1, -3, 7)))
+        assert a.intersect(b) == window_intersect_qr(a, b)
+        assert a.translate(shift) == window_translate_qr(a, shift)
+        assert a.contains(x) == window_contains_qr(a, x)
+        assert a.contains(shift) == window_contains_qr(a, shift)
+        assert a.issubset(b) == window_issubset_qr(a, b)
+        assert a.has_interior() == window_has_interior_qr(a)
+        assert window_meets_group(a, QR(1), g) == window_meets_group_qr(a, QR(1), g)
+        moved = a.translate(shift)
+        _, _, (pa, pb, pm), _ = modelset._in_frame((a, b, moved))
+        assert (pa == pb) == (a == b)
+        assert (pm == pa) == (moved == a) == (shift == 0 or a.is_empty())
 
     def test_meets_group_interior(self):
         assert window_meets_group(interval(0, 1), QR(1), TAU)
@@ -400,14 +439,17 @@ class TestEmpire:
         with pytest.raises(ValueError, match="pattern must be non-empty"):
             empire_equal(fibonacci_scheme(), [], [QR(0)])
 
-    def test_equal_takes_each_star_once(self, monkeypatch):
+    def test_equal_solves_each_point_once(self, monkeypatch):
+        # each pattern point's lattice coordinates are solved once per call,
+        # for the membership check and the window alike
         calls = []
+        solve = CutProjectScheme.physical_coordinates
 
         def counted(scheme, y):
             calls.append(y)
-            return star(scheme, y)
+            return solve(scheme, y)
 
-        monkeypatch.setattr(modelset, "star", counted)
+        monkeypatch.setattr(CutProjectScheme, "physical_coordinates", counted)
         pat_p, pat_q = [QR(0), TAU], [QR(0), TAU, TAU + 1]
         assert not empire_equal(fibonacci_scheme(), pat_p, pat_q)
         assert calls == pat_p + pat_q
@@ -686,7 +728,6 @@ class TestPartialActionData:
         assert data.elements == data.relations == ()
 
 
-SQRT2 = QR.sqrt_of(2)
 PA_BASES = {
     "1,tau": (QR(1), TAU),
     "10,10tau": (QR(10), TAU * 10),
@@ -720,6 +761,64 @@ def test_strip_scan_matches_box_scan(basis, window):
                 partial_action_data(basis, window, bound)
             continue
         assert partial_action_data(basis, window, bound) == want
+
+
+@pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
+def test_empire_windows_match_qr_path(scheme):
+    for pat_p, pat_q in _empire_pairs(scheme, seed=5, count=24):
+        assert pattern_window(scheme, pat_p) == pattern_window_qr(scheme, pat_p)
+        assert empire_equal(scheme, pat_p, pat_q) == empire_equal_qr(scheme, pat_p, pat_q)
+        assert pattern_embeds(scheme, pat_p + pat_q) == window_meets_group_qr(
+            pattern_window_qr(scheme, pat_p + pat_q), *scheme.internal_group_basis())
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3, 7))
+def test_empire_suite_pairs_match_qr_path(monkeypatch, seed):
+    # every pair the empire suite draws is decided as the exact-value
+    # window calculus decides it
+    decided = []
+
+    def checked(scheme, pat_p, pat_q):
+        eq = empire_equal(scheme, pat_p, pat_q)
+        assert eq == empire_equal_qr(scheme, pat_p, pat_q), (pat_p, pat_q)
+        decided.append(eq)
+        return eq
+
+    monkeypatch.setattr(cli, "empire_equal", checked)
+    assert all(c.passed for c in cli.suite_empire(100, seed))
+    assert len(decided) == 100 and set(decided) == {True, False}
+
+
+OBSTRUCTION_WINDOW = WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))])
+
+
+@pytest.mark.parametrize("basis, window, bound", [
+    ((QR(1), TAU), interval(0, 1), 3),
+    ((QR(1), TAU), interval(0, 1), 4),
+    ((QR(1), TAU), interval(0, 1), 5),
+    ((QR(1), TAU), interval(0, 1), 16),
+    ((QR(9), TAU - 1), OBSTRUCTION_WINDOW, 5),
+    ((QR(9), TAU - 1), interval(0, 1), 5),
+])
+def test_suite_harvests_match_box_scan(basis, window, bound):
+    # the harvests of the verify suites and the benchmark's b = 16
+    assert partial_action_data(basis, window, bound) == partial_action_box(basis, window, bound)
+
+
+def _grade(r, s, x, grade):
+    try:
+        return grade(r, s, x)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.integers(-40, 40), st.sampled_from((0, 1, -1, 2)), st.integers(1, 3),
+       st.sampled_from((QR(9), QR(-9), QR(17), TAU * 9)))
+def test_obstruction_grade_matches_qr_oracle(k, surd, r, s):
+    # x/s on a quarter grid, with a tau part or none: exact half-integer
+    # ties, gaps of exactly 1/4 and negative values all come up
+    x = s * (QR(Fraction(k, 4)) + TAU * surd / 50)
+    assert _grade(QR(r), s, x, obstruction_grade) == _grade(QR(r), s, x, obstruction_grade_qr)
 
 
 class TestObstructionGrade:

@@ -31,6 +31,24 @@ def fib_ps(half_width=12):
 
 
 class TestMakeElement:
+    @pytest.mark.parametrize("offsets, out_index, in_index, message", [
+        ((), 0, 0, "non-empty"),
+        ((QR(0), TAU, QR(1)), 0, 0, "strictly increasing"),
+        ((QR(0), QR(0)), 0, 1, "strictly increasing"),
+        ((QR(1), TAU), 0, 0, "minimum offset 0"),
+        ((QR(0), TAU), 2, 0, "out of range"),
+        ((QR(0), TAU), 0, -1, "out of range"),
+    ])
+    def test_public_constructor_rejects_bad_input(self, offsets, out_index, in_index, message):
+        # pattern_class and inverse skip these checks; the constructor keeps them
+        with pytest.raises(ValueError, match=message):
+            PatternClass(offsets, out_index, in_index)
+
+    def test_canonical_form_passes_the_public_checks(self):
+        x = pattern_class([TAU + 2, QR(1), QR(3)], QR(3), QR(1))
+        assert x == PatternClass(x.offsets, x.out_index, x.in_index) == PatternClass((QR(0), QR(2), TAU + 1), 1, 0)
+        assert inverse(x) == PatternClass(x.offsets, 0, 1)
+
     def test_identity_idempotent(self):
         ps = fib_ps(4)
         e = make_element(ps, [0], 0, 0)

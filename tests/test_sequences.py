@@ -122,6 +122,24 @@ def test_seed_pair_and_window_match_expansion(case, half_width):
     assert _outcome(two_sided_window, spec, half_width) == want
 
 
+@pytest.mark.parametrize("rule, seed", [(FIB, "a"), ({"a": "ab", "b": "ba"}, "a"), ({"a": "ab", "b": "aa"}, "a")])
+def test_seed_pair_resolved_once_per_spec(monkeypatch, rule, seed):
+    # the spec keeps the power it resolved, so its windows resolve nothing
+    from tilegroups import sequences
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _resolve_seed_pair(*args)
+
+    monkeypatch.setattr(sequences, "_resolve_seed_pair", counted)
+    spec = SequenceSpec("substitution", rule=rule, seed=seed)
+    for h in (1, 5, 20, 60):
+        assert two_sided_window(spec, h) == two_sided_window_expanded(spec, h)
+    assert len(calls) == 1
+
+
 def test_fully_ruled_seed_pair_read_from_windows():
     # every letter has a rule: sigma^6 is the least power that fixes both
     # ends of the pair a|a, and sigma^24(a), where its occurrence is looked

@@ -16,7 +16,7 @@ a star n*i1 + m*i2 an integer combination of two pairs, and a window a
 sorted tuple of disjoint components (lo_a, lo_b, hi_a, hi_b).  Pairs over
 one c are canonical, so equal windows are equal tuples; a translation is
 an integer addition, and an order test the ``QR.int_sign`` of a
-difference.  ``WindowSet`` keeps exact ends and converts at the boundary.
+difference.  ``WindowSet`` stores its frame; two frames meet at their lcm.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
+from math import gcd, lcm
 from operator import and_, itemgetter
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR, _make, common_denominator, golden_ratio
+from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator, golden_ratio
 from .patterns import PatternClass
 
 
@@ -39,21 +40,24 @@ _sign = QR.int_sign
 
 
 def _in_frame(windows: tuple, values: tuple = ()) -> tuple[int, int, list[tuple], list[tuple[int, int]]]:
-    """(c, d, the windows, the values as pairs) in the frame of the values
-    and the windows' ends."""
-    ends = [e for w in windows for comp in w.components for e in comp]
-    c, d, pairs = common_denominator([*ends, *values])
-    it = iter(pairs)
-    framed = [tuple((*next(it), *next(it)) for _ in w.components) for w in windows]
-    return c, d, framed, list(it)
+    """(c, d, the windows, the values as pairs) in one frame; a window stored over c is passed as is."""
+    d, c = 0, 1
+    for w in windows:
+        d, c = _joint_disc(d, w.d), lcm(c, w.c)
+    for v in values:
+        d, c = _joint_disc(d, v.disc), lcm(c, v.triple[2])
+    framed = [w.ends if w.c == c else tuple(tuple(e * (c // w.c) for e in comp) for comp in w.ends)
+              for w in windows]
+    return c, d, framed, [(a * (c // k), b * (c // k)) for a, b, k in (v.triple for v in values)]
 
 
 def _window_set(w: tuple, c: int, d: int) -> "WindowSet":
-    """The WindowSet of a window of the frame (c, d), unchecked: the
-    calculus keeps components sorted, disjoint and each lo <= hi."""
+    """The WindowSet of a window of the frame (c, d) in lowest terms,
+    unchecked: the calculus keeps components sorted, disjoint, lo <= hi."""
+    g = gcd(c, *[e for comp in w for e in comp])
+    w = tuple(tuple(e // g for e in comp) for comp in w) if g > 1 else w
     out = object.__new__(WindowSet)
-    object.__setattr__(out, "components", tuple((_make(la, lb, c, d), _make(ha, hb, c, d))
-                                                 for la, lb, ha, hb in w))
+    out.__dict__.update(c=c // g, d=d if any(lb or hb for _, lb, _, hb in w) else 0, ends=w)
     return out
 
 
@@ -107,23 +111,31 @@ def _meets_group(w: tuple, basis: list[tuple[int, int]], d: int) -> bool:
     return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WindowSet:
-    """A finite union of disjoint closed intervals [lo, hi], kept sorted
-    and merged.  Degenerate components (lo == hi) may appear as
-    intermediate intersection results.  Each operation runs in the frame
-    of the windows and values it is given."""
+    """A finite union of disjoint closed intervals [lo, hi], sorted and
+    merged (degenerate ones, lo == hi, arise from intersections), stored in
+    its frame: c the lcm of the ends' denominators, d their field (0 if all
+    are rational) and the sorted ``ends`` (lo_a, lo_b, hi_a, hi_b) in lowest
+    terms, so equal windows have equal fields; ``components`` is a view."""
 
-    components: tuple[tuple[QR, QR], ...]
+    c: int
+    d: int
+    ends: tuple[tuple[int, int, int, int], ...]
 
-    def __post_init__(self):
-        prev_hi = None
-        for lo, hi in self.components:
-            if hi < lo:
-                raise ValueError("interval needs lo <= hi")
-            if prev_hi is not None and lo <= prev_hi:
-                raise ValueError("components must be sorted and disjoint")
-            prev_hi = hi
+    def __init__(self, components: tuple[tuple[QR, QR], ...]):
+        c, d, pairs = common_denominator([e for comp in components for e in comp])
+        ends = tuple((*lo, *hi) for lo, hi in zip(pairs[::2], pairs[1::2]))
+        if any(_sign(ha - la, hb - lb, d) < 0 for la, lb, ha, hb in ends):
+            raise ValueError("interval needs lo <= hi")
+        if any(_sign(la - ha, lb - hb, d) <= 0 for (_, _, ha, hb), (la, lb, _, _) in zip(ends, ends[1:])):
+            raise ValueError("components must be sorted and disjoint")
+        self.__dict__.update(c=c, d=d, ends=ends)
+
+    @property
+    def components(self) -> tuple[tuple[QR, QR], ...]:
+        c, d = self.c, self.d
+        return tuple((_make(la, lb, c, d), _make(ha, hb, c, d)) for la, lb, ha, hb in self.ends)
 
     @staticmethod
     def interval(lo: QR, hi: QR) -> "WindowSet":
@@ -146,11 +158,10 @@ class WindowSet:
         return WindowSet(tuple(merged))
 
     def is_empty(self) -> bool:
-        return not self.components
+        return not self.ends
 
     def has_interior(self) -> bool:
-        _, d, (w,), _ = _in_frame((self,))
-        return _has_interior(w, d)
+        return _has_interior(self.ends, self.d)
 
     def contains(self, x: QR) -> bool:
         _, d, (w,), (p,) = _in_frame((self,), (x,))
@@ -236,19 +247,20 @@ class CutProjectScheme:
                 raise ValueError(f"{name} projection not injective: rational coordinate ratio")
         if self.window.is_empty():
             raise ValueError("acceptance window is empty")
-        for lo, hi in self.window.components:
-            if hi <= lo:
-                raise ValueError("acceptance window must be the closure of its interior")
-
-    @cached_property
-    def _physical_frame(self) -> tuple[int, int, list[tuple[int, int]]]:
-        return common_denominator((self.v1.phys, self.v2.phys))
+        if any(_sign(ha - la, hb - lb, self.window.d) <= 0 for la, lb, ha, hb in self.window.ends):
+            raise ValueError("acceptance window must be the closure of its interior")
+        field = (self.v2.internal / self.v1.internal).disc
+        if self.window.d not in (0, field):
+            raise ValueError(f"acceptance window in Q(sqrt({self.window.d})), lattice basis in Q(sqrt({field}))")
+        # (c, d, [K], [i1, i2, p1, p2]): the window and both bases in one frame
+        object.__setattr__(self, "_frame", _in_frame((self.window,), (*self.internal_group_basis(),
+                                                                      self.v1.phys, self.v2.phys)))
 
     def physical_coordinates(self, y: QR) -> tuple[int, int]:
         # the denominator of a lattice value divides c, and its field is d
-        c, d, basis = self._physical_frame
+        c, d, _, pairs = self._frame
         (a, b, k), e = y.triple, y.disc
-        coords = None if c % k or e not in (0, d) else _solve(a * (c // k), b * (c // k), basis)
+        coords = None if c % k or e not in (0, d) else _solve(a * (c // k), b * (c // k), pairs[2:])
         if coords is None:
             raise ValueError(f"{y} is not in the physical lattice image")
         return coords
@@ -259,16 +271,10 @@ class CutProjectScheme:
     def internal_group_basis(self) -> tuple[QR, QR]:
         return self.v1.internal, self.v2.internal
 
-    @cached_property
-    def _frame(self) -> tuple[int, int, list[tuple], list[tuple[int, int]]]:
-        """(c, d, [K], [i1, i2]): the window and the internal basis in their
-        frame, built once."""
-        return _in_frame((self.window,), self.internal_group_basis())
-
     def _star_pair(self, y: QR) -> tuple[int, int]:
         """star(y) as a pair of the scheme's frame."""
         n, m = self.physical_coordinates(y)
-        (a1, b1), (a2, b2) = self._frame[3]
+        (a1, b1), (a2, b2), _, _ = self._frame[3]
         return a1 * n + a2 * m, b1 * n + b2 * m
 
     def to_json_dict(self) -> dict:
@@ -294,8 +300,7 @@ class CutProjectScheme:
 
 def star(scheme: CutProjectScheme, y: QR) -> QR:
     """The internal coordinate of a physical lattice value."""
-    n, m = scheme.physical_coordinates(y)
-    return scheme.star_of_coords(n, m)
+    return scheme.star_of_coords(*scheme.physical_coordinates(y))
 
 
 def fibonacci_scheme() -> CutProjectScheme:
@@ -412,8 +417,8 @@ def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
     """Exact decision: some lattice translate places the pattern inside the
     model set iff the pattern window contains an internal lattice value."""
-    _, d, _, basis = scheme._frame
-    return _meets_group(_window_of_stars(scheme, map(scheme._star_pair, points)), basis, d)
+    _, d, _, pairs = scheme._frame
+    return _meets_group(_window_of_stars(scheme, map(scheme._star_pair, points)), pairs[:2], d)
 
 
 def embeds_oracle(scheme: CutProjectScheme):

@@ -62,6 +62,19 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_window_from_another_field_diagnostic(self, tmp_path, capsys):
+        # a sqrt(2) window on the sqrt(5) basis is rejected when the scheme is read
+        scheme = fibonacci_scheme().to_json_dict()
+        scheme["window"] = [["-1", "sqrt(2)"]]
+        scheme_file = tmp_path / "other_field.json"
+        scheme_file.write_text(json.dumps(scheme))
+        out = tmp_path / "model.json"
+        rc = main(["generate", "--scheme", str(scheme_file), "--radius", "10", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: acceptance window in Q(sqrt(2)), lattice basis in Q(sqrt(5))"]
+        assert not out.exists()
+
     def test_reversed_scheme_window_component_rejected(self, tmp_path, capsys):
         # the second component reads [63/100, 0]; it is named, not dropped
         scheme = fibonacci_scheme().to_json_dict()

@@ -21,7 +21,7 @@ from reference_kernels import (
 )
 from tilegroups import cli
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
-from tilegroups import modelset
+from tilegroups import exactnum, modelset
 from tilegroups.modelset import (
     CutProjectScheme,
     EmpireBruteResult,
@@ -165,6 +165,68 @@ class TestWindowSet:
         assert not window_meets_group(shifted, QR(1), TAU)
 
 
+def _fields(w: WindowSet) -> tuple:
+    return w.c, w.d, w.ends
+
+
+# ends over denominators 1, 2, 3 and 7 in Q(sqrt5) and Q(sqrt2), and rational
+# ends over the same denominators
+MIXED_ENDS = {
+    d: sorted({QR(Fraction(p, q)) + QR.sqrt_of(d) * Fraction(r, q) for p in range(-5, 6)
+               for q in (1, 2, 3, 7) for r in (-1, 0, 1)})
+    for d in (5, 2)
+}
+RATIONAL_ENDS = sorted({QR(Fraction(p, q)) for p in range(-5, 6) for q in (1, 2, 3, 7)})
+
+
+class TestWindowFrame:
+    @given(st.sampled_from((5, 2)), st.data())
+    def test_frames_are_canonical(self, d, data):
+        # the stored frame is the lowest-terms frame of the exact ends, so
+        # equal windows have equal fields and hashes whichever operation
+        # built them; rational windows moved by an irrational shift and back
+        # return to d = 0
+        pool, root = MIXED_ENDS[d], QR.sqrt_of(d)
+        a = data.draw(windows(pool))
+        b = data.draw(st.one_of(st.just(a), windows(pool)))
+        shift = data.draw(st.sampled_from(pool)) / data.draw(st.sampled_from((1, -3, 7)))
+        rational = data.draw(windows(RATIONAL_ENDS))
+        surd_shift = root / data.draw(st.sampled_from((1, 2, 3, 7)))
+        built = [a, b, a.translate(shift), a.intersect(b), b.intersect(a.translate(shift)),
+                 rational, rational.translate(surd_shift), rational.intersect(a)]
+        for w in built:
+            assert _fields(WindowSet(w.components)) == _fields(w)
+            for s in (shift, surd_shift):
+                assert _fields(w.translate(s).translate(-s)) == _fields(w)
+            assert (w.d == 0) == all(e.is_rational() for comp in w.components for e in comp)
+        for v in built:
+            for w in built:
+                assert (_fields(v) == _fields(w)) == (v.components == w.components) == (v == w)
+                assert hash(v) == hash(w) or v != w
+
+    def test_calculus_builds_no_values(self, monkeypatch):
+        # the operations run on the stored pairs and build no exact value
+        scheme = fibonacci_scheme()
+        a = WindowSet.normalized([(QR(Fraction(-1, 2)), TAU), (QR(3), QR(Fraction(7, 2)))])
+        b = WindowSet.interval(QR(Fraction(-1, 3)), QR(3))
+        x, shift = TAU / 3, QR(Fraction(1, 7)) + TAU
+        points = modelset_points(scheme, QR(8))
+        pat_p, pat_q = points[2:5], points[3:6]
+        calls = [lambda: a.contains(x), lambda: a.issubset(b), lambda: a.translate(shift),
+                 lambda: a.intersect(b), lambda: a.has_interior(), lambda: pattern_window(scheme, pat_p),
+                 lambda: pattern_embeds(scheme, pat_p), lambda: empire_equal(scheme, pat_p, pat_q)]
+        expected = [call() for call in calls]
+
+        def built(*args):
+            raise AssertionError("a QuadraticRational was built")
+
+        monkeypatch.setattr(exactnum, "_make", built)
+        monkeypatch.setattr(modelset, "_make", built)
+        got = [call() for call in calls]
+        monkeypatch.undo()
+        assert got == expected
+
+
 class TestScheme:
     def test_validation_rejects_rational_ratio(self):
         with pytest.raises(ValueError):
@@ -179,6 +241,13 @@ class TestScheme:
             CutProjectScheme(LatticeVector(QR(1), QR(1)),
                              LatticeVector(TAU, QR(1) - TAU),
                              WindowSet(((QR(0), QR(0)),)))
+
+    def test_window_from_another_field_rejected(self):
+        # named when the scheme is built, not at its first use
+        with pytest.raises(ValueError, match=r"^acceptance window in Q\(sqrt\(2\)\), lattice basis in Q\(sqrt\(5\)\)$"):
+            CutProjectScheme(LatticeVector(QR(1), QR(1)),
+                             LatticeVector(TAU, QR(1) - TAU),
+                             WindowSet.interval(QR(-1), SQRT2))
 
     def test_star_examples(self):
         scheme = fibonacci_scheme()

@@ -266,7 +266,8 @@ class CutProjectScheme:
         return coords
 
     def star_of_coords(self, n: int, m: int) -> QR:
-        return self.v1.internal * n + self.v2.internal * m
+        c, d, _, ((a1, b1), (a2, b2), _, _) = self._frame
+        return _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
 
     def internal_group_basis(self) -> tuple[QR, QR]:
         return self.v1.internal, self.v2.internal
@@ -377,7 +378,7 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
     n_lo = min(c.floor() for c in corners_n)
     n_hi = max(c.floor() + 1 for c in corners_n)
     # CutProjectScheme guarantees i2 != 0 and p2 != 0
-    c, d, ((a1, b1), (a2, b2)) = common_denominator((p1, p2))
+    c, d, _, (_, _, (a1, b1), (a2, b2)) = scheme._frame
     out = []
     for lo, hi in scheme.window.components:
         bands = ((lo, hi, i1, i2), (-radius, radius, p1, p2))
@@ -464,14 +465,14 @@ class EmpireScan:
     membership is False.  The scan numbers those band cells of the box in
     scan order, n ascending and then m ascending (``_strip_rows`` on the
     band, clipped to the box), and gives each pool point x = (a, b) a
-    membership mask, built once when first asked for: bit i is set iff
-    g_i + x lies in the model set.  That is read off the window's own
-    lattice-row strips, one band per window component over the rows
-    -box_bound + min a .. box_bound + max a: g + x is a model-set point
-    iff row n + a of a component's strip holds m + b.  ``compare`` ANDs
-    the masks of each pattern and XORs the two results; the lowest set bit
-    is the first separator of the box scan in its order, reported as its
-    lattice coordinates (n, m), and no bit set means agree.
+    membership mask, built with the scan: bit i is set iff g_i + x lies in
+    the model set.  That is read off the window's own lattice-row strips,
+    one band per window component over the rows -box_bound + min a ..
+    box_bound + max a: g + x is a model-set point iff row n + a of a
+    component's strip holds m + b.  ``compare`` ANDs the masks of each
+    pattern and XORs the two results; the lowest set bit is the first
+    separator of the box scan in its order, reported as its lattice
+    coordinates (n, m), and no bit set means agree.
 
     A mask costs O(box_bound * k) for band rows of k cells, once per pool
     point; a comparison is then a few integer ANDs and XORs over those
@@ -488,10 +489,10 @@ class EmpireScan:
             raise ValueError("box_bound must be >= 0")
         if not points:
             raise ValueError("the point pool must be non-empty")
-        self._coords = {x: scheme.physical_coordinates(x) for x in points}
+        coords = {x: scheme.physical_coordinates(x) for x in points}
         # i2 != 0 is guaranteed by CutProjectScheme
         i1, i2 = scheme.internal_group_basis()
-        stars = [scheme.star_of_coords(a, b) for a, b in self._coords.values()]
+        stars = [scheme.star_of_coords(a, b) for a, b in coords.values()]
         klo, khi = scheme.window.hull()
         band = (klo - max(stars), khi - min(stars), i1, i2)
         # the band cells row by row: (index of the row's first cell, n, m_lo, m_hi)
@@ -502,28 +503,26 @@ class EmpireScan:
             if m_lo <= m_hi:
                 self._rows.append((size, n, m_lo, m_hi))
                 size += m_hi - m_lo + 1
-        a_values = [a for a, _ in self._coords.values()]
+        a_values = [a for a, _ in coords.values()]
         ns = range(-box_bound + min(a_values), box_bound + max(a_values) + 1)
-        self._strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
-                        for lo, hi in scheme.window.components]
+        strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
+                  for lo, hi in scheme.window.components]
         self._masks: dict[QR, int] = {}
-
-    def _mask(self, x: QR) -> int:
-        mask = self._masks.get(x)
-        if mask is None:
-            if x not in self._coords:
-                raise ValueError(f"pattern point {x} is not in the scan's point pool")
-            a, b = self._coords[x]
+        for x, (a, b) in coords.items():
             mask = 0
             for first, n, m_lo, m_hi in self._rows:
-                for strips in self._strips:
-                    strip = strips.get(n + a)
+                for component in strips:
+                    strip = component.get(n + a)
                     if strip is not None:
                         lo, hi = max(strip[0] - b, m_lo), min(strip[1] - b, m_hi)
                         if lo <= hi:
                             mask |= ((1 << (hi - lo + 1)) - 1) << (first + lo - m_lo)
             self._masks[x] = mask
-        return mask
+
+    def _mask(self, x: QR) -> int:
+        if x not in self._masks:
+            raise ValueError(f"pattern point {x} is not in the scan's point pool")
+        return self._masks[x]
 
     def compare(self, pat_p: list[QR], pat_q: list[QR]) -> EmpireBruteResult:
         """Agree, or the first g of the scan order that places exactly one
@@ -605,16 +604,15 @@ def triple_natural_leq(x: WindowTriple, y: WindowTriple) -> bool:
 def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: QR) -> WindowTriple:
     """Image of a placed pattern class under the window functor.
 
-    The placement witness is only checked, never used: the image window
-    equals the pattern window of the offsets shifted by the out-point star,
-    which is translation invariant.
+    The placement witness is only checked, never used: the image window,
+    P* translated by the out-point star, is the pattern window of the
+    pattern re-anchored at its out point, which is translation invariant.
     """
     placed = [o + placement for o in pattern.offsets]
     _modelset_stars(scheme, placed)
-    w0 = pattern_window(scheme, list(pattern.offsets))
-    out_star = star(scheme, pattern.out_value)
-    shift = star(scheme, pattern.out_value - pattern.in_value)
-    return WindowTriple(shift, w0.translate(out_star))
+    out = pattern.out_value
+    shift = star(scheme, out - pattern.in_value)
+    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
 
 
 # ---------------------------------------------------------------------------

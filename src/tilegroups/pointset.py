@@ -51,25 +51,20 @@ class PointSet1D:
             raise ValueError("window must cover the anchor index 0")
         self.window = window
         self.lengths = lengths
-        # T(i) sits at letters[i - start_index]: T(1), T(2), ... step right
-        # from r_0, and T(0), T(-1), ... step left to r_{-1}, r_{-2}, ...
-        # integer running sums over the letters that occur
+        # T(i) sits at letters[i - start_index]; one integer running sum over
+        # the letters that occur, from r_{start-1} = -(|T(start)| + ... + |T(0)|)
         used = sorted(set(window.letters))
         c, d, steps = common_denominator([lengths[x] for x in used])
-        step, cut = dict(zip(used, steps)), 1 - window.start_index
-        right, a, b = [_make(0, 0, c, d)], 0, 0
-        for letter in window.letters[cut:]:
+        step, left = dict(zip(used, steps)), window.letters[:1 - window.start_index]
+        a = -sum(left.count(x) * step[x][0] for x in used)
+        b = -sum(left.count(x) * step[x][1] for x in used)
+        points = [_make(a, b, c, d)]
+        for letter in window.letters:
             da, db = step[letter]
             a, b = a + da, b + db
-            right.append(_make(a, b, c, d))
-        left, a, b = [], 0, 0
-        for letter in reversed(window.letters[:cut]):
-            da, db = step[letter]
-            a, b = a - da, b - db
-            left.append(_make(a, b, c, d))
-        left.reverse()
+            points.append(_make(a, b, c, d))
         self.min_index, self.max_index = lo, hi
-        self.points: list[QR] = left + right
+        self.points: list[QR] = points
 
     @cached_property
     def _index_of(self) -> dict[QR, int]:

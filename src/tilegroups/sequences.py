@@ -183,19 +183,27 @@ def two_sided_window(spec: SequenceSpec, half_width: int) -> IndexedWord:
         right = "".join(spec.right[(i - 1) % nr] for i in range(1, h + 1))
         return IndexedWord(-h, left + right)
     u, k = spec.seed_left, spec._power
-    # sigma^jk(u) ends with sigma^(j-1)k(u) and sigma^jk(seed) starts with
-    # sigma^(j-1)k(seed), so the last h + 1 and the first h letters of each
-    # step are all the window needs
-    left, right = u, spec.seed
-    while len(left) < h + 1 or len(right) < h:
-        grown_left, grown_right = left, right
-        for _ in range(k):
-            grown_left = expand_substitution(spec.rule, grown_left, 1)[-(h + 1):]
-            grown_right = expand_substitution(spec.rule, grown_right, 1)[:h]
-        if len(grown_left) == len(left) and len(grown_right) == len(right):
+    # each half is read off its own fixed point in O(h), the left one backwards
+    left = _fixed_prefix({x: image[::-1] for x, image in spec.rule.items()}, k, u[::-1], h + 1)
+    return IndexedWord(-h, left[h::-1] + _fixed_prefix(spec.rule, k, spec.seed, h)[:h])
+
+
+def _fixed_prefix(rule: dict[str, str], k: int, word: str, n: int) -> str:
+    """The first n or more letters of the fixed point w = tau(w) of
+    tau = sigma^k that starts with word, read off w itself; each tau-image
+    is cut to n letters, as a longer one ends w."""
+    images = {x: x for x in rule}
+    for _ in range(k):
+        images = {x: expand_substitution(rule, image, 1)[:n] for x, image in images.items()}
+    read = end = 0
+    while len(word) < n:
+        if read == len(word):
             raise ValueError("substitution does not grow; two-sided extension undefined")
-        left, right = grown_left, grown_right
-    return IndexedWord(-h, left[-(h + 1):] + right[:h])
+        grown = "".join(map(images.__getitem__, word[read:]))
+        read = len(word)
+        word += grown[read - end:]
+        end += len(grown)
+    return word
 
 
 @dataclass(frozen=True)

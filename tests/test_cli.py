@@ -290,6 +290,15 @@ class TestVerify:
         data = json.loads(out.read_text())
         assert data["failed"] == 0
 
+    @pytest.mark.parametrize("name", list(cli.SUITES))
+    def test_every_suite_passes_at_its_defaults(self, name, capsys):
+        # each suite runs here, not only under verify --suite all
+        rc = main(["verify", "--suite", name])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert any(line.startswith("[PASS]") for line in lines)
+        assert not any(line.startswith("[FAIL]") for line in lines)
+
     def test_modelset_vs_substitution_at_radius_100(self, capsys):
         # the substitution chain is built out to the radius
         rc = main(["verify", "--suite", "modelset-vs-substitution", "--radius", "100"])

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilegroups import cli, presentation
+from tilegroups import cli, modelset, patterns, presentation
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
-from tilegroups.modelset import EmpireBruteResult, fibonacci_scheme
+from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
 from tilegroups.presentation import certificate_free_abelian
 from tilegroups.sequences import two_sided_window
 from tilegroups.universal import harvest_equal_length_relations
@@ -50,6 +50,12 @@ class TestGenerate:
         data = json.loads(out.read_text())
         # leftmost point r_{-11}: gaps T(0..-10) alternate a,b from a: 6*2+5*1
         assert data["pointset"]["points"][0] == "-17"
+
+    def test_without_out_prints_json(self, capsys):
+        rc = main(["generate", "--builtin-scheme", "--radius", "5"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["radius"] == "5" and data["count"] == len(data["points"]) > 0
 
     def test_invalid_scheme_window_diagnostic(self, tmp_path, capsys):
         scheme_file = tmp_path / "bad.json"
@@ -279,7 +285,81 @@ class TestPresent:
         assert rep["table"] == {"universal_group": "FG_2", "difference_group": "Z"}
 
 
+class _NoSeparatorScan(EmpireScan):
+    """The real verdict without the separating translation."""
+
+    def compare(self, pat_p, pat_q):
+        return EmpireBruteResult(super().compare(pat_p, pat_q).agree)
+
+
+def _table_with_foreign_value(ps, bound):
+    # one product moved outside the difference set
+    table = patterns.maxset_table(ps, bound)
+    key = next(iter(table))
+    table[key] += 1000
+    return table
+
+
+def _grade_undefined_at_shift(r, s, x):
+    if x == s:
+        raise ValueError(f"{x}/{s} is not within 1/4 of an integer")
+    return modelset.obstruction_grade(r, s, x)
+
+
+def _chain_does_not_compose(parts, lang):
+    raise ValueError("chain does not compose")
+
+
+# (suite, check name prefix, name in cli, replacement that breaks the law);
+# the undefined grade, the foreign table value and the chain that does not
+# compose once escaped as "error:" and exit 2
+BROKEN_LAWS = [
+    pytest.param("semigroup-axioms", "pattern classes: x x^-1 x = x", "inverse", lambda x: x, id="inverse"),
+    pytest.param("semigroup-axioms", "pattern classes: pointed difference vanishes exactly on idempotents",
+                 "is_idempotent", lambda x: not patterns.is_idempotent(x), id="idempotent"),
+    pytest.param("semigroup-axioms", "pattern classes: unique maximal element",
+                 "natural_leq", lambda x, y: False, id="natural-leq"),
+    pytest.param("semigroup-axioms", "pattern classes: idempotents commute",
+                 "multiply", lambda x, y, ps: patterns.multiply(x, x, ps), id="commute"),
+    pytest.param("semigroup-axioms", "pattern classes: pointed difference is a morphism", "pointed_difference",
+                 lambda x: patterns.pointed_difference(x) * patterns.pointed_difference(x), id="morphism"),
+    pytest.param("semigroup-axioms", "maximal classes intertwine", "max_above", lambda x: x, id="intertwine"),
+    pytest.param("semigroup-axioms", "maximal classes intertwine",
+                 "maxset_table", _table_with_foreign_value, id="intertwine-foreign-value"),
+    pytest.param("semigroup-axioms", "language semigroup: p p^-1 p = p",
+                 "accent_multiply", lambda p, q, lang: None, id="accent-law"),
+    pytest.param("semigroup-axioms", "language semigroup: idempotents commute",
+                 "accent_is_idempotent", lambda p: True, id="accent-commute"),
+    pytest.param("empire", "empire: every unequal pair exhibits a separating translation",
+                 "EmpireScan", _NoSeparatorScan, id="no-separator"),
+    pytest.param("empire", "empire: every unequal pair exhibits a separating translation",
+                 "star", lambda scheme, x: QR(0), id="separator-misses"),
+    pytest.param("obstruction", "grade well-defined",
+                 "obstruction_grade", _grade_undefined_at_shift, id="grade-undefined"),
+    pytest.param("language-free", "decompose/compose round-trip",
+                 "compose_chain", lambda parts, lang: parts[0], id="round-trip"),
+    pytest.param("language-free", "decompose/compose round-trip",
+                 "compose_chain", _chain_does_not_compose, id="round-trip-no-chain"),
+]
+
+
 class TestVerify:
+    @pytest.mark.parametrize("suite, check, name, broken", BROKEN_LAWS)
+    def test_broken_law_is_a_failed_check(self, suite, check, name, broken, monkeypatch, capsys):
+        monkeypatch.setattr(cli, name, broken)
+        rc = main(["verify", "--suite", suite])
+        out = capsys.readouterr()
+        assert rc == 1
+        assert any(line.startswith(f"[FAIL] {suite}: {check}") for line in out.out.splitlines())
+        assert "error:" not in out.err
+
+    def test_obstruction_grades_each_element_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "obstruction_grade",
+                            lambda r, s, x: calls.append(x) or modelset.obstruction_grade(r, s, x))
+        assert all(c.passed for c in cli.suite_obstruction())
+        assert len(calls) == len(set(calls)) == 9
+
     def test_single_suite_exit_zero(self, capsys, tmp_path):
         out = tmp_path / "verify.json"
         rc = main(["verify", "--suite", "partial-action", "--out", str(out)])

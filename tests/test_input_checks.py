@@ -2,6 +2,7 @@
 and message: the checks that no other test reaches, or only by chance."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from tilegroups.modelset import (
     WindowSet,
     fibonacci_scheme,
     modelset_points,
+    obstruction_grade,
     partial_action_data,
     window_triple,
 )
@@ -68,6 +70,8 @@ CHECKS = [
      ValueError, "window exceeds the two-translate intersection for this shift"),
     ("coeff_bound 0", lambda: partial_action_data((QR(1), TAU), UNIT, 0),
      ValueError, "coeff_bound must be >= 1"),
+    ("grade at a half-integer", lambda: obstruction_grade(QR(1), QR(9), QR(Fraction(9, 2))),
+     ValueError, "9/2/9 sits exactly between two integers"),
     # pointset
     ("empty point-set window", lambda: PointSet1D(IndexedWord(0, ""), LENGTHS),
      ValueError, "window must be non-empty"),
@@ -86,6 +90,10 @@ CHECKS = [
      ValueError, "iterations must be >= 0"),
     ("rule not letters to words", lambda: SequenceSpec("substitution", rule={"ab": "a"}, seed="a"),
      ValueError, "spec rule must map letters to words"),
+    ("substitution spec without rule", lambda: SequenceSpec("substitution", seed="a"),
+     ValueError, "substitution spec needs rule and seed"),
+    ("substitution spec without seed", lambda: SequenceSpec("substitution", rule={"a": "ab", "b": "a"}),
+     ValueError, "substitution spec needs rule and seed"),
     ("periodic spec without word", lambda: SequenceSpec("periodic"),
      ValueError, "periodic spec needs a word"),
     ("spliced spec without right word", lambda: SequenceSpec("spliced", left="a"),

@@ -76,6 +76,10 @@ class TestBuild:
         assert ps.point(2) == TAU + 1
         assert ps.point(3) == TAU * 2 + 1
 
+    def test_length_counts_points(self):
+        ps = fib_ps(6)
+        assert len(ps) == len(ps.values()) == ps.max_index - ps.min_index + 1 == 14
+
     def test_single_letter(self):
         ps = build_pointset(IndexedWord(1, "a"), LengthFunction({"a": QR(1)}))
         assert ps.values() == [QR(0), QR(1)]

@@ -54,6 +54,9 @@ class TestReduce:
         w = word("a", "b", "c-")
         assert w * w.inverse() == FreeWord()
 
+    def test_empty_word_prints_as_identity(self):
+        assert str(FreeWord()) == "1"
+
     def test_public_constructor_checks(self):
         with pytest.raises(ValueError):
             FreeWord((("a", 1), ("a", -1)))

@@ -16,8 +16,10 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
-from typing import Callable, Iterable, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional
 
 from .exactnum import QuadraticRational as QR, golden_ratio
 from .modelset import (
@@ -81,9 +83,10 @@ class CaseConfig:
     table_difference: Optional[str]
 
 
-def reference_cases() -> dict[str, CaseConfig]:
+@cache
+def reference_cases() -> Mapping[str, CaseConfig]:
     tau = golden_ratio()
-    return {
+    return MappingProxyType({
         "fib": CaseConfig(
             "fib",
             SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a"),
@@ -108,16 +111,12 @@ def reference_cases() -> dict[str, CaseConfig]:
             LengthFunction({"a": QR(3), "b": QR(2)}),
             None, None,
         ),
-    }
+    })
 
 
 def case_pointset(case: CaseConfig, half_width: int) -> PointSet1D:
     window = two_sided_window(case.spec, half_width)
     return build_pointset(window, case.lengths)
-
-
-def _rank_matches_cell(rank: int, cell: str) -> bool:
-    return {"Z": 1, "Z^2": 2}.get(cell) == rank
 
 
 def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
@@ -155,7 +154,7 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
     }
     if case.table_universal is not None:
         out["table"] = {"universal_group": case.table_universal, "difference_group": case.table_difference}
-        flag = not _rank_matches_cell(rank, case.table_difference)
+        flag = {"Z": 1, "Z^2": 2}.get(case.table_difference) != rank
         out["difference_group"]["table_discrepancy"] = flag
         if flag:
             out["difference_group"]["note"] = (
@@ -286,7 +285,7 @@ def suite_semigroup_axioms(seed: int = 0) -> list[Check]:
     checks.extend(_group_like_checks(
         ("partial action: identity composable with every element", "partial action: inverses composable",
          "partial action: reversal law"),
-        {(g, gp): total for g, gp, total in data.relations}, data.elements))
+        dict(data.items()), data.elements))
     return checks
 
 
@@ -653,6 +652,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilegroups",

@@ -308,10 +308,10 @@ def fibonacci_scheme() -> CutProjectScheme:
     """Reference scheme for the Fibonacci chain: v1 = (1, 1),
     v2 = (tau, 1-tau), window [-99/100, 63/100].
 
-    The substitution chain's acceptance window is (-1, tau-1]; the rational
-    endpoints sit inside the star-free gaps beyond the tested radius and,
-    being non-integers, are never equal to a lattice star, so membership
-    tests stay boundary-free at every radius.
+    No lattice star n + m*(1-tau) equals an endpoint: a star is rational
+    only when m = 0, and the endpoints are not integers.  The chain's own
+    window is (-1, tau-1], so the model set equals the chain only out to
+    radius 121; the first difference is 61+27*sqrt(5) vs 121/2+55/2*sqrt(5).
     """
     tau = golden_ratio()
     return CutProjectScheme(
@@ -464,15 +464,15 @@ class EmpireScan:
     over the pool can carry a pool point into the window; elsewhere every
     membership is False.  The scan numbers those band cells of the box in
     scan order, n ascending and then m ascending (``_strip_rows`` on the
-    band, clipped to the box), and gives each pool point x = (a, b) a
-    membership mask, built with the scan: bit i is set iff g_i + x lies in
-    the model set.  That is read off the window's own lattice-row strips,
-    one band per window component over the rows -box_bound + min a ..
-    box_bound + max a: g + x is a model-set point iff row n + a of a
-    component's strip holds m + b.  ``compare`` ANDs the masks of each
-    pattern and XORs the two results; the lowest set bit is the first
-    separator of the box scan in its order, reported as its lattice
-    coordinates (n, m), and no bit set means agree.
+    band and on the box band |m| <= box_bound), and gives each pool point
+    x = (a, b) a membership mask, built with the scan: bit i is set iff
+    g_i + x lies in the model set.  That is read off the window's own
+    lattice-row strips, one band per window component over the rows
+    -box_bound + min a .. box_bound + max a: g + x is a model-set point iff
+    row n + a of a component's strip holds m + b.  ``compare`` ANDs the
+    masks of each pattern and XORs the two results; the lowest set bit is
+    the first separator of the box scan in its order, reported as its
+    lattice coordinates (n, m), and no bit set means agree.
 
     A mask costs O(box_bound * k) for band rows of k cells, once per pool
     point; a comparison is then a few integer ANDs and XORs over those
@@ -494,15 +494,13 @@ class EmpireScan:
         i1, i2 = scheme.internal_group_basis()
         stars = [scheme.star_of_coords(a, b) for a, b in coords.values()]
         klo, khi = scheme.window.hull()
-        band = (klo - max(stars), khi - min(stars), i1, i2)
+        bands = ((klo - max(stars), khi - min(stars), i1, i2), (QR(-box_bound), QR(box_bound), QR(0), QR(1)))
         # the band cells row by row: (index of the row's first cell, n, m_lo, m_hi)
         self._rows = []
         size = 0
-        for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), (band,)):
-            m_lo, m_hi = max(m_lo, -box_bound), min(m_hi, box_bound)
-            if m_lo <= m_hi:
-                self._rows.append((size, n, m_lo, m_hi))
-                size += m_hi - m_lo + 1
+        for n, m_lo, m_hi in _strip_rows(range(-box_bound, box_bound + 1), bands):
+            self._rows.append((size, n, m_lo, m_hi))
+            size += m_hi - m_lo + 1
         a_values = [a for a, _ in coords.values()]
         ns = range(-box_bound + min(a_values), box_bound + max(a_values) + 1)
         strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
@@ -632,6 +630,11 @@ class PartialActionData:
     elements: tuple[QR, ...]
     relations: tuple[tuple[QR, QR, QR], ...]
 
+    def items(self):
+        """The harvest as a partial product table: ((g, g'), g + g') per
+        relation, in relation order."""
+        return (((g, gp), total) for g, gp, total in self.relations)
+
 
 def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: int) -> PartialActionData:
     """Elements are the boxed group values g with V and V - g overlapping;
@@ -642,7 +645,7 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
     Overlaps are overlaps of interiors (the open-subset setting): windows
     that touch in one point do not overlap.  V and V - g meet only if
     |g| <= w, the width of V's hull, so each n visits the strip of m with
-    |n*g1 + m*g2| <= w (``_strip_rows``), clamped to |m| <= coeff_bound.
+    |n*g1 + m*g2| <= w and |m| <= coeff_bound (``_strip_rows``, two bands).
     The basis is independent, so each element is keyed by its coordinates
     (n, m), and the sum of a pair is the element at (n + n', m + m').  The
     overlaps are decided in the frame of the basis and the window.
@@ -656,9 +659,9 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
     if w:
         (a1, b1), (a2, b2) = pairs
         lo, hi = window.hull()
-        ns = range(-coeff_bound, coeff_bound + 1)
-        for n, m_lo, m_hi in _strip_rows(ns, ((lo - hi, hi - lo, g1, g2),)):
-            for m in range(max(m_lo, -coeff_bound), min(m_hi, coeff_bound) + 1):
+        bands = ((lo - hi, hi - lo, g1, g2), (QR(-coeff_bound), QR(coeff_bound), QR(0), QR(1)))
+        for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
+            for m in range(m_lo, m_hi + 1):
                 a, b = a1 * n + a2 * m, b1 * n + b2 * m
                 if _has_interior(_meet(w, _shifted(w, -a, -b), d), d):
                     found.append((_make(a, b, c, d), n, m, _shifted(w, a, b)))

@@ -93,7 +93,7 @@ def pointed_difference(x: PatternClass) -> QR:
 
 def max_above(x: PatternClass) -> PatternClass:
     """Drop all unpointed points; the unique maximal element above x."""
-    return pattern_class(sorted({x.out_value, x.in_value}), x.out_value, x.in_value)
+    return pattern_class([x.out_value, x.in_value], x.out_value, x.in_value)
 
 
 def natural_leq(x: PatternClass, y: PatternClass) -> bool:
@@ -177,4 +177,4 @@ def max_class_of(diff: DiffElement, ps: PointSet1D) -> PatternClass:
     pattern pointed out at y and in at x."""
     i, j = diff.witnesses[0]
     y, x = ps.point(i), ps.point(j)
-    return pattern_class(sorted({y, x}), y, x)
+    return pattern_class([y, x], y, x)

@@ -359,10 +359,9 @@ def check_homomorphism(
     if missing:
         raise ValueError(f"no image for generators {sorted(missing)}")
     for rel in pres.relators:
-        out = FreeWord()
-        for g, e in rel.letters:
-            out = out * (images[g] if e == 1 else images[g].inverse())
-        if not target_is_trivial(out):
+        # free reduction is confluent, so one pass reduces the whole image
+        image = (images[g] if e == 1 else images[g].inverse() for g, e in rel.letters)
+        if not target_is_trivial(reduce_word(x for word in image for x in word.letters)):
             return False
     return True
 

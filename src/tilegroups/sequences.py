@@ -95,10 +95,14 @@ def _resolve_seed_pair(rule: dict[str, str], seed: str, seed_left: Optional[str]
                      + (f" with left letter {seed_left!r}" if seed_left else ""))
 
 
+# the fields each kind of SequenceSpec reads, in field order
+_KIND_FIELDS = {"substitution": ("rule", "seed", "seed_left"), "periodic": ("word",), "spliced": ("left", "right")}
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """One of: substitution(rule, seed[, seed_left]), periodic(word),
-    spliced(left, right).
+    spliced(left, right); a field that its kind does not read is an error.
 
     For substitutions the two-sided fixed point is seeded from the legal
     pair seed_left | seed; when seed_left is omitted it is resolved once
@@ -122,6 +126,12 @@ class SequenceSpec:
         if self.rule is not None and not (isinstance(self.rule, dict) and all(
                 isinstance(k, str) and len(k) == 1 and isinstance(v, str) for k, v in self.rule.items())):
             raise ValueError("spec rule must map letters to words")
+        if self.kind not in _KIND_FIELDS:
+            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        unread = [f.name for f in fields(self)[1:]
+                  if f.name not in _KIND_FIELDS[self.kind] and getattr(self, f.name) is not None]
+        if unread:
+            raise ValueError(f"{self.kind} spec does not take {', '.join(unread)}")
         if self.kind == "substitution":
             if not self.rule or not self.seed:
                 raise ValueError("substitution spec needs rule and seed")
@@ -134,22 +144,13 @@ class SequenceSpec:
         elif self.kind == "periodic":
             if not self.word:
                 raise ValueError("periodic spec needs a word")
-        elif self.kind == "spliced":
-            if not self.left or not self.right:
-                raise ValueError("spliced spec needs left and right words")
-        else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        elif not self.left or not self.right:
+            raise ValueError("spliced spec needs left and right words")
 
     # JSON form, e.g. {"kind":"substitution","rule":{"a":"ab","b":"a"},"seed":"a"}
     def to_json(self) -> str:
-        data = {"kind": self.kind}
-        if self.kind == "substitution":
-            data |= {"rule": self.rule, "seed": self.seed, "seed_left": self.seed_left}
-        elif self.kind == "periodic":
-            data |= {"word": self.word}
-        else:
-            data |= {"left": self.left, "right": self.right}
-        return json.dumps(data)
+        # a built spec has every field of its kind set, and no other
+        return json.dumps({"kind": self.kind} | {name: getattr(self, name) for name in _KIND_FIELDS[self.kind]})
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":

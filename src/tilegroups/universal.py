@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Union
 
 from .exactnum import QuadraticRational as QR, _make, common_denominator
-from .modelset import PartialActionData
 from .pointset import LengthFunction
 from .presentation import Presentation, presentation_from_pairs
 from .sequences import FactorLanguage, IndexedWord, factor_language
@@ -200,17 +198,13 @@ def universal_group_of_language(lang: FactorLanguage) -> tuple[Presentation, int
 # presentations from partial-operation tables
 
 
-def maxset_presentation(source: Union[dict, PartialActionData]) -> Presentation:
-    """Presentation of the universal group of a finite partial-operation
-    structure: a chained-difference table keyed by exact values, or a
-    generator/relation harvest of a partial action.  One generator per
-    element, labelled by its exact group value, and one relation x y = z
-    per defined product.  A table's generators are the values occurring in
-    it in ascending order, and its relations follow the table's own order."""
-    elements, relations = (
-        (source.elements, source.relations) if isinstance(source, PartialActionData)
-        else (sorted({v for (x, y), z in source.items() for v in (x, y, z)}),
-              [(x, y, z) for (x, y), z in source.items()]))
-    label = {g: str(g) for g in elements}
+def maxset_presentation(source) -> Presentation:
+    """Presentation of the universal group of a finite partial operation,
+    given as its table ``((x, y), z)`` per defined product x y = z: a
+    chained-difference table (``maxset_table``) or a partial-action harvest
+    (``PartialActionData.items``).  One generator per value occurring in
+    the table, in ascending order and labelled by the exact value, and one
+    relation x y = z per entry, in the table's own order."""
+    label = {g: str(g) for g in sorted({v for (x, y), z in source.items() for v in (x, y, z)})}
     return presentation_from_pairs(
-        list(label.values()), [([label[x], label[y]], [label[z]]) for x, y, z in relations])
+        list(label.values()), [([label[x], label[y]], [label[z]]) for (x, y), z in source.items()])

@@ -50,7 +50,10 @@ expand through ``expand_capped``, which counts the length from
 letter-count vectors first and raises ``ExpansionCapped`` beyond
 ``EXPANSION_CAP`` letters; tests skip the specs where it does.
 ``is_square_free_trial`` is ``is_square_free`` by trial division up to
-sqrt(d).
+sqrt(d).  ``check_homomorphism_wordwise`` is ``check_homomorphism``
+multiplying the image words one relator letter at a time, each product
+freely reduced again, before it reduced the concatenated image letters
+once.
 
 The ``window_*_qr`` functions are ``WindowSet``'s operations on exact
 ``QuadraticRational`` ends (``translate``, ``intersect`` as one merge
@@ -637,6 +640,24 @@ def is_square_free_trial(d: int) -> bool:
         if d % (p * p) == 0:
             return False
         p += 1
+    return True
+
+
+def check_homomorphism_wordwise(
+    pres: Presentation,
+    images: dict[str, FreeWord],
+    target_is_trivial: Callable[[FreeWord], bool],
+) -> bool:
+    """True iff mapping each generator to its image kills every relator."""
+    missing = set(pres.generators) - set(images)
+    if missing:
+        raise ValueError(f"no image for generators {sorted(missing)}")
+    for rel in pres.relators:
+        out = FreeWord()
+        for g, e in rel.letters:
+            out = out * (images[g] if e == 1 else images[g].inverse())
+        if not target_is_trivial(out):
+            return False
     return True
 
 

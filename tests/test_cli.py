@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tilegroups import cli, modelset, patterns, presentation
+from tilegroups import cli, modelset, patterns, presentation, sequences
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
@@ -184,6 +184,28 @@ class TestGenerate:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0] == f"error: {message}"
+
+    def test_spec_field_its_kind_does_not_read(self, tmp_path, capsys):
+        # not dropped from the dump without a word
+        path = tmp_path / "periodic.json"
+        path.write_text('{"kind":"periodic","word":"ab","seed":"a","rule":{"a":"ab"}}')
+        rc = main(["generate", "--spec", str(path), "--lengths", "a=2,b=1"])
+        out = capsys.readouterr()
+        assert rc == 2 and out.out == ""
+        assert out.err.splitlines() == ["error: periodic spec does not take rule, seed"]
+
+    def test_parser_and_cases_built_once(self, tmp_path, monkeypatch):
+        resolved = []
+        monkeypatch.setattr(sequences, "_resolve_seed_pair",
+                            lambda *args, real=sequences._resolve_seed_pair: resolved.append(args) or real(*args))
+        cli.build_parser.cache_clear()
+        cli.reference_cases.cache_clear()
+        for _ in range(2):
+            assert main(["generate", "--case", "fib", "--half-width", "4", "--out", str(tmp_path / "o.json")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert len(resolved) == 1
+        with pytest.raises(TypeError):
+            reference_cases()["fib"] = None
 
 
 SPEC_KEYS = ("kind", "rule", "seed", "seed_left", "word", "left", "right", "foo")

@@ -100,6 +100,13 @@ CHECKS = [
      ValueError, "spliced spec needs left and right words"),
     ("unknown kind", lambda: SequenceSpec("nonesuch"),
      ValueError, "unknown sequence kind 'nonesuch'"),
+    ("substitution spec with a word", lambda: SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a",
+                                                           word="ab"),
+     ValueError, "substitution spec does not take word"),
+    ("periodic spec with a rule and seed", lambda: SequenceSpec("periodic", word="ab", seed="a", rule={"a": "ab"}),
+     ValueError, "periodic spec does not take rule, seed"),
+    ("spliced spec with a seed_left", lambda: SequenceSpec("spliced", left="a", right="b", seed_left="a"),
+     ValueError, "spliced spec does not take seed_left"),
     ("factor language max_len 0", lambda: factor_language(IndexedWord(0, "ab"), 0),
      ValueError, "max_len must be >= 1"),
     # universal

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import exponent_sum, free_abelian_target_oracle, free_target_oracle
 from intmat import mat_det, mat_mul
-from reference_kernels import abelian_invariants_dense, free_abelian_by_rotations, smith_normal_form, tietze_rounds
+from reference_kernels import (abelian_invariants_dense, check_homomorphism_wordwise, free_abelian_by_rotations,
+                               smith_normal_form, tietze_rounds)
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
@@ -397,6 +400,30 @@ class TestHomomorphism:
         p = Presentation(("a",), ())
         with pytest.raises(ValueError):
             check_homomorphism(p, {}, free_target_oracle())
+
+    def test_long_relators_match_wordwise_product(self):
+        # relators of 200 letters or more; the images of a b and of b c
+        # cancel across the letter boundary, and a b c maps to 1, so its
+        # conjugates form relators that the map kills
+        rng = random.Random(24)
+        images = {"a": word("x", "y"), "b": word("y-", "x-", "z"), "c": word("z-")}
+
+        def random_word(n):
+            return reduce_word((rng.choice("abc"), rng.choice((1, -1))) for _ in range(n))
+
+        conjugates = [reduce_word(w.letters + word("a", "b", "c").letters + w.inverse().letters)
+                      for w in (random_word(300) for _ in range(10))]
+        generic = [random_word(400) for _ in range(10)]
+        assert min(map(len, conjugates + generic)) >= 200
+        for rels in (conjugates, generic, conjugates + generic):
+            pres = Presentation(("a", "b", "c"), tuple(rels))
+            seen, seen_wordwise = [], []
+            assert check_homomorphism(pres, images, lambda w: seen.append(w) or True)
+            assert check_homomorphism_wordwise(pres, images, lambda w: seen_wordwise.append(w) or True)
+            assert seen == seen_wordwise
+            for target in (free_target_oracle(), free_abelian_target_oracle()):
+                assert (check_homomorphism(pres, images, target)
+                        == check_homomorphism_wordwise(pres, images, target) == (rels is conjugates))
 
 
 class TestTable:

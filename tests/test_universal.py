@@ -322,8 +322,17 @@ class TestMaxsetPresentation:
         pres = maxset_presentation(data)
         assert abelian_invariants(pres) == (2, [])
 
-    def test_partial_action_labels(self):
-        data = partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5)
+    @pytest.mark.parametrize("basis, window, bound", [
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 1),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 16),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(0)), 5),
+        ((QR(9), TAU - 1), WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))]), 5),
+        ((QR(1), QR.sqrt_of(2)), WindowSet.interval(QR(0), QR.sqrt_of(2) - 1), 5),
+    ], ids=["unit-b5", "unit-b1", "unit-b16", "no-interior", "obstruction", "sqrt2"])
+    def test_partial_action_labels(self, basis, window, bound):
+        # a harvest read as its own table keeps its elements as generators
+        data = partial_action_data(basis, window, bound)
         pairs = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations]
         assert maxset_presentation(data) == presentation_from_pairs([str(g) for g in data.elements], pairs)
 

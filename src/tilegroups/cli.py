@@ -11,6 +11,7 @@ and 2 bad input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
@@ -86,32 +87,16 @@ class CaseConfig:
 @cache
 def reference_cases() -> Mapping[str, CaseConfig]:
     tau = golden_ratio()
-    return MappingProxyType({
-        "fib": CaseConfig(
-            "fib",
-            SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a"),
-            LengthFunction({"a": tau, "b": QR(1)}),
-            "Z^2", "Z^2",
-        ),
-        "periodic-ab-2-1": CaseConfig(
-            "periodic-ab-2-1",
-            SequenceSpec("periodic", word="ab"),
-            LengthFunction({"a": QR(2), "b": QR(1)}),
-            "Z^2", "Z",
-        ),
-        "splice-irrational": CaseConfig(
-            "splice-irrational",
-            SequenceSpec("spliced", left="a", right="b"),
-            LengthFunction({"a": tau, "b": QR(1)}),
-            "FG_2", "Z",
-        ),
-        "splice-rational-3-2": CaseConfig(
-            "splice-rational-3-2",
-            SequenceSpec("spliced", left="a", right="b"),
-            LengthFunction({"a": QR(3), "b": QR(2)}),
-            None, None,
-        ),
-    })
+    return MappingProxyType({case.name: case for case in (
+        CaseConfig("fib", SequenceSpec("substitution", rule={"a": "ab", "b": "a"}, seed="a"),
+                   LengthFunction({"a": tau, "b": QR(1)}), "Z^2", "Z^2"),
+        CaseConfig("periodic-ab-2-1", SequenceSpec("periodic", word="ab"),
+                   LengthFunction({"a": QR(2), "b": QR(1)}), "Z^2", "Z"),
+        CaseConfig("splice-irrational", SequenceSpec("spliced", left="a", right="b"),
+                   LengthFunction({"a": tau, "b": QR(1)}), "FG_2", "Z"),
+        CaseConfig("splice-rational-3-2", SequenceSpec("spliced", left="a", right="b"),
+                   LengthFunction({"a": QR(3), "b": QR(2)}), None, None),
+    )})
 
 
 def case_pointset(case: CaseConfig, half_width: int) -> PointSet1D:
@@ -517,21 +502,24 @@ def suite_table() -> list[Check]:
     return checks
 
 
-# each suite with the names of the verify options it takes
+# each suite with the names of the verify options it takes: its parameters
 SUITES: dict[str, tuple[Callable[..., list[Check]], tuple[str, ...]]] = {
-    "semigroup-axioms": (suite_semigroup_axioms, ("seed",)),
-    "empire": (suite_empire, ("pairs", "seed", "box_bound")),
-    "modelset-vs-substitution": (suite_modelset_vs_substitution, ("radius",)),
-    "partial-action": (suite_partial_action, ()),
-    "obstruction": (suite_obstruction, ("coeff_bound",)),
-    "language-free": (suite_language_free, ()),
-    "table": (suite_table, ()),
+    name: (suite, tuple(inspect.signature(suite).parameters)) for name, suite in (
+        ("semigroup-axioms", suite_semigroup_axioms),
+        ("empire", suite_empire),
+        ("modelset-vs-substitution", suite_modelset_vs_substitution),
+        ("partial-action", suite_partial_action),
+        ("obstruction", suite_obstruction),
+        ("language-free", suite_language_free),
+        ("table", suite_table),
+    )
 }
 
 
 def run_suite(name: str, args: argparse.Namespace) -> list[Check]:
     suite, options = SUITES[name]
-    return suite(**{option: getattr(args, option) for option in options})
+    # an option that args leaves out keeps the suite's own default
+    return suite(**{option: getattr(args, option) for option in options if hasattr(args, option)})
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +619,6 @@ def cmd_present(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     all_checks = []
-    failed = 0
     for name in names:
         t0 = time.perf_counter()
         checks = run_suite(name, args)
@@ -644,9 +631,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(line)
             all_checks.append({"suite": name, "check": c.name,
                                "passed": c.passed, "detail": c.detail})
-            if not c.passed:
-                failed += 1
         print(f"-- suite {name} finished in {elapsed:.2f}s")
+    failed = sum(not c["passed"] for c in all_checks)
     if args.out:
         _write_out({"checks": all_checks, "failed": failed}, args.out)
     return 0 if failed == 0 else 1
@@ -683,11 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", default="all", choices=["all", *SUITES])
-    ver.add_argument("--pairs", type=int, default=100)
-    ver.add_argument("--radius", type=int, default=50)
-    ver.add_argument("--box-bound", type=int, default=60)
-    ver.add_argument("--coeff-bound", type=int, default=5)
-    ver.add_argument("--seed", type=int, default=0)
+    # each suite parameter once, with no default of its own (run_suite)
+    for option in dict.fromkeys(option for _, options in SUITES.values() for option in options):
+        ver.add_argument(_option(option), type=int, default=argparse.SUPPRESS)
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -602,15 +602,17 @@ def triple_natural_leq(x: WindowTriple, y: WindowTriple) -> bool:
 def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: QR) -> WindowTriple:
     """Image of a placed pattern class under the window functor.
 
-    The placement witness is only checked, never used: the image window,
-    P* translated by the out-point star, is the pattern window of the
-    pattern re-anchored at its out point, which is translation invariant.
+    The image is translation invariant: the shift is star(out - in) and the
+    window, P* translated by the out-point star, is the pattern window of
+    the pattern re-anchored at its out point.  Star is additive on the
+    lattice, so both are read off the stars of the placed points, which the
+    placement check solves once.
     """
-    placed = [o + placement for o in pattern.offsets]
-    _modelset_stars(scheme, placed)
-    out = pattern.out_value
-    shift = star(scheme, out - pattern.in_value)
-    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
+    c, d, _, _ = scheme._frame
+    stars = _modelset_stars(scheme, [o + placement for o in pattern.offsets])
+    (oa, ob), (ia, ib) = stars[pattern.out_index], stars[pattern.in_index]
+    window = _window_of_stars(scheme, [(a - oa, b - ob) for a, b in stars])
+    return WindowTriple(_make(oa - ia, ob - ib, c, d), _window_set(window, c, d))
 
 
 # ---------------------------------------------------------------------------

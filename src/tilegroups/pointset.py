@@ -8,9 +8,11 @@ and decompositions can be replayed in tests.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from types import MappingProxyType
 
 from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .presentation import hnf
@@ -20,9 +22,9 @@ from .sequences import IndexedWord, TruncationError
 @dataclass(frozen=True)
 class LengthFunction:
     """Letter -> strictly positive exact length; distinct letters get
-    distinct lengths."""
+    distinct lengths.  The lengths are kept as a read-only copy."""
 
-    lengths: dict[str, QR]
+    lengths: Mapping[str, QR]
 
     def __post_init__(self):
         vals = list(self.lengths.values())
@@ -31,6 +33,7 @@ class LengthFunction:
                 raise ValueError("tile lengths must be strictly positive")
         if len(set(vals)) != len(vals):
             raise ValueError("length function must be injective")
+        object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
 
     def __getitem__(self, letter: str) -> QR:
         return self.lengths[letter]

@@ -9,7 +9,9 @@ result carries its truncation.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Optional
 
 
@@ -111,7 +113,7 @@ class SequenceSpec:
     """
 
     kind: str
-    rule: Optional[dict[str, str]] = None
+    rule: Optional[Mapping[str, str]] = None
     seed: Optional[str] = None
     seed_left: Optional[str] = None
     word: Optional[str] = None
@@ -123,9 +125,12 @@ class SequenceSpec:
             value = getattr(self, f.name)
             if f.name != "rule" and value is not None and not isinstance(value, str):
                 raise ValueError(f"spec field {f.name!r} must be a string")
-        if self.rule is not None and not (isinstance(self.rule, dict) and all(
-                isinstance(k, str) and len(k) == 1 and isinstance(v, str) for k, v in self.rule.items())):
-            raise ValueError("spec rule must map letters to words")
+        if self.rule is not None:
+            if not (isinstance(self.rule, Mapping) and all(
+                    isinstance(k, str) and len(k) == 1 and isinstance(v, str) for k, v in self.rule.items())):
+                raise ValueError("spec rule must map letters to words")
+            # a read-only copy: no later change to the caller's mapping reaches the spec
+            object.__setattr__(self, "rule", MappingProxyType(dict(self.rule)))
         if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         unread = [f.name for f in fields(self)[1:]
@@ -149,8 +154,10 @@ class SequenceSpec:
 
     # JSON form, e.g. {"kind":"substitution","rule":{"a":"ab","b":"a"},"seed":"a"}
     def to_json(self) -> str:
-        # a built spec has every field of its kind set, and no other
-        return json.dumps({"kind": self.kind} | {name: getattr(self, name) for name in _KIND_FIELDS[self.kind]})
+        # a built spec has every field of its kind set, and no other; the
+        # read-only rule is written as the dict it copies
+        return json.dumps({"kind": self.kind} | {name: getattr(self, name) for name in _KIND_FIELDS[self.kind]},
+                          default=dict)
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceSpec":

@@ -53,7 +53,11 @@ letter-count vectors first and raises ``ExpansionCapped`` beyond
 sqrt(d).  ``check_homomorphism_wordwise`` is ``check_homomorphism``
 multiplying the image words one relator letter at a time, each product
 freely reduced again, before it reduced the concatenated image letters
-once.
+once.  ``project_functor_composed`` is ``project_functor`` composed of
+the placement check, ``star`` of out - in and ``pattern_window`` of the
+pattern re-anchored at its out point, which solve every point three
+times, before the shift and the window were read off the star pairs of
+the placement check.
 
 The ``window_*_qr`` functions are ``WindowSet``'s operations on exact
 ``QuadraticRational`` ends (``translate``, ``intersect`` as one merge
@@ -82,6 +86,9 @@ from tilegroups.modelset import (
     EmpireBruteResult,
     PartialActionData,
     WindowSet,
+    WindowTriple,
+    _modelset_stars,
+    pattern_window,
     star,
 )
 from tilegroups.patterns import (
@@ -659,6 +666,15 @@ def check_homomorphism_wordwise(
         if not target_is_trivial(out):
             return False
     return True
+
+
+def project_functor_composed(scheme: CutProjectScheme, pattern: PatternClass, placement: QR) -> WindowTriple:
+    """Image of a placed pattern class under the window functor."""
+    placed = [o + placement for o in pattern.offsets]
+    _modelset_stars(scheme, placed)
+    out = pattern.out_value
+    shift = star(scheme, out - pattern.in_value)
+    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
 
 
 def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:

@@ -207,6 +207,14 @@ class TestGenerate:
         with pytest.raises(TypeError):
             reference_cases()["fib"] = None
 
+    def test_cases_read_only_all_the_way_down(self):
+        case = reference_cases()["fib"]
+        with pytest.raises(TypeError):
+            case.spec.rule["a"] = "ba"
+        with pytest.raises(TypeError):
+            case.lengths.lengths["c"] = QR(3)
+        assert case.spec.rule == {"a": "ab", "b": "a"}
+
 
 SPEC_KEYS = ("kind", "rule", "seed", "seed_left", "word", "left", "right", "foo")
 WORDS = st.text("abc", max_size=3)  # c never has a length
@@ -456,6 +464,26 @@ class TestVerify:
             "language-free": {},
             "table": {},
         }
+
+    def test_left_out_option_reaches_no_suite(self, monkeypatch):
+        # verify's suite options are the suites' parameters, each with a default
+        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+        options = {action.dest for action in verify._actions} - {"help", "suite", "out"}
+        assert options == {option for _, suite_options in cli.SUITES.values() for option in suite_options}
+        for suite, _ in cli.SUITES.values():
+            for parameter in inspect.signature(suite).parameters.values():
+                assert parameter.default is not inspect.Parameter.empty, parameter
+
+        # the suite keeps its own default for every option not given
+        seen = {}
+
+        def record(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setitem(cli.SUITES, "empire", (record, cli.SUITES["empire"][1]))
+        assert main(["verify", "--suite", "empire", "--seed", "3"]) == 0
+        assert seen == {"seed": 3}
 
     def test_suites_take_exactly_their_options(self):
         # every suite parameter is a verify option, so no setting is left

@@ -11,6 +11,7 @@ from reference_kernels import (
     obstruction_grade_qr,
     partial_action_box,
     pattern_window_qr,
+    project_functor_composed,
     window_contains_qr,
     window_has_interior_qr,
     window_intersect_pairwise,
@@ -755,6 +756,29 @@ class TestFunctor:
         with pytest.raises(ValueError):
             project_functor(fibonacci_scheme(),
                             pattern_class([QR(0), QR(1), QR(2)], QR(0), QR(0)), QR(0))
+
+
+FUNCTOR_SCHEMES = {**EMPIRE_SCHEMES, "negative-p2-i2": _negative_p2_i2_scheme(),
+                   "three-components": _three_component_scheme(), "wide-field": _wide_field_scheme()}
+
+
+@pytest.mark.parametrize("scheme", FUNCTOR_SCHEMES.values(), ids=FUNCTOR_SCHEMES)
+def test_project_functor_matches_composition(scheme):
+    # shift and window read off the placed points' stars equal star(out - in)
+    # and the pattern window re-anchored at out, on seeded 1-to-4-point
+    # patterns placed at their least point
+    points = modelset_points(scheme, QR(40))
+    rng = random.Random(11)
+    for _ in range(60):
+        values = rng.sample(points, min(len(points), rng.randint(1, 4)))
+        pat = pattern_class(values, rng.choice(values), rng.choice(values))
+        placement = min(values)
+        assert project_functor(scheme, pat, placement) == project_functor_composed(scheme, pat, placement), values
+    # a lattice translate whose star lies far outside every window
+    off = placement + scheme.v1.phys * 10**6
+    for functor in (project_functor, project_functor_composed):
+        with pytest.raises(ValueError, match="not in the model set"):
+            functor(scheme, pat, off)
 
 
 class TestPartialActionData:

@@ -92,6 +92,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             LengthFunction({"a": QR(1), "b": QR(1)})
 
+    def test_lengths_are_a_read_only_copy(self):
+        table = {"a": TAU, "b": QR(1)}
+        lengths = LengthFunction(table)
+        with pytest.raises(TypeError):
+            lengths.lengths["a"] = QR(2)
+        table["a"] = QR(2)
+        table["c"] = QR(3)
+        assert lengths.lengths == {"a": TAU, "b": QR(1)} and lengths["a"] == TAU
+
     def test_membership_outside_truncation_raises(self):
         ps = fib_ps(4)
         with pytest.raises(TruncationError):

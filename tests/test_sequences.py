@@ -241,6 +241,18 @@ class TestSpecPlumbing:
         spec = SequenceSpec.from_json('{"kind":"substitution","rule":{"a":"ab","b":"a"},"seed":"a"}')
         assert spec.rule == FIB and spec.seed == "a"
 
+    def test_rule_is_a_read_only_copy(self):
+        rule = {"a": "ab", "b": "a"}
+        spec = SequenceSpec("substitution", rule=rule, seed="a")
+        with pytest.raises(TypeError):
+            spec.rule["a"] = "ba"
+        rule["a"] = "ba"
+        rule["c"] = "c"
+        assert spec.rule == FIB
+        assert spec.to_json() == '{"kind": "substitution", "rule": {"a": "ab", "b": "a"}, "seed": "a", "seed_left": "a"}'
+        # a spec is rebuilt from another's read-only rule
+        assert SequenceSpec("substitution", rule=spec.rule, seed="a") == spec
+
     def test_indexed_word_bounds(self):
         w = IndexedWord(-2, "abcde")
         assert w.at(-2) == "a" and w.at(2) == "e"

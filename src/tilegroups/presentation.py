@@ -121,16 +121,21 @@ def presentation_from_pairs(
     generators: Sequence[str],
     pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
 ) -> Presentation:
-    """Relators u * v^-1 from ordered pairs of positive words (reduction
-    cancels their common suffix); trivial ones dropped, duplicates kept once."""
+    """Relators u * v^-1 from ordered pairs of positive words, cut to their
+    cyclic core: free reduction cancels the common suffix, and the common
+    prefix p goes too, since p u' v'^-1 p^-1 is a conjugate of u' v'^-1 and
+    has the same normal closure.  Trivial ones dropped, duplicates kept once."""
     relators: list[FreeWord] = []
     seen = set()
     for u, v in pairs:
         i, j = len(u), len(v)
         while i and j and u[i - 1] == v[j - 1]:
             i, j = i - 1, j - 1
-        key = (tuple(u[:i]), tuple(v[:j]))
-        if (i or j) and key not in seen:
+        k = 0
+        while k < i and k < j and u[k] == v[k]:
+            k += 1
+        key = (tuple(u[k:i]), tuple(v[k:j]))
+        if any(key) and key not in seen:
             seen.add(key)
             relators.append(_word(tuple(zip(key[0], repeat(1))) + tuple(zip(reversed(key[1]), repeat(-1)))))
     return Presentation(tuple(generators), tuple(relators))

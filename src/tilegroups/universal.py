@@ -3,7 +3,8 @@
 (strings with in/out accents), and the universal-group presentation of
 a partial operation, from a difference table or a partial-action
 harvest: one generator per element and one relation x y = z per defined
-product, built by ``presentation_from_pairs``.
+product that a small step set does not derive from the others, built by
+``presentation_from_pairs``.
 
 The harvest reports every pair of equal-length factors, but presents
 each length class by one relator u0 v^-1 per non-least factor v, u0 the
@@ -198,13 +199,51 @@ def universal_group_of_language(lang: FactorLanguage) -> tuple[Presentation, int
 # presentations from partial-operation tables
 
 
+STEPS = 7  # size of the step set: the values of least (|v|, v)
+
+
+def _table_derivations(entries: dict, rank) -> dict:
+    """Derivations of table entries from a step set S, the values of the
+    ``STEPS`` least ranks.  The table maps (x, y) to z for x y = z, and
+    ``rank[v]`` numbers its values from 0.  Entry (x, y) -> z with y outside S
+    maps to (j, s) when (j, s) -> y, (x, j) -> t and (t, s) -> z are entries,
+    s is in S and rank(j) < rank(y).  Then x y = x (j s) = (x j) s = t s = z:
+    j s = y and t s = z are entries with s in S, which are never derived, and
+    x j = t holds by induction on the rank of the second factor.  So the
+    entries with no derivation present the same group as the whole table."""
+    steps: dict = {}  # y outside S -> its (j, s) with s in S, rank(j) < rank(y)
+    for (j, s), y in entries.items():
+        if rank[s] < STEPS <= rank[y] and rank[j] < rank[y]:
+            steps.setdefault(y, []).append((j, s))
+    derived = {}
+    for (x, y), z in entries.items():
+        for j, s in steps.get(y, ()):
+            t = entries.get((x, j))
+            if t is not None and entries.get((t, s)) == z:
+                derived[x, y] = j, s
+                break
+    return derived
+
+
 def maxset_presentation(source) -> Presentation:
     """Presentation of the universal group of a finite partial operation,
     given as its table ``((x, y), z)`` per defined product x y = z: a
     chained-difference table (``maxset_table``) or a partial-action harvest
     (``PartialActionData.items``).  One generator per value occurring in
     the table, in ascending order and labelled by the exact value, and one
-    relation x y = z per entry, in the table's own order."""
-    label = {g: str(g) for g in sorted({v for (x, y), z in source.items() for v in (x, y, z)})}
+    relation x y = z per entry that ``_table_derivations`` does not derive,
+    in the table's own order.  A table of at most ``STEPS`` values keeps
+    every entry, and its values need no absolute value."""
+    index: dict = {}  # value -> id, each value hashed once per occurrence
+    entries = {(index.setdefault(x, len(index)), index.setdefault(y, len(index))): index.setdefault(z, len(index))
+               for (x, y), z in source.items()}
+    values = list(index)
+    derived = {}
+    if len(values) > STEPS:  # else every value is a step and nothing is derived
+        ranked = sorted(range(len(values)), key=lambda i: (abs(values[i]), values[i]))
+        derived = _table_derivations(entries, {i: r for r, i in enumerate(ranked)})
+    label = [str(v) for v in values]
+    order = sorted(range(len(values)), key=values.__getitem__)
     return presentation_from_pairs(
-        list(label.values()), [([label[x], label[y]], [label[z]]) for (x, y), z in source.items()])
+        [label[i] for i in order],
+        [([label[x], label[y]], [label[z]]) for (x, y), z in entries.items() if (x, y) not in derived])

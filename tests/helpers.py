@@ -1,6 +1,7 @@
 """Helpers only the tests use: a value-keyed difference lookup, the exact
 length of a word letter by letter, the identity pattern class, exponent
-sums of a word and two triviality predicates for check_homomorphism."""
+sums of a word, two triviality predicates for check_homomorphism, the
+cyclic reduction of a word and the ordered sub-list test."""
 
 from typing import Callable
 
@@ -38,3 +39,18 @@ def free_abelian_target_oracle() -> Callable[[FreeWord], bool]:
     """Triviality in a free abelian group: all exponent sums vanish.
     With a single target generator this is triviality in Z."""
     return lambda word: all(exponent_sum(word, g) == 0 for g in word.generators())
+
+
+def cyclic_reduction(word: FreeWord) -> FreeWord:
+    """Strip letters from both ends of a reduced word while the first is
+    the inverse of the last."""
+    letters = word.letters
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return FreeWord(letters)
+
+
+def is_ordered_sublist(small, large) -> bool:
+    """Every item of small occurs in large, in the same order."""
+    rest = iter(large)
+    return all(item in rest for item in small)

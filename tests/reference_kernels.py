@@ -24,7 +24,9 @@ U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.  ``harvest_presentation_all_pairs``
 is the presentation the equal-length harvest built before it took one
-spanning star per length class: one relator per harvested pair.
+spanning star per length class: one relator per harvested pair, and
+``maxset_presentation_all_pairs`` the table presentation before it left
+out the entries a step set derives: one relator per table entry.
 ``harvest_exact_sums`` is the equal-length harvest that groups the Parikh
 vectors by exact ``QuadraticRational`` length sums, before the grouping
 moved onto integer pairs, and ``window_intersect_pairwise`` is
@@ -274,6 +276,17 @@ def harvest_presentation_all_pairs(report: HarvestReport) -> Presentation:
     harvested pair (u, v) of equal-length factors."""
     return presentation_from_pairs(report.presentation.generators,
                                    [(u, v) for u, v, _ in report.pairs])
+
+
+def maxset_presentation_all_pairs(source) -> Presentation:
+    """Presentation of the universal group of a finite partial operation,
+    given as its table ``((x, y), z)`` per defined product x y = z: one
+    generator per value occurring in the table, in ascending order and
+    labelled by the exact value, and one relation x y = z per entry, in the
+    table's own order."""
+    label = {g: str(g) for g in sorted({v for (x, y), z in source.items() for v in (x, y, z)})}
+    return presentation_from_pairs(
+        list(label.values()), [([label[x], label[y]], [label[z]]) for (x, y), z in source.items()])
 
 
 def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: int) -> HarvestReport:

@@ -12,7 +12,7 @@ from tilegroups import cli, modelset, patterns, presentation, sequences
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
-from tilegroups.presentation import certificate_free_abelian
+from tilegroups.presentation import Presentation, certificate_free_abelian, reduce_word, tietze_simplify
 from tilegroups.sequences import two_sided_window
 from tilegroups.universal import harvest_equal_length_relations
 
@@ -308,6 +308,26 @@ class TestPresent:
         statement = build_case_report(case, 20, 8)["universal_group"]["statement"]
         assert len(calls) == (1 if pres.relators else 0)
         assert (statement == f"Z^{rank} certificate") == (rank is not None)
+
+    @pytest.mark.parametrize("name", list(reference_cases()))
+    def test_certified_report_simplifies_to_commutators(self, name):
+        # a Z^n certificate reports the commutators of the harvest's
+        # generators, a presentation that certifies Z^n itself; every other
+        # statement reports Tietze's fixed point
+        case = reference_cases()[name]
+        pres = harvest_equal_length_relations(two_sided_window(case.spec, 40), case.lengths, 12).presentation
+        group = build_case_report(case, 40, 12)["universal_group"]
+        assert group["relators"] == len(pres.relators)
+        gens = pres.generators
+        commutators = Presentation(gens, tuple(reduce_word([(a, 1), (b, 1), (a, -1), (b, -1)])
+                                               for i, a in enumerate(gens) for b in gens[i + 1:]))
+        certified = group["statement"] == f"Z^{len(gens)} certificate"
+        assert certified == (name in ("fib", "periodic-ab-2-1"))
+        if certified:
+            assert group["simplified"] == str(commutators)
+            assert certificate_free_abelian(commutators) == len(gens)
+        else:
+            assert group["simplified"] == str(tietze_simplify(pres))
 
     def test_splice_flag_present(self):
         rep = build_case_report(reference_cases()["splice-irrational"], 20, 10)

@@ -118,6 +118,13 @@ CHECKS = [
      ValueError, "accent position out of range"),
     ("decomposing a string not end-accented", lambda: decompose_into_two_letter(AccentString("ab", 1, 0)),
      ValueError, "decomposition applies to end-accented strings"),
+    # one end accented, the other not: each end is checked on its own
+    ("decomposing a string accented out at its start only",
+     lambda: decompose_into_two_letter(AccentString("abc", 0, 1)),
+     ValueError, "decomposition applies to end-accented strings"),
+    ("decomposing a string accented in at its end only",
+     lambda: decompose_into_two_letter(AccentString("abc", 1, 2)),
+     ValueError, "decomposition applies to end-accented strings"),
     ("chain that does not compose",
      lambda: compose_chain([AccentString("ab", 0, 1), AccentString("ab", 0, 1)], language(4)),
      ValueError, "chain does not compose"),

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import word_length
-from reference_kernels import accent_multiply_glue, harvest_exact_sums, harvest_presentation_all_pairs
+from helpers import cyclic_reduction, is_ordered_sublist, word_length
+from reference_kernels import (accent_multiply_glue, harvest_exact_sums, harvest_presentation_all_pairs,
+                               maxset_presentation_all_pairs)
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
@@ -27,7 +28,9 @@ from tilegroups.sequences import (
     two_sided_window,
 )
 from tilegroups.universal import (
+    STEPS,
     AccentString,
+    _table_derivations,
     accent_inverse,
     accent_is_idempotent,
     accent_max_above,
@@ -49,6 +52,16 @@ FIB_LEN = LengthFunction({"a": TAU, "b": QR(1)})
 
 
 SQRT2 = QR.sqrt_of(2)
+SQRT3 = QR.sqrt_of(3)
+PARTIAL_ACTIONS = [
+    ((QR(1), TAU), WindowSet.interval(QR(0), QR(1))),
+    ((QR(1), TAU), WindowSet.interval(QR(0), TAU)),
+    ((QR(2), TAU), WindowSet.normalized([(QR(0), QR(1)), (QR(3), TAU + 2)])),
+    ((QR(9), TAU - 1), WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))])),
+    ((QR(1), SQRT2), WindowSet.interval(QR(0), SQRT2 - 1)),
+    ((QR(1), SQRT2), WindowSet.interval(QR(0), QR(Fraction(3, 2)))),
+    ((SQRT3, QR(1)), WindowSet.normalized([(QR(0), SQRT3), (QR(3), QR(4))])),
+]
 HARVEST_LENGTHS = (
     LengthFunction({"a": QR(3), "b": QR(2), "c": QR(1)}),
     LengthFunction({"a": SQRT2, "b": QR(1), "c": SQRT2 / 2 + QR(Fraction(1, 2))}),
@@ -105,7 +118,7 @@ class TestHarvest:
         # grouping every factor by its own exact length gives the same
         # pairs, in the same order; each pair's relator u v^-1 is, in the
         # free group, the quotient of two relators of the class's spanning
-        # star, which are all in the presentation
+        # star, which are all in the presentation, cyclically reduced
         config = reference_cases()[case]
         window = two_sided_window(config.spec, 60)
         rep = harvest_equal_length_relations(window, config.lengths, 14)
@@ -123,7 +136,7 @@ class TestHarvest:
             u0 = min(by_length[length])
             star_u, star_v = quotient(u0, u), quotient(u0, v)
             assert (star_u.inverse() * star_v) == quotient(u, v)
-            assert {star_u, star_v} - {FreeWord()} <= relators
+            assert {cyclic_reduction(star_u), cyclic_reduction(star_v)} - {FreeWord()} <= relators
 
     @pytest.mark.parametrize("half_width, max_len", [(60, 14), (400, 30)])
     @pytest.mark.parametrize("case", sorted(reference_cases()))
@@ -331,19 +344,51 @@ class TestMaxsetPresentation:
         ((QR(1), QR.sqrt_of(2)), WindowSet.interval(QR(0), QR.sqrt_of(2) - 1), 5),
     ], ids=["unit-b5", "unit-b1", "unit-b16", "no-interior", "obstruction", "sqrt2"])
     def test_partial_action_labels(self, basis, window, bound):
-        # a harvest read as its own table keeps its elements as generators
+        # a harvest read as its own table keeps its elements as generators,
+        # and the all-pairs relators of the entries that have no derivation
         data = partial_action_data(basis, window, bound)
-        pairs = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations]
-        assert maxset_presentation(data) == presentation_from_pairs([str(g) for g in data.elements], pairs)
+        pres, oracle = maxset_presentation(data), maxset_presentation_all_pairs(data)
+        assert pres.generators == oracle.generators == tuple(map(str, data.elements))
+        assert is_ordered_sublist(pres.relators, oracle.relators)
+        derived = replayed_derivations(dict(data.items()))
+        kept = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations if (g, gp) not in derived]
+        assert pres.relators == presentation_from_pairs(pres.generators, kept).relators
+        # here every table of more values than steps derives some entry
+        assert bool(derived) == (len(data.elements) > STEPS)
 
     def test_table_generators_in_value_order(self):
         # one generator per value in the table, in ascending value order
-        # (not string order), and one relator per entry in the table's order
+        # (not string order), and the entries' relators in the table's order
         ps = build_pointset(two_sided_window(FIB_SPEC, 15), FIB_LEN)
         table = maxset_table(ps, TAU + 1)
         values = sorted({v for (x, y), z in table.items() for v in (x, y, z)})
         pres = maxset_presentation(table)
         assert pres.generators == tuple(map(str, values))
         assert list(pres.generators) != sorted(pres.generators)
-        pairs = [([str(x), str(y)], [str(z)]) for (x, y), z in table.items()]
-        assert pres.relators == presentation_from_pairs(pres.generators, pairs).relators
+        assert is_ordered_sublist(pres.relators, maxset_presentation_all_pairs(table).relators)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PARTIAL_ACTIONS), st.integers(1, 12))
+    def test_derived_presentation_matches_all_pairs(self, action, bound):
+        # bases and windows over Q(sqrt5), Q(sqrt2) and Q(sqrt3), the
+        # obstruction suite's among them: the same abelianization as every
+        # entry, and every derivation replays
+        basis, window = action
+        data = partial_action_data(basis, window, bound)
+        replayed_derivations(dict(data.items()))
+        assert abelian_invariants(maxset_presentation(data)) == abelian_invariants(
+            maxset_presentation_all_pairs(data))
+
+
+def replayed_derivations(table: dict) -> dict:
+    """The derivations of the table's entries under the ranking by
+    (|v|, v), each checked: (j, s) -> y, (x, j) -> t and (t, s) -> z are
+    entries, s is a step and j ranks below y."""
+    ranked = sorted({v for (x, y), z in table.items() for v in (x, y, z)}, key=lambda v: (abs(v), v))
+    rank = {v: r for r, v in enumerate(ranked)}
+    derived = _table_derivations(table, rank)
+    for (x, y), (j, s) in derived.items():
+        z = table[x, y]
+        assert table[j, s] == y and rank[s] < STEPS <= rank[y] and rank[j] < rank[y]
+        assert table[table[x, j], s] == z
+    return derived

@@ -324,24 +324,25 @@ class QuadraticRational:
         return cls(rat, surd, disc)
 
     def __str__(self):
-        # "p/q+r/s*sqrt(d)" with each part in lowest terms, omitting a zero
-        # rational part, a denominator 1 and a surd coefficient 1
-        a, b, c, d = self._q
-        if not b:
-            return _ratio_text(a, c)
-        coef = _ratio_text(abs(b), c)
-        surd_txt = f"sqrt({d})" if coef == "1" else f"{coef}*sqrt({d})"
-        sign = "-" if b < 0 else "+" if a else ""
-        return f"{_ratio_text(a, c) if a else ''}{sign}{surd_txt}"
+        return pair_text(*self._q)
 
     def __repr__(self):
         return f"QuadraticRational({self.rat!r}, {self.surd!r}, {self.disc})"
 
 
-def _ratio_text(p: int, q: int) -> str:
-    """p/q in lowest terms as ``str(Fraction(p, q))`` prints it, for q > 0."""
-    g = math.gcd(p, q)
-    return str(p // g) if q == g else f"{p // g}/{q // g}"
+def pair_text(a: int, b: int, c: int, d: int) -> str:
+    """(a + b*sqrt(d))/c for c > 0 as "p/q+r/s*sqrt(d)", each part in lowest
+    terms as ``str(Fraction(.., c))`` prints it, omitting a zero rational
+    part, a denominator 1 and a surd coefficient 1; (a, b, c) need not be
+    normalised, and d is not read when b == 0.  The one printing path:
+    ``str`` of a value and the point-set dump."""
+    g = math.gcd(a, c)
+    text = str(a // g) if g == c else f"{a // g}/{c // g}"
+    if not b:
+        return text
+    g = math.gcd(b, c)
+    coef = "" if g == c == abs(b) else f"{abs(b) // g}*" if g == c else f"{abs(b) // g}/{c // g}*"
+    return f"{text if a else ''}{'-' if b < 0 else '+' if a else ''}{coef}sqrt({d})"
 
 
 def common_denominator(values) -> tuple[int, int, list[tuple[int, int]]]:

@@ -8,13 +8,14 @@ and decompositions can be replayed in tests.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 
-from .exactnum import QuadraticRational as QR, _make, common_denominator
+from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator, pair_text
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
@@ -43,7 +44,10 @@ class PointSet1D:
     """Points r_i with r_i - r_{i-1} = |T(i)| over a finite window of T.
 
     The window covers indices [start, start+n), so points r_{start-1}
-    through r_{start+n-1} are materialised, with r_0 = 0.
+    through r_{start+n-1} are materialised, with r_0 = 0.  They are kept
+    in one integer frame ``(c, d, [(a, b), ...])``, the point r_i being
+    (a + b*sqrt(d))/c; ``points`` builds the exact values on first read,
+    so a dump, ``len`` and ``diff_set`` build none.
     """
 
     def __init__(self, window: IndexedWord, lengths: LengthFunction):
@@ -61,22 +65,27 @@ class PointSet1D:
         step, left = dict(zip(used, steps)), window.letters[:1 - window.start_index]
         a = -sum(left.count(x) * step[x][0] for x in used)
         b = -sum(left.count(x) * step[x][1] for x in used)
-        points = [_make(a, b, c, d)]
+        pairs = [(a, b)]
         for letter in window.letters:
             da, db = step[letter]
             a, b = a + da, b + db
-            points.append(_make(a, b, c, d))
+            pairs.append((a, b))
         self.min_index, self.max_index = lo, hi
-        self.points: list[QR] = points
+        self.frame: tuple[int, int, list[tuple[int, int]]] = (c, d, pairs)
+
+    @cached_property
+    def points(self) -> list[QR]:
+        c, d, pairs = self.frame
+        return [_make(a, b, c, d) for a, b in pairs]
 
     @cached_property
     def _index_of(self) -> dict[QR, int]:
-        """Point -> index, built on the first lookup: a dump that never
-        looks a point up never hashes its points."""
+        """Point -> index, built on the first lookup: a dump or a
+        difference set never hashes a point."""
         return {v: i + self.min_index for i, v in enumerate(self.points)}
 
     def __len__(self):
-        return len(self.points)
+        return len(self.frame[2])
 
     def values(self) -> list[QR]:
         return list(self.points)
@@ -92,10 +101,12 @@ class PointSet1D:
         return self.points[index - self.min_index]
 
     def max_gap(self) -> QR:
-        return max(b - a for a, b in zip(self.points, self.points[1:]))
+        """The longest tile the window uses: every gap r_i - r_{i-1} is |T(i)|."""
+        return max(self.lengths[x] for x in set(self.window.letters))
 
     def to_json_dict(self) -> dict:
-        return {"anchor": "0", "points": [str(p) for p in self.points]}
+        c, d, pairs = self.frame
+        return {"anchor": "0", "points": [pair_text(a, b, c, d) for a, b in pairs]}
 
 
 def build_pointset(window: IndexedWord, lengths: LengthFunction) -> PointSet1D:
@@ -122,8 +133,14 @@ def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:
     if bound.sign() <= 0:
         raise ValueError("bound must be positive")
     base = ps.min_index
-    # integer pairs over one denominator; one value per distinct difference
-    c, d, ((ba, bb), *pts) = common_denominator([bound] + ps.points)
+    # the point set's integer pairs, over the bound's denominator too; one
+    # value per distinct difference
+    c, d, pts = ps.frame
+    (ba, bb, bc), d = bound.triple, _joint_disc(d, bound.disc)
+    if c % bc:
+        k = bc // math.gcd(c, bc)  # c * k = lcm(c, bc)
+        c, pts = c * k, [(a * k, b * k) for a, b in pts]
+    ba, bb = ba * (c // bc), bb * (c // bc)
     sign = QR.int_sign
     found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     lo = hi = 0

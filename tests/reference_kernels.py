@@ -17,8 +17,9 @@ the number of generators reaches the fixed point that ``tietze_simplify``
 computes), the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
-which returns the point list), the dense Smith-form
-``abelian_invariants`` (as ``abelian_invariants_dense``) and the
+which returns the point list), ``PointSet1D.max_gap`` as the largest
+difference of consecutive points (``max_gap_consecutive``), the dense
+Smith-form ``abelian_invariants`` (as ``abelian_invariants_dense``) and the
 pivot-by-pivot ``smith_normal_form`` with its unimodular transforms
 U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
@@ -52,7 +53,9 @@ expand through ``expand_capped``, which counts the length from
 letter-count vectors first and raises ``ExpansionCapped`` beyond
 ``EXPANSION_CAP`` letters; tests skip the specs where it does.
 ``is_square_free_trial`` is ``is_square_free`` by trial division up to
-sqrt(d).  ``check_homomorphism_wordwise`` is ``check_homomorphism``
+sqrt(d).  ``pair_text_fraction`` prints (a + b*sqrt(d))/c as ``pair_text``
+does, from ``str`` of the two parts as ``Fraction`` values.
+``check_homomorphism_wordwise`` is ``check_homomorphism``
 multiplying the image words one relator letter at a time, each product
 freely reduced again, before it reduced the concatenated image letters
 once.  ``project_functor_composed`` is ``project_functor`` composed of
@@ -583,6 +586,22 @@ def pointset_points_indexed(window: IndexedWord, lengths: LengthFunction) -> lis
         run = run - lengths[window.at(i)]
         pts[i - 1] = run
     return [pts[i] for i in range(lo, hi + 1)]
+
+
+def max_gap_consecutive(points: list[QR]) -> QR:
+    return max(b - a for a, b in zip(points, points[1:]))
+
+
+def pair_text_fraction(a: int, b: int, c: int, d: int) -> str:
+    """(a + b*sqrt(d))/c for c > 0 as "p/q+r/s*sqrt(d)", a zero rational
+    part and a surd coefficient 1 left out."""
+    rat, coef = str(Fraction(a, c)), str(Fraction(abs(b), c))
+    if b == 0:
+        return rat
+    surd = f"sqrt({d})" if coef == "1" else f"{coef}*sqrt({d})"
+    if a == 0:
+        return surd if b > 0 else "-" + surd
+    return f"{rat}{'+' if b > 0 else '-'}{surd}"
 
 
 EXPANSION_CAP = 10 ** 5

@@ -3,8 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from reference_kernels import is_square_free_trial
-from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio, is_square_free
+from reference_kernels import is_square_free_trial, pair_text_fraction
+from tilegroups.exactnum import (
+    DiscriminantMismatch,
+    QuadraticRational as QR,
+    _make,
+    golden_ratio,
+    is_square_free,
+    pair_text,
+)
 
 
 def tau():
@@ -141,6 +148,26 @@ class TestTextForm:
         with pytest.raises(ValueError) as info:
             QR.from_string(text)
         assert str(info.value) == f"zero denominator in {text!r}"
+
+
+@st.composite
+def unnormalised_pairs(draw):
+    """(a, b, c, d) with c > 0, common factors left in, and a = 0, b = 0 and
+    b = +-c drawn often."""
+    c = draw(st.integers(1, 60))
+    a = draw(st.one_of(st.just(0), st.integers(-10**4, 10**4)))
+    b = draw(st.one_of(st.sampled_from([0, c, -c]), st.integers(-10**4, 10**4)))
+    k = draw(st.sampled_from([1, 2, 6, 35]))
+    return a * k, b * k, c * k, draw(st.sampled_from([2, 3, 5, 1000003]))
+
+
+@given(unnormalised_pairs())
+def test_pair_text_prints_each_part_reduced(pair):
+    a, b, c, d = pair
+    text = pair_text(a, b, c, d)
+    assert text == pair_text_fraction(a, b, c, d)
+    assert QR.from_string(text) == _make(a, b, c, d)
+    assert str(_make(a, b, c, d)) == text
 
 
 small_fractions = st.fractions(max_denominator=12, min_value=-8, max_value=8)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import diff_lookup
-from reference_kernels import chained_sum, diff_set_pairs, pointset_points_indexed
+from reference_kernels import chained_sum, diff_set_pairs, max_gap_consecutive, pointset_points_indexed
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.pointset import (
@@ -138,6 +138,33 @@ def test_two_pointer_matches_all_pairs(case):
         ps = case_pointset(config, half_width)
         for bound in (QR(1), TAU, TAU + 1, QR(6)):
             assert diff_set(ps, bound) == diff_set_pairs(ps, bound)
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_dump_and_differences_build_no_points(case):
+    # len, the JSON dump, the largest gap and diff_set read the integer
+    # frame; the exact points are built on first read, equal to the oracle's
+    config = reference_cases()[case]
+    ps = case_pointset(config, 40)
+    bounds = (QR(Fraction(7, 3)), TAU + 1, ps.max_gap())
+    diffs = [diff_set(ps, bound) for bound in bounds]
+    assert len(ps) == len(ps.to_json_dict()["points"]) == 82
+    assert "points" not in vars(ps)
+    assert ps.points == pointset_points_indexed(ps.window, config.lengths)
+    assert ps.to_json_dict()["points"] == [str(p) for p in ps.points]
+    assert diffs == [diff_set_pairs(ps, bound) for bound in bounds]
+
+
+@pytest.mark.parametrize("case", sorted(reference_cases()))
+def test_max_gap_is_longest_tile_reference(case):
+    ps = case_pointset(reference_cases()[case], 60)
+    assert ps.max_gap() == max_gap_consecutive(ps.points)
+
+
+@given(windows_and_lengths())
+def test_max_gap_is_longest_tile(case):
+    ps = PointSet1D(*case)
+    assert ps.max_gap() == max_gap_consecutive(ps.points)
 
 
 class TestOplus:

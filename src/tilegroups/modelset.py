@@ -17,6 +17,8 @@ sorted tuple of disjoint components (lo_a, lo_b, hi_a, hi_b).  Pairs over
 one c are canonical, so equal windows are equal tuples; a translation is
 an integer addition, and an order test the ``QR.int_sign`` of a
 difference.  ``WindowSet`` stores its frame; two frames meet at their lcm.
+Empire equality compares the windows of two patterns' star pairs, so a
+caller that holds them (the empire suite) solves each point once.
 """
 
 from __future__ import annotations
@@ -442,9 +444,14 @@ def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[tuple[in
 
 def empire_equal(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> bool:
     """Same empire iff the pattern windows coincide (kernel of the
-    projection functor); in the scheme's frame they are equal tuples."""
-    p_stars = _modelset_stars(scheme, pat_p)
-    q_stars = _modelset_stars(scheme, pat_q)
+    projection functor), decided on the star pairs once both patterns are
+    checked."""
+    return _empire_equal_stars(scheme, _modelset_stars(scheme, pat_p), _modelset_stars(scheme, pat_q))
+
+
+def _empire_equal_stars(scheme: CutProjectScheme, p_stars: list, q_stars: list) -> bool:
+    """Empire equality of two patterns of model-set points by their star
+    pairs: in the scheme's frame equal windows are equal tuples."""
     return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
 
 
@@ -468,11 +475,12 @@ class EmpireScan:
     x = (a, b) a membership mask, built with the scan: bit i is set iff
     g_i + x lies in the model set.  That is read off the window's own
     lattice-row strips, one band per window component over the rows
-    -box_bound + min a .. box_bound + max a: g + x is a model-set point iff
-    row n + a of a component's strip holds m + b.  ``compare`` ANDs the
-    masks of each pattern and XORs the two results; the lowest set bit is
-    the first separator of the box scan in its order, reported as its
-    lattice coordinates (n, m), and no bit set means agree.
+    -box_bound + min a .. box_bound + max a, kept in a list by row: g + x
+    is a model-set point iff row n + a of a component's strip holds
+    m + b.  ``compare`` ANDs the masks of each pattern and XORs the two
+    results; the lowest set bit is the first separator of the box scan in
+    its order, reported as its lattice coordinates (n, m), and no bit set
+    means agree.
 
     A mask costs O(box_bound * k) for band rows of k cells, once per pool
     point; a comparison is then a few integer ANDs and XORs over those
@@ -502,17 +510,24 @@ class EmpireScan:
             self._rows.append((size, n, m_lo, m_hi))
             size += m_hi - m_lo + 1
         a_values = [a for a, _ in coords.values()]
-        ns = range(-box_bound + min(a_values), box_bound + max(a_values) + 1)
-        strips = [{n: (m_lo, m_hi) for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),))}
-                  for lo, hi in scheme.window.components]
+        n0 = -box_bound + min(a_values)
+        ns = range(n0, box_bound + max(a_values) + 1)
+        # each component's strip ends by row n - n0, None where it is empty
+        strips = []
+        for lo, hi in scheme.window.components:
+            rows = [None] * len(ns)
+            for n, m_lo, m_hi in _strip_rows(ns, ((lo, hi, i1, i2),)):
+                rows[n - n0] = (m_lo, m_hi)
+            strips.append(rows)
         self._masks: dict[QR, int] = {}
         for x, (a, b) in coords.items():
-            mask = 0
+            mask, shift = 0, a - n0
             for first, n, m_lo, m_hi in self._rows:
-                for component in strips:
-                    strip = component.get(n + a)
+                for rows in strips:
+                    strip = rows[n + shift]
                     if strip is not None:
-                        lo, hi = max(strip[0] - b, m_lo), min(strip[1] - b, m_hi)
+                        lo, hi = strip[0] - b, strip[1] - b
+                        lo, hi = lo if lo > m_lo else m_lo, hi if hi < m_hi else m_hi
                         if lo <= hi:
                             mask |= ((1 << (hi - lo + 1)) - 1) << (first + lo - m_lo)
             self._masks[x] = mask

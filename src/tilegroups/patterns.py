@@ -6,44 +6,77 @@ of the right factor and embedding the union back into the point set.
 Products are decided against the truncated set; an optional window oracle
 (from the cut-and-project machinery) upgrades the answer to an exact
 Defined/Undefined.
+
+A class is stored in its frame, as a ``WindowSet`` is: its offsets as
+sorted integer pairs (a, b) for (a + b*sqrt(d))/c in lowest terms, so
+equal classes are equal tuples whichever frame built them.  An order test
+is the ``QR.int_sign`` of a pair difference, two classes meet at the lcm
+of their frames, and exact values are built only as views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .exactnum import QuadraticRational as QR
+from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator
 from .pointset import DiffElement, PointSet1D, diff_set
+from .sequences import TruncationError
+
+_sign = QR.int_sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternClass:
-    """Canonical representative of a translation class: offsets sorted with
-    minimum 0, out/in given as positions into the offsets."""
+    """Canonical representative of a translation class in its frame: c, d
+    and the strictly increasing offset ``pairs``, the least (0, 0), in
+    lowest terms, with out/in given as positions into them; ``offsets``,
+    ``out_value`` and ``in_value`` are views."""
 
-    offsets: tuple[QR, ...]
+    c: int
+    d: int
+    pairs: tuple[tuple[int, int], ...]
     out_index: int
     in_index: int
 
-    def __post_init__(self):
-        if not self.offsets:
+    def __init__(self, offsets: Sequence[QR], out_index: int, in_index: int):
+        if not offsets:
             raise ValueError("pattern must be non-empty")
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+        c, d, pairs = common_denominator(offsets)
+        if any(_sign(a2 - a, b2 - b, d) <= 0 for (a, b), (a2, b2) in zip(pairs, pairs[1:])):
             raise ValueError("offsets must be strictly increasing")
-        if self.offsets[0]:
+        if pairs[0] != (0, 0):
             raise ValueError("canonical form requires minimum offset 0")
-        for idx in (self.out_index, self.in_index):
-            if not 0 <= idx < len(self.offsets):
-                raise ValueError("pointed index out of range")
+        if not (0 <= out_index < len(pairs) and 0 <= in_index < len(pairs)):
+            raise ValueError("pointed index out of range")
+        self.__dict__.update(c=c, d=d, pairs=tuple(pairs), out_index=out_index, in_index=in_index)
+
+    @property
+    def offsets(self) -> tuple[QR, ...]:
+        return tuple(_make(a, b, self.c, self.d) for a, b in self.pairs)
 
     @property
     def out_value(self) -> QR:
-        return self.offsets[self.out_index]
+        return _make(*self.pairs[self.out_index], self.c, self.d)
 
     @property
     def in_value(self) -> QR:
-        return self.offsets[self.in_index]
+        return _make(*self.pairs[self.in_index], self.c, self.d)
+
+
+def _cut(c: int, d: int, pairs, out_index: int, in_index: int) -> PatternClass:
+    """The class of increasing pairs over c with indices in range, moved to
+    start at (0, 0) and cut to lowest terms (d = 0 when every b is 0)."""
+    a0, b0 = pairs[0]
+    pairs = [(a - a0, b - b0) for a, b in pairs]
+    g = gcd(c, *[e for p in pairs for e in p])
+    if g > 1:
+        c, pairs = c // g, [(a // g, b // g) for a, b in pairs]
+    x = object.__new__(PatternClass)
+    x.__dict__.update(c=c, d=d if any(b for _, b in pairs) else 0, pairs=tuple(pairs),
+                      out_index=out_index, in_index=in_index)
+    return x
 
 
 def pattern_class(values: list[QR], out_value: QR, in_value: QR) -> PatternClass:
@@ -53,32 +86,26 @@ def pattern_class(values: list[QR], out_value: QR, in_value: QR) -> PatternClass
         out_index, in_index = pts.index(out_value), pts.index(in_value)
     except ValueError:
         raise ValueError("pointed values must belong to the pattern") from None
-    base = pts[0]
-    return _pattern(tuple(p - base for p in pts), out_index, in_index)
-
-
-def _pattern(offsets: tuple[QR, ...], out_index: int, in_index: int) -> PatternClass:
-    """A PatternClass whose offsets are known to be canonical and whose
-    indices are in range: skips the checks."""
-    x = object.__new__(PatternClass)
-    object.__setattr__(x, "offsets", offsets)
-    object.__setattr__(x, "out_index", out_index)
-    object.__setattr__(x, "in_index", in_index)
-    return x
+    return _cut(*common_denominator(pts), out_index, in_index)
 
 
 def make_element(ps: PointSet1D, indices: list[int], out: int, in_: int) -> PatternClass:
-    """Pattern class from point indices of the truncated set."""
+    """Pattern class from point indices of the truncated set, whose index
+    order is value order."""
     if not indices:
         raise ValueError("empty point subset")
     if out not in indices or in_ not in indices:
         raise ValueError("out/in indices must belong to the subset")
-    values = [ps.point(i) for i in indices]
-    return pattern_class(values, ps.point(out), ps.point(in_))
+    chosen = sorted(set(indices))
+    for i in chosen[0], chosen[-1]:
+        if not ps.min_index <= i <= ps.max_index:
+            raise TruncationError(f"point index {i} outside truncation")
+    c, d, pairs = ps.frame
+    return _cut(c, d, [pairs[i - ps.min_index] for i in chosen], chosen.index(out), chosen.index(in_))
 
 
 def inverse(x: PatternClass) -> PatternClass:
-    return _pattern(x.offsets, x.in_index, x.out_index)
+    return _cut(x.c, x.d, x.pairs, x.in_index, x.out_index)
 
 
 def is_idempotent(x: PatternClass) -> bool:
@@ -88,22 +115,30 @@ def is_idempotent(x: PatternClass) -> bool:
 def pointed_difference(x: PatternClass) -> QR:
     """The difference of the pointed points; the morphism onto the
     group generated by all differences."""
-    return x.out_value - x.in_value
+    (oa, ob), (ia, ib) = x.pairs[x.out_index], x.pairs[x.in_index]
+    return _make(oa - ia, ob - ib, x.c, x.d)
 
 
 def max_above(x: PatternClass) -> PatternClass:
     """Drop all unpointed points; the unique maximal element above x."""
-    return pattern_class([x.out_value, x.in_value], x.out_value, x.in_value)
+    kept = sorted({x.out_index, x.in_index})
+    return _cut(x.c, x.d, [x.pairs[i] for i in kept], kept.index(x.out_index), kept.index(x.in_index))
+
+
+def _lcm_frame(x: PatternClass, y: PatternClass) -> tuple:
+    """(c, d, x's pairs, y's pairs) over the lcm of the two frames."""
+    c = lcm(x.c, y.c)
+    xs, ys = (p.pairs if p.c == c else [(a * (c // p.c), b * (c // p.c)) for a, b in p.pairs] for p in (x, y))
+    return c, _joint_disc(x.d, y.d), xs, ys
 
 
 def natural_leq(x: PatternClass, y: PatternClass) -> bool:
     """x <= y iff a translate aligns the pointed pairs and y's pattern is
     contained in x's."""
-    if pointed_difference(x) != pointed_difference(y):
-        return False
-    shift = x.in_value - y.in_value
-    xs = set(x.offsets)
-    return all((v + shift) in xs for v in y.offsets) and x.out_value == y.out_value + shift
+    _, _, xs, ys = _lcm_frame(x, y)
+    (xa, xb), (ya, yb) = xs[x.in_index], ys[y.in_index]
+    sa, sb, (ya, yb), members = xa - ya, xb - yb, ys[y.out_index], set(xs)
+    return xs[x.out_index] == (ya + sa, yb + sb) and all((a + sa, b + sb) in members for a, b in ys)
 
 
 @dataclass(frozen=True)
@@ -123,12 +158,18 @@ class ProductResult:
 DEFINED, UNDEFINED, UNKNOWN = "defined", "undefined", "unknown"
 
 
-def _embeds(ps: PointSet1D, offsets: tuple[QR, ...]) -> bool:
-    """Whether p + offsets lies in the truncated set for some point p, the
-    offsets canonical (the least is 0): a value past either end of the
-    truncation is simply not a key of the point index."""
+def _embeds(ps: PointSet1D, x: PatternClass) -> bool:
+    """Whether p + the offsets of x lies in the truncated set for some
+    point p: a pair past either end of the truncation is simply not a key
+    of the pair index.  Offsets whose frame does not divide the set's are
+    no differences of its points."""
+    c, d, pairs = ps.frame
+    if c % x.c or x.d not in (0, d):
+        return False
+    k = c // x.c
+    offsets = [(a * k, b * k) for a, b in x.pairs[1:]]
     index = ps._index_of
-    return any(all(p + o in index for o in offsets) for p in ps.points)
+    return any(all((pa + a, pb + b) in index for a, b in offsets) for pa, pb in pairs)
 
 
 def multiply(
@@ -139,18 +180,32 @@ def multiply(
 ) -> ProductResult:
     """Product in the pattern-class semigroup over the truncated set.
 
-    The union of x and of y shifted by in(x) - out(y) is canonicalised once.
-    Its offsets are the union in x's frame less min(0, shift), a difference
-    of two pattern points and so a lattice vector; "embeds anywhere" does
-    not change under such a translation, so the truncated search and
-    embeds_oracle both take them.  embeds_oracle, when given, decides
-    exactly whether a sequence of pattern values embeds anywhere in the
-    infinite set (cut-and-project window calculus); it turns a failed
-    truncated search into an exact Defined or Undefined answer.
+    Over the lcm of the two frames, the sorted pairs of x and those of y
+    shifted by in(x) - out(y) are merged, one ``int_sign`` test a step,
+    and the union is cut to lowest terms once.  Its offsets are the union
+    less its least point, a difference of two pattern points and so a
+    lattice vector; "embeds anywhere" does not change under such a
+    translation, so the truncated search and embeds_oracle both take them.
+    embeds_oracle, when given, decides exactly whether a sequence of
+    pattern values embeds anywhere in the infinite set (cut-and-project
+    window calculus); it turns a failed truncated search into an exact
+    Defined or Undefined answer.
     """
-    shift = x.in_value - y.out_value
-    result = pattern_class([*x.offsets, *(v + shift for v in y.offsets)], x.out_value, y.in_value + shift)
-    if _embeds(ps, result.offsets) or (embeds_oracle is not None and embeds_oracle(result.offsets)):
+    c, d, xs, ys = _lcm_frame(x, y)
+    (xa, xb), (ya, yb) = xs[x.in_index], ys[y.out_index]
+    ys = [(a + xa - ya, b + xb - yb) for a, b in ys]
+    merged, at_x, at_y, i, j, nx, ny = [], [], [], 0, 0, len(xs), len(ys)
+    while i < nx or j < ny:
+        # the sign of the next y less the next x; an exhausted side never wins
+        s = 1 if j == ny else -1 if i == nx else _sign(ys[j][0] - xs[i][0], ys[j][1] - xs[i][1], d)
+        if s >= 0:
+            at_x.append(len(merged))
+        if s <= 0:
+            at_y.append(len(merged))
+        merged.append(xs[i] if s >= 0 else ys[j])
+        i, j = i + (s >= 0), j + (s <= 0)
+    result = _cut(c, d, merged, at_x[x.out_index], at_y[y.in_index])
+    if _embeds(ps, result) or (embeds_oracle is not None and embeds_oracle(result.offsets)):
         return ProductResult(DEFINED, result)
     return ProductResult(UNKNOWN if embeds_oracle is None else UNDEFINED)
 
@@ -176,5 +231,4 @@ def max_class_of(diff: DiffElement, ps: PointSet1D) -> PatternClass:
     """The maximal pattern class of a difference y - x: the two-point
     pattern pointed out at y and in at x."""
     i, j = diff.witnesses[0]
-    y, x = ps.point(i), ps.point(j)
-    return pattern_class([y, x], y, x)
+    return make_element(ps, [i, j], i, j)

@@ -47,7 +47,8 @@ class PointSet1D:
     through r_{start+n-1} are materialised, with r_0 = 0.  They are kept
     in one integer frame ``(c, d, [(a, b), ...])``, the point r_i being
     (a + b*sqrt(d))/c; ``points`` builds the exact values on first read,
-    so a dump, ``len`` and ``diff_set`` build none.
+    so a dump, ``len``, ``diff_set`` and the pattern-class search, which
+    looks pairs up in a pair -> index map, build none.
     """
 
     def __init__(self, window: IndexedWord, lengths: LengthFunction):
@@ -79,10 +80,9 @@ class PointSet1D:
         return [_make(a, b, c, d) for a, b in pairs]
 
     @cached_property
-    def _index_of(self) -> dict[QR, int]:
-        """Point -> index, built on the first lookup: a dump or a
-        difference set never hashes a point."""
-        return {v: i + self.min_index for i, v in enumerate(self.points)}
+    def _index_of(self) -> dict[tuple[int, int], int]:
+        """Point pair -> index, built on the first lookup."""
+        return {p: i for i, p in enumerate(self.frame[2], self.min_index)}
 
     def __len__(self):
         return len(self.frame[2])
@@ -93,7 +93,10 @@ class PointSet1D:
     def __contains__(self, value: QR) -> bool:
         if value < self.points[0] or value > self.points[-1]:
             raise TruncationError(f"{value} outside the materialised range")
-        return value in self._index_of
+        # a value of another field raised in the comparison; an irrational
+        # value against a rational frame has b != 0 and is no key
+        c, (a, b, k) = self.frame[0], value.triple
+        return not c % k and (a * (c // k), b * (c // k)) in self._index_of
 
     def point(self, index: int) -> QR:
         if not self.min_index <= index <= self.max_index:

@@ -40,9 +40,17 @@ anchor alignment through ``PointSet1D.__contains__`` and read its
 canonical offsets in the point index.  It aligns the factors by
 ``aligned_union``, the union sorted in x's frame, and hands those values
 to the window oracle, where ``multiply`` now canonicalises once and hands
-it the canonical offsets.  ``chained_sum`` is the chained partial sum of
-two differences, the reference semantics of the witness-index join in
-``maxset_table`` (through ``maxset_table_chained``).
+it the canonical offsets; it canonicalises the union by
+``pattern_class_qr``.  That is ``pattern_class`` on exact values (sorted,
+less their least) before a class was stored as integer pairs in its
+frame; it returns the QR form (offsets, out index, in index) of a class,
+which ``qr_form`` reads off a ``PatternClass``, and ``inverse_qr``,
+``pointed_difference_qr``, ``max_above_qr`` and ``natural_leq_qr`` are
+the earlier operations on that form.  ``chained_sum`` is the chained
+partial sum of two differences, the reference semantics of the
+witness-index join in ``maxset_table`` (through ``maxset_table_chained``);
+it looks the chained point up by its pair in the set's frame, the key of
+the point index.
 ``accent_multiply_glue`` is the accent product gluing its word letter by
 letter, before it took three slices.  ``resolve_seed_pair_expanded`` and
 ``two_sided_window_expanded`` are the substitution seed-pair search and
@@ -102,7 +110,6 @@ from tilegroups.patterns import (
     UNKNOWN,
     PatternClass,
     ProductResult,
-    pattern_class,
 )
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D
 from tilegroups.presentation import (
@@ -144,10 +151,11 @@ def chained_sum(a: DiffElement, b: DiffElement, ps: PointSet1D) -> Optional[Diff
     """Chained sum: defined iff some x, y, z in the truncated set satisfy
     a = x - y and b = y - z; then the value is a + b.  None means no chain
     inside this window."""
-    index = ps._index_of
+    index, c = ps._index_of, ps.frame[0]
     witnesses = []
     for i, j in a.witnesses:
-        k = index.get(ps.point(j) - b.value)
+        va, vb, vc = (ps.point(j) - b.value).triple
+        k = None if c % vc else index.get((va * (c // vc), vb * (c // vc)))
         if k is not None:
             witnesses.append((i, k))
     if not witnesses:
@@ -319,6 +327,47 @@ def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: in
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
 
 
+def pattern_class_qr(values: list[QR], out_value: QR, in_value: QR) -> tuple[tuple[QR, ...], int, int]:
+    """Canonicalize arbitrary point values into the QR form of a class:
+    (offsets sorted with minimum 0, out index, in index)."""
+    pts = sorted(set(values))
+    try:
+        out_index, in_index = pts.index(out_value), pts.index(in_value)
+    except ValueError:
+        raise ValueError("pointed values must belong to the pattern") from None
+    base = pts[0]
+    return tuple(p - base for p in pts), out_index, in_index
+
+
+def qr_form(x: PatternClass) -> tuple[tuple[QR, ...], int, int]:
+    return x.offsets, x.out_index, x.in_index
+
+
+def inverse_qr(form: tuple) -> tuple:
+    offsets, out_index, in_index = form
+    return offsets, in_index, out_index
+
+
+def pointed_difference_qr(form: tuple) -> QR:
+    offsets, out_index, in_index = form
+    return offsets[out_index] - offsets[in_index]
+
+
+def max_above_qr(form: tuple) -> tuple:
+    offsets, out_index, in_index = form
+    out_v, in_v = offsets[out_index], offsets[in_index]
+    return pattern_class_qr([out_v, in_v], out_v, in_v)
+
+
+def natural_leq_qr(x: tuple, y: tuple) -> bool:
+    if pointed_difference_qr(x) != pointed_difference_qr(y):
+        return False
+    (x_offsets, x_out, x_in), (y_offsets, y_out, y_in) = x, y
+    shift = x_offsets[x_in] - y_offsets[y_in]
+    xs = set(x_offsets)
+    return all((v + shift) in xs for v in y_offsets) and x_offsets[x_out] == y_offsets[y_out] + shift
+
+
 def aligned_union(x: PatternClass, y: PatternClass) -> tuple[list[QR], QR, QR]:
     """Union of the two patterns after aligning in(x) with out(y); returns
     (values, out value, in value) in the x-anchored frame."""
@@ -348,7 +397,7 @@ def multiply_truncated_scan(
     """Product in the pattern-class semigroup over the truncated set, the
     truncated search by ``embeds_truncated_scan``."""
     values, out_v, in_v = aligned_union(x, y)
-    result = pattern_class(values, out_v, in_v)
+    result = PatternClass(*pattern_class_qr(values, out_v, in_v))
     if embeds_truncated_scan(ps, values):
         return ProductResult(DEFINED, result)
     if embeds_oracle is not None:

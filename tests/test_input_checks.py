@@ -17,6 +17,7 @@ from tilegroups.modelset import (
     partial_action_data,
     window_triple,
 )
+from tilegroups.patterns import make_element
 from tilegroups.pointset import DiffElement, LengthFunction, PointSet1D, decompose_into_bounded, diff_set
 from tilegroups.presentation import reduce_word
 from tilegroups.sequences import (
@@ -85,6 +86,11 @@ CHECKS = [
      ValueError, "bound must be positive"),
     ("gap above the radius", lambda: decompose_into_bounded(pointset(), DiffElement(QR(2), ((1, 0),)), QR(1)),
      ValueError, "gap 2 exceeds radius 1"),
+    # patterns: a class reads its pairs from the frame, past either end of it
+    ("pattern index above the truncation", lambda: make_element(pointset(), [0, 2], 0, 0),
+     TruncationError, "point index 2 outside truncation"),
+    ("pattern index below the truncation", lambda: make_element(pointset(), [-2, 0], 0, 0),
+     TruncationError, "point index -2 outside truncation"),
     # sequences
     ("negative iterations", lambda: expand_substitution({"a": "ab", "b": "a"}, "a", -1),
      ValueError, "iterations must be >= 0"),

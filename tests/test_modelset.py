@@ -30,6 +30,7 @@ from tilegroups.modelset import (
     LatticeVector,
     WindowSet,
     obstruction_grade,
+    _empire_equal_stars,
     empire_equal,
     fibonacci_scheme,
     window_triple,
@@ -868,16 +869,20 @@ def test_empire_windows_match_qr_path(scheme):
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 7))
 def test_empire_suite_pairs_match_qr_path(monkeypatch, seed):
     # every pair the empire suite draws is decided as the exact-value
-    # window calculus decides it
+    # window calculus decides it; the suite hands the kernel the star
+    # pairs of its pool points
     decided = []
+    scheme = fibonacci_scheme()
+    point_of = {scheme._star_pair(x): x for x in modelset_points(scheme, QR(30))}
 
-    def checked(scheme, pat_p, pat_q):
-        eq = empire_equal(scheme, pat_p, pat_q)
+    def checked(scheme, p_stars, q_stars):
+        eq = _empire_equal_stars(scheme, p_stars, q_stars)
+        pat_p, pat_q = [point_of[s] for s in p_stars], [point_of[s] for s in q_stars]
         assert eq == empire_equal_qr(scheme, pat_p, pat_q), (pat_p, pat_q)
         decided.append(eq)
         return eq
 
-    monkeypatch.setattr(cli, "empire_equal", checked)
+    monkeypatch.setattr(cli, "_empire_equal_stars", checked)
     assert all(c.passed for c in cli.suite_empire(100, seed))
     assert len(decided) == 100 and set(decided) == {True, False}
 

@@ -1,8 +1,19 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import diff_lookup, identity_element
-from reference_kernels import aligned_union, maxset_table_chained, multiply_truncated_scan
+from reference_kernels import (
+    aligned_union,
+    inverse_qr,
+    max_above_qr,
+    maxset_table_chained,
+    multiply_truncated_scan,
+    natural_leq_qr,
+    pointed_difference_qr,
+    qr_form,
+)
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import embeds_oracle, fibonacci_scheme
@@ -270,3 +281,53 @@ def test_product_wider_than_truncation_unknown(name):
     ps = NARROW[name]
     x = make_element(ps, [ps.min_index, ps.max_index], ps.max_index, ps.min_index)
     assert multiply(x, x, ps).status == multiply_truncated_scan(x, x, ps).status == "unknown"
+
+
+# point sets of several frames: Fibonacci (c = 2, d = 5), a rational one
+# (d = 0) and lengths 3/2 and 1/3 + sqrt(5)/6 (c = 6, d = 5)
+FRAMES = {
+    "fib": case_pointset(reference_cases()["fib"], 8),
+    "splice-rational-3-2": case_pointset(reference_cases()["splice-rational-3-2"], 8),
+    "thirds-sixths": build_pointset(two_sided_window(FIB_SPEC, 8), LengthFunction(
+        {"a": QR(Fraction(3, 2)), "b": QR(Fraction(1, 3), Fraction(1, 6), 5)})),
+}
+
+
+@st.composite
+def frame_patterns(draw, ps):
+    """A class of points of ps, or one from pattern_class on values over
+    denominators 1, 3 and 7, mostly off the set's frame, with a sqrt(5)
+    part only where the set has one."""
+    if draw(st.booleans()):
+        start = draw(st.integers(ps.min_index, ps.max_index))
+        span = range(start, min(start + 6, ps.max_index + 1))
+        indices = draw(st.lists(st.sampled_from(span), min_size=1, max_size=4, unique=True))
+        return make_element(ps, indices, draw(st.sampled_from(indices)), draw(st.sampled_from(indices)))
+    surd = st.integers(-3, 3) if ps.frame[1] else st.just(0)
+    value = st.builds(lambda k, m, den: QR(Fraction(k, den), Fraction(m, den), 5),
+                      st.integers(-9, 9), surd, st.sampled_from((1, 3, 7)))
+    values = draw(st.lists(value, min_size=1, max_size=4))
+    return pattern_class(values, draw(st.sampled_from(values)), draw(st.sampled_from(values)))
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_pattern_classes_match_qr_forms(name, data):
+    # the operations on pairs against the same ones on exact offsets; a
+    # class built in another frame is the same tuple with the same hash
+    ps = FRAMES[name]
+    x, y = data.draw(frame_patterns(ps)), data.draw(frame_patterns(ps))
+    fx, fy = qr_form(x), qr_form(y)
+    assert x == PatternClass(*fx) and hash(x) == hash(PatternClass(*fx))
+    assert (x == y) == (fx == fy) and (x != y or hash(x) == hash(y))
+    third = QR(Fraction(1, 3))
+    moved = pattern_class([v + third for v in fx[0]], x.out_value + third, x.in_value + third)
+    assert moved == x and hash(moved) == hash(x)
+    assert qr_form(inverse(x)) == inverse_qr(fx)
+    assert qr_form(max_above(x)) == max_above_qr(fx)
+    assert pointed_difference(x) == pointed_difference_qr(fx)
+    m, fm = max_above(x), max_above_qr(fx)
+    for a, b, fa, fb in ((x, y, fx, fy), (x, m, fx, fm), (m, x, fm, fx)):
+        assert natural_leq(a, b) == natural_leq_qr(fa, fb)
+    assert multiply(x, y, ps) == multiply_truncated_scan(x, y, ps)

@@ -295,7 +295,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[C
     scan = EmpireScan(scheme, box_bound, points)
     # each pool star once, in the scheme's frame: g + x lies in the model
     # set exactly when g* lies in K - x*, kept as a shifted window
-    _, d, (k,), ((a1, b1), (a2, b2), _, _) = scheme._frame
+    _, d, k, _ = scheme._frame
     stars = [scheme._star_pair(x) for x in points]
     translates = [_shifted(k, -a, -b) for a, b in stars]
     rng = random.Random(seed)
@@ -332,7 +332,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[C
                 separators_ok = False
             else:
                 n, m = brute.separator_coords
-                ga, gb = a1 * n + a2 * m, b1 * n + b2 * m
+                ga, gb = scheme._star_at(n, m)
                 in_p = all(_holds(translates[i], ga, gb, d) for i in pat_p)
                 in_q = all(_holds(translates[i], ga, gb, d) for i in pat_q)
                 if in_p == in_q:

@@ -347,16 +347,42 @@ def pair_text(a: int, b: int, c: int, d: int) -> str:
 
 def common_denominator(values) -> tuple[int, int, list[tuple[int, int]]]:
     """(c, d, [(a, b), ...]) with each value equal to (a + b*sqrt(d))/c, c the
-    least common denominator and d the one field of the values.
+    least common denominator and d the one field: the join of one-value
+    frames.  Mixed fields raise :class:`DiscriminantMismatch`."""
+    c, d, *rows = _join(*map(_framed, values))
+    return c, d, [r for r, in rows]
 
-    Mixed fields raise :class:`DiscriminantMismatch`.
-    """
-    triples = [v._q for v in values]
-    d = 0
-    for _, _, _, e in triples:
-        d = _joint_disc(d, e)
-    c = math.lcm(*(t[2] for t in triples))
-    return c, d, [(a * (c // k), b * (c // k)) for a, b, k, _ in triples]
+
+def _framed(v: QuadraticRational) -> tuple:
+    a, b, c, d = v._q
+    return c, d, ((a, b),)
+
+
+def _join(*frames) -> tuple:
+    """(c, d, rows, ...): each frame's rows, pairs (a, b) for (a + b*sqrt(d))/c,
+    placed at the lcm c of the denominators and the one field d of the frames."""
+    c, d = 1, 0
+    for k, e, _ in frames:
+        c, d = math.lcm(c, k), _joint_disc(d, e)
+    return c, d, *[f[2] if f[0] == c else _place(f, c, d) for f in frames]
+
+
+def _lowest(c: int, d: int, rows) -> tuple:
+    """(c, d, rows) in lowest terms, d = 0 when every surd (odd) entry is 0."""
+    flat = [x for r in rows for x in r]
+    g = math.gcd(c, *flat)
+    if g > 1:
+        c, rows = c // g, [tuple([x // g for x in r]) for r in rows]
+    return c, d if any(flat[1::2]) else 0, tuple(rows)
+
+
+def _place(frame: tuple, c: int, d: int):
+    """The rows of a frame over c in the field d, or None if they do not fit."""
+    k, e, rows = frame
+    if c % k or e not in (0, d):
+        return None
+    k = c // k
+    return rows if k == 1 else tuple([tuple([x * k for x in r]) for r in rows])
 
 
 def golden_ratio() -> QuadraticRational:

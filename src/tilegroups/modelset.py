@@ -16,7 +16,9 @@ a star n*i1 + m*i2 an integer combination of two pairs, and a window a
 sorted tuple of disjoint components (lo_a, lo_b, hi_a, hi_b).  Pairs over
 one c are canonical, so equal windows are equal tuples; a translation is
 an integer addition, and an order test the ``QR.int_sign`` of a
-difference.  ``WindowSet`` stores its frame; two frames meet at their lcm.
+difference.  ``WindowSet`` stores its frame; the exactnum kernels join
+frames at their lcm, cut a window to lowest terms and place a value in a
+frame.
 Empire equality compares the windows of two patterns' star pairs, so a
 caller that holds them (the empire suite) solves each point once.
 """
@@ -27,11 +29,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
 from operator import and_, itemgetter
 from typing import Optional
 
-from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator, golden_ratio
+from .exactnum import QuadraticRational as QR, _framed, _join, _lowest, _make, _place, common_denominator, golden_ratio
 from .patterns import PatternClass
 
 
@@ -41,25 +42,11 @@ from .patterns import PatternClass
 _sign = QR.int_sign
 
 
-def _in_frame(windows: tuple, values: tuple = ()) -> tuple[int, int, list[tuple], list[tuple[int, int]]]:
-    """(c, d, the windows, the values as pairs) in one frame; a window stored over c is passed as is."""
-    d, c = 0, 1
-    for w in windows:
-        d, c = _joint_disc(d, w.d), lcm(c, w.c)
-    for v in values:
-        d, c = _joint_disc(d, v.disc), lcm(c, v.triple[2])
-    framed = [w.ends if w.c == c else tuple(tuple(e * (c // w.c) for e in comp) for comp in w.ends)
-              for w in windows]
-    return c, d, framed, [(a * (c // k), b * (c // k)) for a, b, k in (v.triple for v in values)]
-
-
-def _window_set(w: tuple, c: int, d: int) -> "WindowSet":
+def _window_set(c: int, d: int, w: tuple) -> "WindowSet":
     """The WindowSet of a window of the frame (c, d) in lowest terms,
     unchecked: the calculus keeps components sorted, disjoint, lo <= hi."""
-    g = gcd(c, *[e for comp in w for e in comp])
-    w = tuple(tuple(e // g for e in comp) for comp in w) if g > 1 else w
     out = object.__new__(WindowSet)
-    out.__dict__.update(c=c // g, d=d if any(lb or hb for _, lb, _, hb in w) else 0, ends=w)
+    out.__dict__.update(zip(("c", "d", "ends"), _lowest(c, d, w)))
     return out
 
 
@@ -135,6 +122,10 @@ class WindowSet:
         self.__dict__.update(c=c, d=d, ends=ends)
 
     @property
+    def frame(self) -> tuple:
+        return self.c, self.d, self.ends
+
+    @property
     def components(self) -> tuple[tuple[QR, QR], ...]:
         c, d = self.c, self.d
         return tuple((_make(la, lb, c, d), _make(ha, hb, c, d)) for la, lb, ha, hb in self.ends)
@@ -166,22 +157,22 @@ class WindowSet:
         return _has_interior(self.ends, self.d)
 
     def contains(self, x: QR) -> bool:
-        _, d, (w,), (p,) = _in_frame((self,), (x,))
+        _, d, w, (p,) = _join(self.frame, _framed(x))
         return _holds(w, *p, d)
 
     def translate(self, shift: QR) -> "WindowSet":
-        c, d, (w,), (p,) = _in_frame((self,), (shift,))
-        return _window_set(_shifted(w, *p), c, d)
+        c, d, w, (p,) = _join(self.frame, _framed(shift))
+        return _window_set(c, d, _shifted(w, *p))
 
     def intersect(self, other: "WindowSet") -> "WindowSet":
-        c, d, (w1, w2), _ = _in_frame((self, other))
-        return _window_set(_meet(w1, w2, d), c, d)
+        c, d, w1, w2 = _join(self.frame, other.frame)
+        return _window_set(c, d, _meet(w1, w2, d))
 
     def union(self, other: "WindowSet") -> "WindowSet":
         return WindowSet.normalized(list(self.components) + list(other.components))
 
     def issubset(self, other: "WindowSet") -> bool:
-        _, d, (w1, w2), _ = _in_frame((self, other))
+        _, d, w1, w2 = _join(self.frame, other.frame)
         return _meet(w1, w2, d) == w1
 
     def hull(self) -> tuple[QR, QR]:
@@ -208,7 +199,7 @@ def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
     """Does the window contain a point of the dense subgroup Z*b1 + Z*b2?
     Components with interior always do; degenerate points are solved
     exactly."""
-    _, d, (w,), basis = _in_frame((window,), (b1, b2))
+    _, d, w, basis = _join(window.frame, common_denominator((b1, b2)))
     return _meets_group(w, basis, d)
 
 
@@ -254,31 +245,32 @@ class CutProjectScheme:
         field = (self.v2.internal / self.v1.internal).disc
         if self.window.d not in (0, field):
             raise ValueError(f"acceptance window in Q(sqrt({self.window.d})), lattice basis in Q(sqrt({field}))")
-        # (c, d, [K], [i1, i2, p1, p2]): the window and both bases in one frame
-        object.__setattr__(self, "_frame", _in_frame((self.window,), (*self.internal_group_basis(),
-                                                                      self.v1.phys, self.v2.phys)))
+        # (c, d, K, [i1, i2, p1, p2]): the window and both bases in one frame
+        object.__setattr__(self, "_frame", _join(self.window.frame, common_denominator(
+            (*self.internal_group_basis(), self.v1.phys, self.v2.phys))))
 
     def physical_coordinates(self, y: QR) -> tuple[int, int]:
-        # the denominator of a lattice value divides c, and its field is d
+        # a lattice value fits the frame: its denominator divides c, its field is d
         c, d, _, pairs = self._frame
-        (a, b, k), e = y.triple, y.disc
-        coords = None if c % k or e not in (0, d) else _solve(a * (c // k), b * (c // k), pairs[2:])
-        if coords is None:
+        p = _place(_framed(y), c, d)
+        if not p or not (coords := _solve(*p[0], pairs[2:])):
             raise ValueError(f"{y} is not in the physical lattice image")
         return coords
 
+    def _star_at(self, n: int, m: int) -> tuple[int, int]:
+        """star(n*p1 + m*p2) = n*i1 + m*i2 as a pair of the scheme's frame."""
+        (a1, b1), (a2, b2) = self._frame[3][:2]
+        return a1 * n + a2 * m, b1 * n + b2 * m
+
     def star_of_coords(self, n: int, m: int) -> QR:
-        c, d, _, ((a1, b1), (a2, b2), _, _) = self._frame
-        return _make(a1 * n + a2 * m, b1 * n + b2 * m, c, d)
+        return _make(*self._star_at(n, m), *self._frame[:2])
 
     def internal_group_basis(self) -> tuple[QR, QR]:
         return self.v1.internal, self.v2.internal
 
     def _star_pair(self, y: QR) -> tuple[int, int]:
         """star(y) as a pair of the scheme's frame."""
-        n, m = self.physical_coordinates(y)
-        (a1, b1), (a2, b2), _, _ = self._frame[3]
-        return a1 * n + a2 * m, b1 * n + b2 * m
+        return self._star_at(*self.physical_coordinates(y))
 
     def to_json_dict(self) -> dict:
         return {
@@ -398,7 +390,7 @@ def modelset_points(scheme: CutProjectScheme, radius: QR) -> list[QR]:
 def _window_of_stars(scheme: CutProjectScheme, stars) -> tuple:
     """The intersection over the iterable star pairs (a, b) of K - x*, in
     the scheme's frame, stopping at the first empty intersection."""
-    _, d, (k,), _ = scheme._frame
+    _, d, k, _ = scheme._frame
     out = None
     for a, b in stars:
         moved = _shifted(k, -a, -b)
@@ -413,15 +405,19 @@ def _window_of_stars(scheme: CutProjectScheme, stars) -> tuple:
 def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
     """P* = intersection over the pattern of K - x*; empty exactly when no
     translate of the pattern occurs in the model set."""
-    c, d, _, _ = scheme._frame
-    return _window_set(_window_of_stars(scheme, map(scheme._star_pair, points)), c, d)
+    return _window_set(*scheme._frame[:2], _window_of_stars(scheme, map(scheme._star_pair, points)))
 
 
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
     """Exact decision: some lattice translate places the pattern inside the
-    model set iff the pattern window contains an internal lattice value."""
+    model set iff every point is a physical lattice value and the pattern
+    window contains an internal lattice value."""
     _, d, _, pairs = scheme._frame
-    return _meets_group(_window_of_stars(scheme, map(scheme._star_pair, points)), pairs[:2], d)
+    try:
+        stars = [scheme._star_pair(y) for y in points]
+    except ValueError:  # a point off the lattice: no lattice translate fits
+        return False
+    return _meets_group(_window_of_stars(scheme, stars), pairs[:2], d)
 
 
 def embeds_oracle(scheme: CutProjectScheme):
@@ -432,7 +428,7 @@ def embeds_oracle(scheme: CutProjectScheme):
 def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[tuple[int, int]]:
     """The star pairs of the points, raising ValueError at the first point
     outside the model set."""
-    _, d, (k,), _ = scheme._frame
+    _, d, k, _ = scheme._frame
     stars = []
     for p in points:
         s = scheme._star_pair(p)
@@ -627,7 +623,7 @@ def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: 
     stars = _modelset_stars(scheme, [o + placement for o in pattern.offsets])
     (oa, ob), (ia, ib) = stars[pattern.out_index], stars[pattern.in_index]
     window = _window_of_stars(scheme, [(a - oa, b - ob) for a, b in stars])
-    return WindowTriple(_make(oa - ia, ob - ib, c, d), _window_set(window, c, d))
+    return WindowTriple(_make(oa - ia, ob - ib, c, d), _window_set(c, d, window))
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +666,7 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     g1, g2 = basis
-    c, d, (w,), pairs = _in_frame((window,), basis)
+    c, d, w, pairs = _join(window.frame, common_denominator(basis))
     _solve(0, 0, pairs)  # raises on a rationally dependent basis, so g2 != 0
     found: list[tuple[QR, int, int, tuple]] = []
     if w:

@@ -10,17 +10,17 @@ Defined/Undefined.
 A class is stored in its frame, as a ``WindowSet`` is: its offsets as
 sorted integer pairs (a, b) for (a + b*sqrt(d))/c in lowest terms, so
 equal classes are equal tuples whichever frame built them.  An order test
-is the ``QR.int_sign`` of a pair difference, two classes meet at the lcm
-of their frames, and exact values are built only as views.
+is the ``QR.int_sign`` of a pair difference, and exact values are built
+only as views.  The exactnum kernels join two classes' frames at the lcm,
+cut a product to lowest terms and place a class in a point set's frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
-from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator
+from .exactnum import QuadraticRational as QR, _join, _lowest, _make, _place, common_denominator
 from .pointset import DiffElement, PointSet1D, diff_set
 from .sequences import TruncationError
 
@@ -67,15 +67,11 @@ class PatternClass:
 
 def _cut(c: int, d: int, pairs, out_index: int, in_index: int) -> PatternClass:
     """The class of increasing pairs over c with indices in range, moved to
-    start at (0, 0) and cut to lowest terms (d = 0 when every b is 0)."""
+    start at (0, 0) and cut to lowest terms."""
     a0, b0 = pairs[0]
-    pairs = [(a - a0, b - b0) for a, b in pairs]
-    g = gcd(c, *[e for p in pairs for e in p])
-    if g > 1:
-        c, pairs = c // g, [(a // g, b // g) for a, b in pairs]
+    c, d, pairs = _lowest(c, d, [(a - a0, b - b0) for a, b in pairs])
     x = object.__new__(PatternClass)
-    x.__dict__.update(c=c, d=d if any(b for _, b in pairs) else 0, pairs=tuple(pairs),
-                      out_index=out_index, in_index=in_index)
+    x.__dict__.update(c=c, d=d, pairs=pairs, out_index=out_index, in_index=in_index)
     return x
 
 
@@ -125,17 +121,10 @@ def max_above(x: PatternClass) -> PatternClass:
     return _cut(x.c, x.d, [x.pairs[i] for i in kept], kept.index(x.out_index), kept.index(x.in_index))
 
 
-def _lcm_frame(x: PatternClass, y: PatternClass) -> tuple:
-    """(c, d, x's pairs, y's pairs) over the lcm of the two frames."""
-    c = lcm(x.c, y.c)
-    xs, ys = (p.pairs if p.c == c else [(a * (c // p.c), b * (c // p.c)) for a, b in p.pairs] for p in (x, y))
-    return c, _joint_disc(x.d, y.d), xs, ys
-
-
 def natural_leq(x: PatternClass, y: PatternClass) -> bool:
     """x <= y iff a translate aligns the pointed pairs and y's pattern is
     contained in x's."""
-    _, _, xs, ys = _lcm_frame(x, y)
+    _, _, xs, ys = _join((x.c, x.d, x.pairs), (y.c, y.d, y.pairs))
     (xa, xb), (ya, yb) = xs[x.in_index], ys[y.in_index]
     sa, sb, (ya, yb), members = xa - ya, xb - yb, ys[y.out_index], set(xs)
     return xs[x.out_index] == (ya + sa, yb + sb) and all((a + sa, b + sb) in members for a, b in ys)
@@ -164,12 +153,8 @@ def _embeds(ps: PointSet1D, x: PatternClass) -> bool:
     of the pair index.  Offsets whose frame does not divide the set's are
     no differences of its points."""
     c, d, pairs = ps.frame
-    if c % x.c or x.d not in (0, d):
-        return False
-    k = c // x.c
-    offsets = [(a * k, b * k) for a, b in x.pairs[1:]]
-    index = ps._index_of
-    return any(all((pa + a, pb + b) in index for a, b in offsets) for pa, pb in pairs)
+    offsets, index = _place((x.c, x.d, x.pairs[1:]), c, d), ps._index_of
+    return offsets is not None and any(all((pa + a, pb + b) in index for a, b in offsets) for pa, pb in pairs)
 
 
 def multiply(
@@ -191,7 +176,7 @@ def multiply(
     window calculus); it turns a failed truncated search into an exact
     Defined or Undefined answer.
     """
-    c, d, xs, ys = _lcm_frame(x, y)
+    c, d, xs, ys = _join((x.c, x.d, x.pairs), (y.c, y.d, y.pairs))
     (xa, xb), (ya, yb) = xs[x.in_index], ys[y.out_index]
     ys = [(a + xa - ya, b + xb - yb) for a, b in ys]
     merged, at_x, at_y, i, j, nx, ny = [], [], [], 0, 0, len(xs), len(ys)

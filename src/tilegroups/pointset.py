@@ -8,14 +8,13 @@ and decompositions can be replayed in tests.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 
-from .exactnum import QuadraticRational as QR, _joint_disc, _make, common_denominator, pair_text
+from .exactnum import QuadraticRational as QR, _framed, _join, _make, _place, common_denominator, pair_text
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
@@ -93,10 +92,9 @@ class PointSet1D:
     def __contains__(self, value: QR) -> bool:
         if value < self.points[0] or value > self.points[-1]:
             raise TruncationError(f"{value} outside the materialised range")
-        # a value of another field raised in the comparison; an irrational
-        # value against a rational frame has b != 0 and is no key
-        c, (a, b, k) = self.frame[0], value.triple
-        return not c % k and (a * (c // k), b * (c // k)) in self._index_of
+        # a value of another field raised in the comparison
+        p = _place(_framed(value), *self.frame[:2])
+        return p is not None and p[0] in self._index_of
 
     def point(self, index: int) -> QR:
         if not self.min_index <= index <= self.max_index:
@@ -136,14 +134,9 @@ def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:
     if bound.sign() <= 0:
         raise ValueError("bound must be positive")
     base = ps.min_index
-    # the point set's integer pairs, over the bound's denominator too; one
-    # value per distinct difference
-    c, d, pts = ps.frame
-    (ba, bb, bc), d = bound.triple, _joint_disc(d, bound.disc)
-    if c % bc:
-        k = bc // math.gcd(c, bc)  # c * k = lcm(c, bc)
-        c, pts = c * k, [(a * k, b * k) for a, b in pts]
-    ba, bb = ba * (c // bc), bb * (c // bc)
+    # the point set's integer pairs, joined with the bound's; one value per
+    # distinct difference
+    c, d, pts, ((ba, bb),) = _join(ps.frame, _framed(bound))
     sign = QR.int_sign
     found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     lo = hi = 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from reference_kernels import is_square_free_trial, pair_text_fraction
 from tilegroups.exactnum import (
     DiscriminantMismatch,
     QuadraticRational as QR,
+    _join,
+    _lowest,
     _make,
+    _place,
     golden_ratio,
     is_square_free,
     pair_text,
@@ -219,3 +223,75 @@ def test_floor_and_ceil_bracket_the_value(p, q, r, s, d):
     assert (x - n).sign() >= 0 > (x - (n + 1)).sign()
     c = x.ceil()
     assert (x - c).sign() <= 0 < (x - (c - 1)).sign()
+
+
+# frames (c, d, rows) for the frame kernels: rows of two or four entries,
+# pairs (a, b) for (a + b*sqrt(d))/c, every b = 0 when d = 0
+FRAME_DISCS = (0, 2, 5, 1000003)
+FRAME_DENOMINATORS = (1, 2, 3, 7, 12)
+
+
+@st.composite
+def frames(draw, d=None, width=None):
+    d = draw(st.sampled_from(FRAME_DISCS)) if d is None else d
+    width = draw(st.sampled_from((2, 4))) if width is None else width
+    # zero entries often, so that frames whose surd parts all vanish are common
+    entry = st.one_of(st.just(0), st.integers(-60, 60))
+    row = st.tuples(*[entry if i % 2 == 0 or d else st.just(0) for i in range(width)])
+    return draw(st.sampled_from(FRAME_DENOMINATORS)), d, tuple(draw(st.lists(row, max_size=5)))
+
+
+def frame_values(c, d, rows):
+    """The rows as exact (rational part, surd coefficient) Fractions."""
+    return [tuple((Fraction(r[i], c), Fraction(r[i + 1], c)) for i in range(0, len(r), 2)) for r in rows]
+
+
+@given(st.data())
+def test_join_and_place_keep_every_value(data):
+    d = data.draw(st.sampled_from(FRAME_DISCS))
+    width = data.draw(st.sampled_from((2, 4)))
+    # a rational frame joins any field
+    fs = [data.draw(frames(data.draw(st.sampled_from((0, d))), width)) for _ in range(data.draw(st.integers(1, 3)))]
+    c, e, *placed = _join(*fs)
+    assert c == math.lcm(*[k for k, _, _ in fs]) and e == max(f[1] for f in fs)
+    for (k, f_d, rows), got in zip(fs, placed):
+        assert frame_values(c, e, got) == frame_values(k, f_d, rows)
+    k, f_d, rows = fs[0]
+    m = data.draw(st.sampled_from(FRAME_DENOMINATORS))
+    assert frame_values(k * m, e, _place(fs[0], k * m, e)) == frame_values(k, f_d, rows)
+
+
+@given(frames(), st.sampled_from(FRAME_DENOMINATORS), st.sampled_from(FRAME_DENOMINATORS))
+def test_cut_is_canonical(frame, m1, m2):
+    # one value set over two denominators cuts to one tuple, in lowest terms
+    k, d, rows = frame
+    cuts = [_lowest(k * m, d, tuple(tuple(x * m for x in r) for r in rows)) for m in (m1, m2)]
+    assert cuts[0] == cuts[1] == _lowest(k, d, rows)
+    c, e, cut = cuts[0]
+    assert type(cut) is tuple and all(type(r) is tuple for r in cut)
+    assert frame_values(c, e, cut) == frame_values(k, d, rows)
+    assert math.gcd(c, *[x for r in cut for x in r]) == 1
+    assert e == (d if any(x for r in rows for x in r[1::2]) else 0)
+
+
+@given(frames(), st.sampled_from(FRAME_DENOMINATORS), st.sampled_from(FRAME_DISCS))
+def test_place_refuses_what_does_not_fit(frame, c, d):
+    # in lowest terms, a frame fits a denominator it divides and its own
+    # field (or any field when rational); no other frame holds its values
+    k, e, rows = _lowest(*frame)
+    assert (_place((k, e, rows), c, d) is not None) == (c % k == 0 and e in (0, d))
+    if c % k and rows:
+        # some entry is no integer over c
+        assert any((Fraction(x, k) * c).denominator > 1 for r in rows for x in r)
+    if e not in (0, d):
+        # some surd part is nonzero, and d is another field
+        assert any(x for r in rows for x in r[1::2])
+
+
+@given(st.sampled_from([(2, 5), (5, 1000003), (2, 1000003)]), st.sampled_from((2, 4)), st.data())
+def test_join_of_mixed_fields_raises(fields, width, data):
+    a, b = (data.draw(frames(d, width)) for d in fields)
+    with pytest.raises(DiscriminantMismatch):
+        _join(a, b)
+    with pytest.raises(DiscriminantMismatch):
+        _join(b, (1, 0, ()), a)

@@ -21,7 +21,7 @@ from reference_kernels import (
     window_translate_qr,
 )
 from tilegroups import cli
-from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, _join, golden_ratio
 from tilegroups import exactnum, modelset
 from tilegroups.modelset import (
     CutProjectScheme,
@@ -153,7 +153,7 @@ class TestWindowSet:
         assert a.has_interior() == window_has_interior_qr(a)
         assert window_meets_group(a, QR(1), g) == window_meets_group_qr(a, QR(1), g)
         moved = a.translate(shift)
-        _, _, (pa, pb, pm), _ = modelset._in_frame((a, b, moved))
+        _, _, pa, pb, pm = _join(a.frame, b.frame, moved.frame)
         assert (pa == pb) == (a == b)
         assert (pm == pa) == (moved == a) == (shift == 0 or a.is_empty())
 
@@ -182,6 +182,14 @@ RATIONAL_ENDS = sorted({QR(Fraction(p, q)) for p in range(-5, 6) for q in (1, 2,
 
 
 class TestWindowFrame:
+    def test_operations_cut_to_lowest_terms(self):
+        # a translate or an intersection is stored in lowest terms, with d = 0
+        # once every surd part cancels
+        w = WindowSet.interval(QR(Fraction(1, 6)), QR(Fraction(5, 6))).translate(QR(Fraction(-1, 6)))
+        assert _fields(w) == (3, 0, ((0, 0, 2, 0),))
+        assert _fields(WindowSet.interval(TAU, TAU + 1).translate(-TAU)) == (1, 0, ((0, 0, 1, 0),))
+        assert _fields(interval(0, 2).intersect(WindowSet.interval(TAU / 2, QR(3)))) == (4, 5, ((1, 1, 8, 0),))
+
     @given(st.sampled_from((5, 2)), st.data())
     def test_frames_are_canonical(self, d, data):
         # the stored frame is the lowest-terms frame of the exact ends, so
@@ -260,6 +268,10 @@ class TestScheme:
     def test_star_rejects_non_lattice(self):
         with pytest.raises(ValueError):
             star(fibonacci_scheme(), QR(Fraction(1, 3)))
+
+    def test_off_lattice_message(self):
+        with pytest.raises(ValueError, match=r"^1/3 is not in the physical lattice image$"):
+            fibonacci_scheme().physical_coordinates(QR(Fraction(1, 3)))
 
     def test_value_from_another_field_is_off_lattice(self):
         # sqrt(2) is not in Q(sqrt(5)): its integer triple must not be
@@ -456,6 +468,17 @@ class TestPatternWindow:
         w = pattern_window(scheme, [QR(0), QR(1), QR(2)])
         assert w.is_empty()
         assert not pattern_embeds(scheme, [QR(0), QR(1), QR(2)])
+
+    def test_off_lattice_pattern_does_not_embed(self):
+        # no lattice translate of a pattern with a point off the lattice
+        # lies in the model set; an empty pattern still raises
+        scheme = fibonacci_scheme()
+        assert not pattern_embeds(scheme, [QR(0), QR(Fraction(1, 3))])
+        assert not pattern_embeds(scheme, [QR(Fraction(1, 3))])
+        assert not pattern_embeds(scheme, [QR(0), QR.sqrt_of(5) / 3])
+        assert pattern_embeds(scheme, [QR(0), QR(1)])
+        with pytest.raises(ValueError, match="pattern must be non-empty"):
+            pattern_embeds(scheme, [])
 
     def test_translation_shifts_window(self):
         scheme = fibonacci_scheme()

@@ -116,6 +116,17 @@ class TestMultiply:
         r2 = multiply(y, y, ps, embeds_oracle(fibonacci_scheme()))
         assert r2.status == "undefined"
 
+    def test_off_lattice_offsets_undefined(self):
+        # y's offset 1/3 is no lattice value, so no lattice translate of the
+        # product lies in the model set: the window oracle says undefined
+        # where the truncated search says unknown
+        ps, oracle = case_pointset(reference_cases()["fib"], 20), embeds_oracle(fibonacci_scheme())
+        x = make_element(ps, [0, 1], 1, 0)
+        y = pattern_class([QR(0), QR(Fraction(1, 3))], QR(0), QR(0))
+        assert multiply(x, y, ps).status == "unknown"
+        assert multiply(x, y, ps, oracle).status == "undefined"
+        assert multiply(x, y, ps, oracle) == multiply_truncated_scan(x, y, ps, oracle)
+
     def test_aligned_union_frame(self):
         x = pattern_class([QR(0), TAU], TAU, QR(0))
         y = pattern_class([QR(0), QR(1)], QR(1), QR(0))

@@ -106,6 +106,14 @@ class TestBuild:
         with pytest.raises(TruncationError):
             QR(100) in ps
 
+    def test_membership_off_the_frame(self):
+        # 1/3 does not fit the Fibonacci set's frame (c = 2, d = 5); sqrt(5)
+        # and 1/2 fit it but are no points
+        ps = case_pointset(reference_cases()["fib"], 20)
+        assert QR(Fraction(1, 3)) not in ps
+        assert QR.sqrt_of(5) not in ps and QR(Fraction(1, 2)) not in ps
+        assert all(p in ps for p in ps.points)
+
 
 class TestDiffSet:
     def test_small_example(self):

@@ -16,12 +16,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
+from ._record import Record
 from .exactnum import QuadraticRational as QR, golden_ratio
 from .modelset import (
     CutProjectScheme,
@@ -78,13 +78,17 @@ from .universal import (
 # reference cases
 
 
-@dataclass(frozen=True)
-class CaseConfig:
+class CaseConfig(Record):
     name: str
     spec: SequenceSpec
     lengths: LengthFunction
     table_universal: Optional[str]  # expected comparison cell, when one is known
     table_difference: Optional[str]
+
+    def __init__(self, name: str, spec: SequenceSpec, lengths: LengthFunction, table_universal: Optional[str],
+                 table_difference: Optional[str]):
+        self.__dict__.update(name=name, spec=spec, lengths=lengths, table_universal=table_universal,
+                             table_difference=table_difference)
 
 
 @cache
@@ -163,11 +167,13 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
 # verification suites
 
 
-@dataclass
-class Check:
+class Check(Record):
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 def _group_like_checks(names: tuple[str, str, str], table: dict, values: Iterable[QR]) -> list[Check]:

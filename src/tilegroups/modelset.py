@@ -26,12 +26,12 @@ caller that holds them (the empire suite) solves each point once.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, itemgetter
 from typing import Optional
 
+from ._record import Record
 from .exactnum import QuadraticRational as QR, _framed, _join, _lowest, _make, _place, common_denominator, golden_ratio
 from .patterns import PatternClass
 
@@ -100,8 +100,7 @@ def _meets_group(w: tuple, basis: list[tuple[int, int]], d: int) -> bool:
     return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
 
 
-@dataclass(frozen=True, init=False)
-class WindowSet:
+class WindowSet(Record):
     """A finite union of disjoint closed intervals [lo, hi], sorted and
     merged (degenerate ones, lo == hi, arise from intersections), stored in
     its frame: c the lcm of the ends' denominators, d their field (0 if all
@@ -207,14 +206,15 @@ def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
 # schemes
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(Record):
     phys: QR
     internal: QR
 
+    def __init__(self, phys: QR, internal: QR):
+        self.__dict__.update(phys=phys, internal=internal)
 
-@dataclass(frozen=True)
-class CutProjectScheme:
+
+class CutProjectScheme(Record):
     """Lattice basis (two vectors with physical and internal coordinates)
     plus the acceptance window.
 
@@ -228,7 +228,8 @@ class CutProjectScheme:
     v2: LatticeVector
     window: WindowSet
 
-    def __post_init__(self):
+    def __init__(self, v1: LatticeVector, v2: LatticeVector, window: WindowSet):
+        self.__dict__.update(v1=v1, v2=v2, window=window)
         det = self.v1.phys * self.v2.internal - self.v2.phys * self.v1.internal
         if det.sign() == 0:
             raise ValueError("embedding matrix is singular")
@@ -403,9 +404,15 @@ def _window_of_stars(scheme: CutProjectScheme, stars) -> tuple:
 
 
 def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
-    """P* = intersection over the pattern of K - x*; empty exactly when no
-    translate of the pattern occurs in the model set."""
-    return _window_set(*scheme._frame[:2], _window_of_stars(scheme, map(scheme._star_pair, points)))
+    """P* = intersection over the pattern of K - x*: the lattice translate
+    by g places the pattern inside the model set iff g* lies in P*.  A point
+    off the physical lattice image has no x*, and no lattice translate of
+    the pattern fits, so P* is empty."""
+    try:
+        stars = [scheme._star_pair(y) for y in points]
+    except ValueError:  # a point off the lattice
+        return WindowSet.empty()
+    return _window_set(*scheme._frame[:2], _window_of_stars(scheme, stars))
 
 
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
@@ -451,10 +458,12 @@ def _empire_equal_stars(scheme: CutProjectScheme, p_stars: list, q_stars: list) 
     return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
 
 
-@dataclass(frozen=True)
-class EmpireBruteResult:
+class EmpireBruteResult(Record):
     agree: bool
-    separator_coords: Optional[tuple[int, int]] = None
+    separator_coords: Optional[tuple[int, int]]
+
+    def __init__(self, agree: bool, separator_coords: Optional[tuple[int, int]] = None):
+        self.__dict__.update(agree=agree, separator_coords=separator_coords)
 
 
 class EmpireScan:
@@ -550,8 +559,7 @@ class EmpireScan:
 # the semigroup of window triples
 
 
-@dataclass(frozen=True)
-class WindowTriple:
+class WindowTriple(Record):
     """Translation class of a window triple, stored in left-anchored
     coordinates: (shift, window) stands for the class of (0, window, shift).
 
@@ -563,6 +571,9 @@ class WindowTriple:
 
     shift: QR
     window: WindowSet
+
+    def __init__(self, shift: QR, window: WindowSet):
+        self.__dict__.update(shift=shift, window=window)
 
 
 def window_triple(scheme: CutProjectScheme, a: QR, window: WindowSet, b: QR) -> WindowTriple:
@@ -630,8 +641,7 @@ def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: 
 # generators and relations of a partial action
 
 
-@dataclass(frozen=True)
-class PartialActionData:
+class PartialActionData(Record):
     """Truncated generator/relation harvest of a partial action of the
     group Z*g1 + Z*g2 on a window: the elements whose shifted window still
     meets the window, in ascending order, and one relation triple
@@ -642,6 +652,10 @@ class PartialActionData:
     bound: int
     elements: tuple[QR, ...]
     relations: tuple[tuple[QR, QR, QR], ...]
+
+    def __init__(self, basis: tuple[QR, QR], bound: int, elements: tuple[QR, ...],
+                 relations: tuple[tuple[QR, QR, QR], ...]):
+        self.__dict__.update(basis=basis, bound=bound, elements=elements, relations=relations)
 
     def items(self):
         """The harvest as a partial product table: ((g, g'), g + g') per

@@ -17,9 +17,9 @@ cut a product to lowest terms and place a class in a point set's frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._record import Record
 from .exactnum import QuadraticRational as QR, _join, _lowest, _make, _place, common_denominator
 from .pointset import DiffElement, PointSet1D, diff_set
 from .sequences import TruncationError
@@ -27,8 +27,7 @@ from .sequences import TruncationError
 _sign = QR.int_sign
 
 
-@dataclass(frozen=True, init=False)
-class PatternClass:
+class PatternClass(Record):
     """Canonical representative of a translation class in its frame: c, d
     and the strictly increasing offset ``pairs``, the least (0, 0), in
     lowest terms, with out/in given as positions into them; ``offsets``,
@@ -130,14 +129,16 @@ def natural_leq(x: PatternClass, y: PatternClass) -> bool:
     return xs[x.out_index] == (ya + sa, yb + sb) and all((a + sa, b + sb) in members for a, b in ys)
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(Record):
     """Outcome of a pattern product: 'defined' carries the result; 'unknown'
     means no embedding inside this truncation; 'undefined' is an exact
     global claim (empty acceptance window)."""
 
     status: str
-    value: Optional[PatternClass] = None
+    value: Optional[PatternClass]
+
+    def __init__(self, status: str, value: Optional[PatternClass] = None):
+        self.__dict__.update(status=status, value=value)
 
     @property
     def is_defined(self) -> bool:

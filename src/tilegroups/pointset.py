@@ -9,31 +9,30 @@ and decompositions can be replayed in tests.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
 
+from ._record import Record
 from .exactnum import QuadraticRational as QR, _framed, _join, _make, _place, common_denominator, pair_text
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
 
-@dataclass(frozen=True)
-class LengthFunction:
+class LengthFunction(Record):
     """Letter -> strictly positive exact length; distinct letters get
     distinct lengths.  The lengths are kept as a read-only copy."""
 
     lengths: Mapping[str, QR]
 
-    def __post_init__(self):
-        vals = list(self.lengths.values())
+    def __init__(self, lengths: Mapping[str, QR]):
+        vals = list(lengths.values())
         for v in vals:
             if v.sign() <= 0:
                 raise ValueError("tile lengths must be strictly positive")
         if len(set(vals)) != len(vals):
             raise ValueError("length function must be injective")
-        object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
+        self.__dict__.update(lengths=MappingProxyType(dict(lengths)))
 
     def __getitem__(self, letter: str) -> QR:
         return self.lengths[letter]
@@ -114,17 +113,17 @@ def build_pointset(window: IndexedWord, lengths: LengthFunction) -> PointSet1D:
     return PointSet1D(window, lengths)
 
 
-@dataclass(frozen=True)
-class DiffElement:
+class DiffElement(Record):
     """A value of D - D together with every witnessing index pair (i, j),
     r_i - r_j = value, inside the truncation."""
 
     value: QR
     witnesses: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if not self.witnesses:
+    def __init__(self, value: QR, witnesses: tuple[tuple[int, int], ...]):
+        if not witnesses:
             raise ValueError("a difference needs at least one witness")
+        self.__dict__.update(value=value, witnesses=witnesses)
 
 
 def diff_set(ps: PointSet1D, bound: QR) -> list[DiffElement]:

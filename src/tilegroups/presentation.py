@@ -13,10 +13,11 @@ abelian), which is exactly the level of argument the computations need.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
+
+from ._record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -36,16 +37,16 @@ def reduce_word(letters: Iterable[tuple[str, int]]) -> "FreeWord":
     return _word(tuple(stack))
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """A freely reduced word; letters are (generator label, +-1)."""
 
-    letters: tuple[tuple[str, int], ...] = ()
+    letters: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
-        for (g, e), (g2, e2) in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[tuple[str, int], ...] = ()):
+        for (g, e), (g2, e2) in zip(letters, letters[1:]):
             if g == g2 and e == -e2:
                 raise ValueError("word is not freely reduced")
+        self.__dict__.update(letters=letters)
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return reduce_word(self.letters + other.letters)
@@ -90,18 +91,18 @@ def _word(letters: tuple[tuple[str, int], ...]) -> FreeWord:
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]
 
-    def __post_init__(self):
-        gens = set(self.generators)
-        if len(gens) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[FreeWord, ...]):
+        gens = set(generators)
+        if len(gens) != len(generators):
             raise ValueError("duplicate generator labels")
-        unknown = {g for rel in self.relators for g, _ in rel.letters} - gens
+        unknown = {g for rel in relators for g, _ in rel.letters} - gens
         if unknown:
             raise ValueError(f"relator uses unknown labels {sorted(unknown)}")
+        self.__dict__.update(generators=generators, relators=relators)
 
     def __str__(self):
         rels = "; ".join(str(r) for r in self.relators)

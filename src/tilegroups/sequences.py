@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Optional
+
+from ._record import Record
 
 
 class TruncationError(ValueError):
     """A query reached beyond the materialised window."""
 
 
-@dataclass(frozen=True)
-class IndexedWord:
+class IndexedWord(Record):
     """A finite window of a bi-infinite sequence: letters at indices
     [start_index, start_index + len)."""
 
     start_index: int
     letters: str
+
+    def __init__(self, start_index: int, letters: str):
+        self.__dict__.update(start_index=start_index, letters=letters)
 
     def __len__(self):
         return len(self.letters)
@@ -101,8 +104,7 @@ def _resolve_seed_pair(rule: dict[str, str], seed: str, seed_left: Optional[str]
 _KIND_FIELDS = {"substitution": ("rule", "seed", "seed_left"), "periodic": ("word",), "spliced": ("left", "right")}
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Record):
     """One of: substitution(rule, seed[, seed_left]), periodic(word),
     spliced(left, right); a field that its kind does not read is an error.
 
@@ -113,18 +115,21 @@ class SequenceSpec:
     """
 
     kind: str
-    rule: Optional[Mapping[str, str]] = None
-    seed: Optional[str] = None
-    seed_left: Optional[str] = None
-    word: Optional[str] = None
-    left: Optional[str] = None
-    right: Optional[str] = None
+    rule: Optional[Mapping[str, str]]
+    seed: Optional[str]
+    seed_left: Optional[str]
+    word: Optional[str]
+    left: Optional[str]
+    right: Optional[str]
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "rule" and value is not None and not isinstance(value, str):
-                raise ValueError(f"spec field {f.name!r} must be a string")
+    def __init__(self, kind: str, rule: Optional[Mapping[str, str]] = None, seed: Optional[str] = None,
+                 seed_left: Optional[str] = None, word: Optional[str] = None, left: Optional[str] = None,
+                 right: Optional[str] = None):
+        self.__dict__.update(kind=kind, rule=rule, seed=seed, seed_left=seed_left, word=word, left=left, right=right)
+        for name in self._fields:
+            value = getattr(self, name)
+            if name != "rule" and value is not None and not isinstance(value, str):
+                raise ValueError(f"spec field {name!r} must be a string")
         if self.rule is not None:
             if not (isinstance(self.rule, Mapping) and all(
                     isinstance(k, str) and len(k) == 1 and isinstance(v, str) for k, v in self.rule.items())):
@@ -133,8 +138,8 @@ class SequenceSpec:
             object.__setattr__(self, "rule", MappingProxyType(dict(self.rule)))
         if self.kind not in _KIND_FIELDS:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
-        unread = [f.name for f in fields(self)[1:]
-                  if f.name not in _KIND_FIELDS[self.kind] and getattr(self, f.name) is not None]
+        unread = [name for name in self._fields[1:]
+                  if name not in _KIND_FIELDS[self.kind] and getattr(self, name) is not None]
         if unread:
             raise ValueError(f"{self.kind} spec does not take {', '.join(unread)}")
         if self.kind == "substitution":
@@ -164,7 +169,7 @@ class SequenceSpec:
         data = json.loads(text)
         if not isinstance(data, dict) or "kind" not in data:
             raise ValueError('a sequence spec is a JSON object with a "kind"')
-        unknown = data.keys() - {f.name for f in fields(cls)}
+        unknown = data.keys() - cls._fields
         if unknown:
             raise ValueError(f"unknown sequence spec keys {sorted(unknown)}")
         return cls(**data)
@@ -214,15 +219,17 @@ def _fixed_prefix(rule: dict[str, str], k: int, word: str, n: int) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class FactorLanguage:
+class FactorLanguage(Record):
     """All factors of a window up to max_len, stamped with the truncation
     they were computed from.  Factorial by construction."""
 
     words: frozenset[str]
     max_len: int
-    window_start: int = 0
-    window_len: int = 0
+    window_start: int
+    window_len: int
+
+    def __init__(self, words: frozenset[str], max_len: int, window_start: int = 0, window_len: int = 0):
+        self.__dict__.update(words=words, max_len=max_len, window_start=window_start, window_len=window_len)
 
     def __contains__(self, word: str) -> bool:
         if len(word) > self.max_len:

@@ -17,10 +17,10 @@ leave the materialised language raise instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 
+from ._record import Record
 from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .pointset import LengthFunction
 from .presentation import Presentation, presentation_from_pairs
@@ -31,8 +31,7 @@ from .sequences import FactorLanguage, IndexedWord, factor_language
 # equal-length relation harvest
 
 
-@dataclass(frozen=True)
-class HarvestReport:
+class HarvestReport(Record):
     """Harvest from one window: every relation pair is two distinct
     factors of the same exact length, and the presentation relates each
     length class by its spanning star (see
@@ -43,6 +42,11 @@ class HarvestReport:
     window_len: int
     max_len: int
     pairs: tuple[tuple[str, str, QR], ...]
+
+    def __init__(self, presentation: Presentation, window_start: int, window_len: int, max_len: int,
+                 pairs: tuple[tuple[str, str, QR], ...]):
+        self.__dict__.update(presentation=presentation, window_start=window_start, window_len=window_len,
+                             max_len=max_len, pairs=pairs)
 
 
 def harvest_equal_length_relations(
@@ -90,8 +94,7 @@ def harvest_equal_length_relations(
 # the connected tiling semigroup of a factorial language
 
 
-@dataclass(frozen=True)
-class AccentString:
+class AccentString(Record):
     """A word carrying an out accent and an in accent (same position:
     check accent).  The underlying word must belong to the language the
     string is used with; operations take the language explicitly."""
@@ -100,12 +103,13 @@ class AccentString:
     out_pos: int
     in_pos: int
 
-    def __post_init__(self):
-        if not self.word:
+    def __init__(self, word: str, out_pos: int, in_pos: int):
+        if not word:
             raise ValueError("accent string needs a non-empty word")
-        for pos in (self.out_pos, self.in_pos):
-            if not 0 <= pos < len(self.word):
+        for pos in (out_pos, in_pos):
+            if not 0 <= pos < len(word):
                 raise ValueError("accent position out of range")
+        self.__dict__.update(word=word, out_pos=out_pos, in_pos=in_pos)
 
 
 def accent_inverse(p: AccentString) -> AccentString:

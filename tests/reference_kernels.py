@@ -496,10 +496,15 @@ def window_meets_group_qr(window: WindowSet, b1: QR, b2: QR) -> bool:
 
 def pattern_window_qr(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
     """The intersection over the points of K - x*, stopping at the first
-    empty intersection."""
+    empty intersection; empty at a point off the physical lattice image,
+    which no lattice translate of the pattern fits."""
     out = None
     for p in points:
-        translate = window_translate_qr(scheme.window, -star(scheme, p))
+        try:
+            p_star = star(scheme, p)
+        except ValueError:
+            return WindowSet.empty()
+        translate = window_translate_qr(scheme.window, -p_star)
         out = translate if out is None else window_intersect_qr(out, translate)
         if out.is_empty():
             break

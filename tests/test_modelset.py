@@ -889,6 +889,15 @@ def test_empire_windows_match_qr_path(scheme):
             pattern_window_qr(scheme, pat_p + pat_q), *scheme.internal_group_basis())
 
 
+def test_pattern_window_off_the_lattice_is_empty():
+    # 1/3 is no physical lattice value, so no lattice translate of the
+    # pattern fits: both window calculi give the empty window, as
+    # pattern_embeds answers False
+    scheme, pattern = fibonacci_scheme(), [QR(0), QR(Fraction(1, 3))]
+    assert pattern_window(scheme, pattern) == pattern_window_qr(scheme, pattern) == WindowSet.empty()
+    assert not pattern_embeds(scheme, pattern)
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 7))
 def test_empire_suite_pairs_match_qr_path(monkeypatch, seed):
     # every pair the empire suite draws is decided as the exact-value

@@ -225,7 +225,7 @@ def windows(draw):
 def test_factor_language_matches_scan(case):
     text, max_len, start = case
     word = IndexedWord(start, text)
-    # dataclass equality: the words and the max_len, window_start and
+    # record equality: the words and the max_len, window_start and
     # window_len stamps
     assert factor_language(word, max_len) == factor_language_scan(word, max_len)
 

@@ -11,7 +11,6 @@ every requested check passed, 1 that a check failed and 2 bad input.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import random
 import sys
@@ -262,8 +261,9 @@ def suite_semigroup_axioms(seed: int = 0) -> list[Check]:
     checks.append(Check("maximal classes intertwine diff sums with products", intertwine_ok))
 
     # accent-string laws over the Fibonacci language
-    lang = factor_language(two_sided_window(cases["fib"].spec, 30), 6)
-    elems = [s for s in enumerate_language_semigroup(lang) if len(s.word) <= 3]
+    window = two_sided_window(cases["fib"].spec, 30)
+    lang = factor_language(window, 6)
+    elems = enumerate_language_semigroup(factor_language(window, 3))
     sl_ok = True
     for p in elems:
         q = accent_multiply(p, accent_inverse(p), lang)
@@ -522,9 +522,10 @@ def suite_table() -> list[Check]:
     return checks
 
 
-# each suite with the names of the verify options it takes: its parameters
+# each suite with the names of the verify options it takes: its parameters,
+# all positional-or-keyword, so the first co_argcount local names
 SUITES: dict[str, tuple[Callable[..., list[Check]], tuple[str, ...]]] = {
-    name: (suite, tuple(inspect.signature(suite).parameters)) for name, suite in (
+    name: (suite, suite.__code__.co_varnames[:suite.__code__.co_argcount]) for name, suite in (
         ("semigroup-axioms", suite_semigroup_axioms),
         ("empire", suite_empire),
         ("modelset-vs-substitution", suite_modelset_vs_substitution),

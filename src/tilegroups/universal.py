@@ -7,8 +7,12 @@ product that a small step set does not derive from the others, built by
 ``presentation_from_pairs``.
 
 The harvest reports every pair of equal-length factors, but presents
-each length class by one relator u0 v^-1 per non-least factor v, u0 the
-least: the same normal closure as all the pairs, at linear size.
+each sorted length class u0 < u1 < ... by the path of its neighbours, one
+relator u_i u_{i+1}^-1 per step: the same normal closure as all the pairs,
+since u_i u_j^-1 telescopes along the path.  Where sorted neighbours share
+a long prefix and suffix, as in a Sturmian window, their cyclic cores are
+short and repeat from class to class, so the presentation does not grow
+with the window.
 
 Truncation stamps travel with every result: a harvest knows the window
 and factor length it was computed from, and accent products that would
@@ -18,7 +22,7 @@ leave the materialised language raise instead of guessing.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from ._record import Record
 from .exactnum import QuadraticRational as QR, _make, common_denominator
@@ -34,7 +38,7 @@ from .sequences import FactorLanguage, IndexedWord, factor_language
 class HarvestReport(Record):
     """Harvest from one window: every relation pair is two distinct
     factors of the same exact length, and the presentation relates each
-    length class by its spanning star (see
+    sorted length class along the path of its neighbours (see
     ``harvest_equal_length_relations``)."""
 
     presentation: Presentation
@@ -62,29 +66,33 @@ def harvest_equal_length_relations(
     denominator, so equal lengths are equal pairs.  Only a class of two or
     more factors has its exact length built, to order the classes.
 
-    The presentation takes one relator u0 v^-1 per non-least factor v of
-    each length class, u0 the least: a spanning star, linear in the class
-    where the pairs are quadratic.  It has the same normal closure as the
-    relators of all the pairs, since u v^-1 = (u u0^-1)(u0 v^-1)."""
+    The presentation takes one relator u_i u_{i+1}^-1 per pair of
+    neighbours in each sorted length class u0 < u1 < ...: a spanning path,
+    linear in the class where the pairs are quadratic.  It has the same
+    normal closure as the relators of all the pairs, since for i < j
+    u_i u_j^-1 = (u_i u_{i+1}^-1)(u_{i+1} u_{i+2}^-1) ... (u_{j-1} u_j^-1).
+    Sorted neighbours often differ only in a short stretch (in the
+    Fibonacci chain, one swap ab -> ba), so after the cyclic-core cut of
+    ``presentation_from_pairs`` their relators coincide and the duplicates
+    go."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
     generators = sorted(set(window.letters))
     by_parikh: dict[tuple[int, ...], list[str]] = {}
     for w in lang.words:
-        by_parikh.setdefault(tuple(w.count(c) for c in generators), []).append(w)
+        by_parikh.setdefault(tuple(map(w.count, generators)), []).append(w)
     c, d, letter_pairs = common_denominator([lengths[x] for x in generators])
+    la, lb = [a for a, _ in letter_pairs], [b for _, b in letter_pairs]
     by_length: dict[tuple[int, int], list[str]] = {}
     for counts, words in by_parikh.items():
-        key = (sum(n * a for n, (a, _) in zip(counts, letter_pairs)),
-               sum(n * b for n, (_, b) in zip(counts, letter_pairs)))
-        by_length.setdefault(key, []).extend(words)
+        by_length.setdefault((sum(map(mul, counts, la)), sum(map(mul, counts, lb))), []).extend(words)
     classes = sorted(((_make(a, b, c, d), sorted(words))
                       for (a, b), words in by_length.items() if len(words) > 1), key=itemgetter(0))
     pairs = []
     spokes = []
     for length, group in classes:
-        spokes.extend((group[0], v) for v in group[1:])
+        spokes.extend(zip(group, group[1:]))
         pairs.extend((u, v, length) for u, v in combinations(group, 2))
     pres = presentation_from_pairs(generators, spokes)
     return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))

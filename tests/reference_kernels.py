@@ -303,7 +303,8 @@ def maxset_presentation_all_pairs(source) -> Presentation:
 def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: int) -> HarvestReport:
     """Every pair of distinct equal-length factors of the window, the
     lengths summed exactly once per Parikh vector; the presentation takes
-    one relator u0 v^-1 per non-least factor v of each length class."""
+    one relator u v^-1 per pair of neighbours u < v in each sorted length
+    class."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
@@ -319,7 +320,8 @@ def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: in
     spokes = []
     for length in sorted(by_length):
         group = sorted(by_length[length])
-        spokes.extend((group[0], v) for v in group[1:])
+        for i in range(1, len(group)):
+            spokes.append((group[i - 1], group[i]))
         for i, u in enumerate(group):
             for v in group[i + 1:]:
                 pairs.append((u, v, length))

@@ -507,9 +507,20 @@ class TestVerify:
 
     def test_suites_take_exactly_their_options(self):
         # every suite parameter is a verify option, so no setting is left
-        # that only a library caller could vary
+        # that only a library caller could vary; SUITES reads them from the
+        # code object, which gives the parameters while all of them are
+        # positional-or-keyword
         for name, (suite, options) in cli.SUITES.items():
             assert tuple(inspect.signature(suite).parameters) == options, name
+        assert {name: options for name, (_, options) in cli.SUITES.items()} == {
+            "semigroup-axioms": ("seed",),
+            "empire": ("pairs", "seed", "box_bound"),
+            "modelset-vs-substitution": ("radius",),
+            "partial-action": (),
+            "obstruction": ("coeff_bound",),
+            "language-free": (),
+            "table": (),
+        }
 
     def test_unknown_case_rejected(self):
         with pytest.raises(SystemExit):

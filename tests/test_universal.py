@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from tilegroups.presentation import (
     _commutator_certificate,
     abelian_invariants,
     certificate_free,
+    certificate_free_abelian,
     presentation_from_pairs,
     reduce_word,
     tietze_simplify,
@@ -62,6 +66,8 @@ PARTIAL_ACTIONS = [
     ((QR(1), SQRT2), WindowSet.interval(QR(0), QR(Fraction(3, 2)))),
     ((SQRT3, QR(1)), WindowSet.normalized([(QR(0), SQRT3), (QR(3), QR(4))])),
 ]
+PATH_LENGTHS = (QR(1), QR(2), QR(3), QR(Fraction(1, 2)), QR(Fraction(5, 3)), TAU, TAU + 1, TAU * 2,
+                TAU - QR(Fraction(1, 2)))
 HARVEST_LENGTHS = (
     LengthFunction({"a": QR(3), "b": QR(2), "c": QR(1)}),
     LengthFunction({"a": SQRT2, "b": QR(1), "c": SQRT2 / 2 + QR(Fraction(1, 2))}),
@@ -116,9 +122,10 @@ class TestHarvest:
     @pytest.mark.parametrize("case", sorted(reference_cases()))
     def test_parikh_grouping_matches_word_length(self, case):
         # grouping every factor by its own exact length gives the same
-        # pairs, in the same order; each pair's relator u v^-1 is, in the
-        # free group, the quotient of two relators of the class's spanning
-        # star, which are all in the presentation, cyclically reduced
+        # pairs, in the same order; each pair's relator u_i u_j^-1 is, in
+        # the free group, the product of the quotients of neighbours along
+        # the sorted class, whose cyclic reductions are all in the
+        # presentation
         config = reference_cases()[case]
         window = two_sided_window(config.spec, 60)
         rep = harvest_equal_length_relations(window, config.lengths, 14)
@@ -132,20 +139,22 @@ class TestHarvest:
         assert rep.pairs == tuple(pairs)
         assert rep.presentation.generators == tuple(sorted(set(window.letters)))
         relators = set(rep.presentation.relators)
-        for u, v, length in pairs:
-            u0 = min(by_length[length])
-            star_u, star_v = quotient(u0, u), quotient(u0, v)
-            assert (star_u.inverse() * star_v) == quotient(u, v)
-            assert {cyclic_reduction(star_u), cyclic_reduction(star_v)} - {FreeWord()} <= relators
+        for group in map(sorted, by_length.values()):
+            steps = [quotient(u, v) for u, v in zip(group, group[1:])]
+            assert {cyclic_reduction(q) for q in steps} - {FreeWord()} <= relators
+            for i, j in combinations(range(len(group)), 2):
+                assert reduce(mul, steps[i:j]) == quotient(group[i], group[j])
 
     @pytest.mark.parametrize("half_width, max_len", [(60, 14), (400, 30)])
     @pytest.mark.parametrize("case", sorted(reference_cases()))
     def test_star_invariants_match_all_pairs(self, case, half_width, max_len):
+        # the presentation of the neighbour paths (once spanning stars, as
+        # the name says) against the relators of all the pairs
         config = reference_cases()[case]
         rep = harvest_equal_length_relations(
             two_sided_window(config.spec, half_width), config.lengths, max_len)
-        star_pres, all_pres = rep.presentation, harvest_presentation_all_pairs(rep)
-        assert set(star_pres.relators) <= set(all_pres.relators)
+        path_pres, all_pres = rep.presentation, harvest_presentation_all_pairs(rep)
+        assert set(path_pres.relators) <= set(all_pres.relators)
 
         def facts(pres):
             invariants = abelian_invariants(pres)
@@ -153,7 +162,7 @@ class TestHarvest:
             return (invariants, certificate_free(pres),
                     _commutator_certificate(pres) if zero_sums else None)
 
-        assert facts(star_pres) == facts(all_pres)
+        assert facts(path_pres) == facts(all_pres)
 
     @pytest.mark.parametrize("half_width, max_len", [(40, 12), (400, 30)])
     @pytest.mark.parametrize("case", sorted(reference_cases()))
@@ -171,6 +180,37 @@ class TestHarvest:
         window = IndexedWord(-len(text) // 2, text)
         assert (harvest_equal_length_relations(window, lengths, max_len)
                 == harvest_exact_sums(window, lengths, max_len))
+
+    @pytest.mark.parametrize("half_width, max_len", [(60, 10), (400, 30), (1600, 60)])
+    @pytest.mark.parametrize("case", ["fib", "splice-rational-3-2"])
+    def test_one_relator_at_every_window(self, case, half_width, max_len):
+        # ab = ba and a^2 = b^3: sorted neighbours of one length differ in
+        # one such swap, so every path step cuts to the same relator
+        config = reference_cases()[case]
+        rep = harvest_equal_length_relations(two_sided_window(config.spec, half_width), config.lengths, max_len)
+        relator = {"fib": "a b a- b-", "splice-rational-3-2": "a a b- b- b-"}[case]
+        assert tuple(map(str, rep.presentation.relators)) == (relator,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.tuples(
+        st.text(alphabet=letters, min_size=1, max_size=40),
+        st.lists(st.sampled_from(PATH_LENGTHS), min_size=len(letters), max_size=len(letters), unique=True)
+        .map(lambda values: LengthFunction(dict(zip(letters, values)))))),
+        st.integers(2, 8))
+    def test_path_facts_match_all_pairs_on_words(self, text_lengths, max_len):
+        # rational and Q(sqrt 5) lengths: the path presentation has the
+        # invariants and certificates of the relators of all the pairs, and
+        # at most one relator per path step
+        text, lengths = text_lengths
+        rep = harvest_equal_length_relations(IndexedWord(-len(text) // 2, text), lengths, max_len)
+        path_pres, all_pres = rep.presentation, harvest_presentation_all_pairs(rep)
+
+        def facts(pres):
+            return abelian_invariants(pres), certificate_free(pres), certificate_free_abelian(pres)
+
+        assert facts(path_pres) == facts(all_pres)
+        steps = len({w for u, v, _ in rep.pairs for w in (u, v)}) - len({length for *_, length in rep.pairs})
+        assert len(path_pres.relators) <= steps
 
 
 class TestAccentStrings:

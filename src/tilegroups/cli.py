@@ -42,7 +42,6 @@ from .presentation import (
     abelian_invariants,
     certificate_free,
     presentation_from_pairs,
-    tietze_simplify,
 )
 from .patterns import (
     PatternClass,
@@ -123,7 +122,12 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
     zero_sums = invariants == (len(pres.generators), [])
     abelian_rank = _commutator_certificate(pres) if zero_sums else None
     if abelian_rank is None:
-        simplified = tietze_simplify(pres)
+        # no Tietze pass, which would return it unchanged: a relator is the
+        # cyclic core u'v'^-1 of sorted neighbours u < v of one length, so
+        # u' < v' are non-empty; none has length 2 (LengthFunction is
+        # injective), so none defines a generator, and none repeats up to
+        # inversion, which would need the pair (v', u')
+        simplified = pres
     else:
         # every relator lies in [F, F], the normal closure of the
         # commutators, which are relators: so the commutators present it
@@ -140,7 +144,7 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
     out = {
         "case": case.name,
         "window": {"half_width": half_width, "max_len": max_len},
-        "harvest_pairs": len(report.pairs),
+        "harvest_pairs": sum(len(words) * (len(words) - 1) // 2 for _, words in report.classes),
         "generators": list(pres.generators),
         "universal_group": {
             "statement": statement,
@@ -496,7 +500,7 @@ def suite_table() -> list[Check]:
     case = cases["splice-rational-3-2"]
     window = two_sided_window(case.spec, half_width)
     harvest = harvest_equal_length_relations(window, case.lengths, max_len)
-    has_pair = any((u, v) == ("aa", "bbb") for u, v, _ in harvest.pairs)
+    has_pair = any("aa" in words and "bbb" in words for _, words in harvest.classes)
     inv = harvest_invs[case.name] = abelian_invariants(harvest.presentation)
     checks.append(Check(
         "case splice-rational: pair (aa, bbb) harvested and abelianization Z",
@@ -535,6 +539,10 @@ SUITES: dict[str, tuple[Callable[..., list[Check]], tuple[str, ...]]] = {
         ("table", suite_table),
     )
 }
+
+
+# every verify option once, in the order of the suites that take it
+_VERIFY_OPTIONS = tuple(dict.fromkeys(option for _, options in SUITES.values() for option in options))
 
 
 def run_suite(name: str, args: argparse.Namespace) -> list[Check]:
@@ -638,7 +646,15 @@ def cmd_present(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.suite == "all":
+        names = list(SUITES)
+    else:
+        names = [args.suite]
+        # only a given option is set (argparse.SUPPRESS)
+        ignored = [option for option in _VERIFY_OPTIONS
+                   if hasattr(args, option) and option not in SUITES[args.suite][1]]
+        if ignored:
+            raise ValueError(f"--suite {args.suite} does not take {', '.join(map(_option, ignored))}")
     all_checks = []
     for name in names:
         t0 = time.perf_counter()
@@ -691,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", default="all", choices=["all", *SUITES])
     # each suite parameter once, with no default of its own (run_suite)
-    for option in dict.fromkeys(option for _, options in SUITES.values() for option in options):
+    for option in _VERIFY_OPTIONS:
         ver.add_argument(_option(option), type=int, default=argparse.SUPPRESS)
     ver.add_argument("--out")
     ver.set_defaults(func=cmd_verify)

@@ -6,11 +6,12 @@ harvest: one generator per element and one relation x y = z per defined
 product that a small step set does not derive from the others, built by
 ``presentation_from_pairs``.
 
-The harvest reports every pair of equal-length factors, but presents
-each sorted length class u0 < u1 < ... by the path of its neighbours, one
-relator u_i u_{i+1}^-1 per step: the same normal closure as all the pairs,
-since u_i u_j^-1 telescopes along the path.  Where sorted neighbours share
-a long prefix and suffix, as in a Sturmian window, their cyclic cores are
+The harvest keeps its sorted length classes u0 < u1 < ..., not the pairs
+of equal-length factors: those are built from the classes only when read.
+It presents each class by the path of its neighbours, one relator
+u_i u_{i+1}^-1 per step: the same normal closure as all the pairs, since
+u_i u_j^-1 telescopes along the path.  Where sorted neighbours share a
+long prefix and suffix, as in a Sturmian window, their cyclic cores are
 short and repeat from class to class, so the presentation does not grow
 with the window.
 
@@ -36,21 +37,27 @@ from .sequences import FactorLanguage, IndexedWord, factor_language
 
 
 class HarvestReport(Record):
-    """Harvest from one window: every relation pair is two distinct
-    factors of the same exact length, and the presentation relates each
-    sorted length class along the path of its neighbours (see
-    ``harvest_equal_length_relations``)."""
+    """Harvest from one window: the classes of two or more distinct factors
+    of one exact length, as (length, sorted words) in ascending length, and
+    the presentation that relates each class along the path of its
+    neighbours (see ``harvest_equal_length_relations``)."""
 
     presentation: Presentation
     window_start: int
     window_len: int
     max_len: int
-    pairs: tuple[tuple[str, str, QR], ...]
+    classes: tuple[tuple[QR, tuple[str, ...]], ...]
 
     def __init__(self, presentation: Presentation, window_start: int, window_len: int, max_len: int,
-                 pairs: tuple[tuple[str, str, QR], ...]):
+                 classes: tuple[tuple[QR, tuple[str, ...]], ...]):
         self.__dict__.update(presentation=presentation, window_start=window_start, window_len=window_len,
-                             max_len=max_len, pairs=pairs)
+                             max_len=max_len, classes=classes)
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str, QR], ...]:
+        """Every pair u < v of one class as (u, v, length), class by class:
+        sum C(k, 2) triples over the class sizes k, built on each read."""
+        return tuple((u, v, length) for length, words in self.classes for u, v in combinations(words, 2))
 
 
 def harvest_equal_length_relations(
@@ -58,13 +65,14 @@ def harvest_equal_length_relations(
     lengths: LengthFunction,
     max_len: int,
 ) -> HarvestReport:
-    """Scan the factor language of the window, group factors by exact
-    length, and report one relation pair per unordered pair of distinct
-    equal-length factors.  The length is computed once per Parikh vector
-    (count of each letter), as the sum of count times letter length, not
-    per factor or per letter: an integer pair over the letters' common
-    denominator, so equal lengths are equal pairs.  Only a class of two or
-    more factors has its exact length built, to order the classes.
+    """Scan the factor language of the window and group its factors by
+    exact length, keeping each class of two or more factors sorted.  The
+    length is computed once per Parikh vector (count of each letter), as
+    the sum of count times letter length, not per factor or per letter: an
+    integer pair over the letters' common denominator, so equal lengths are
+    equal pairs.  Only a class of two or more factors has its exact length
+    built, to order the classes.  No relation pair is built here; the
+    report's ``pairs`` builds them from the classes when read.
 
     The presentation takes one relator u_i u_{i+1}^-1 per pair of
     neighbours in each sorted length class u0 < u1 < ...: a spanning path,
@@ -87,15 +95,10 @@ def harvest_equal_length_relations(
     by_length: dict[tuple[int, int], list[str]] = {}
     for counts, words in by_parikh.items():
         by_length.setdefault((sum(map(mul, counts, la)), sum(map(mul, counts, lb))), []).extend(words)
-    classes = sorted(((_make(a, b, c, d), sorted(words))
-                      for (a, b), words in by_length.items() if len(words) > 1), key=itemgetter(0))
-    pairs = []
-    spokes = []
-    for length, group in classes:
-        spokes.extend(zip(group, group[1:]))
-        pairs.extend((u, v, length) for u, v in combinations(group, 2))
-    pres = presentation_from_pairs(generators, spokes)
-    return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
+    classes = tuple(sorted(((_make(a, b, c, d), tuple(sorted(words)))
+                            for (a, b), words in by_length.items() if len(words) > 1), key=itemgetter(0)))
+    pres = presentation_from_pairs(generators, [spoke for _, group in classes for spoke in zip(group, group[1:])])
+    return HarvestReport(pres, window.start_index, len(window), max_len, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ spanning star per length class: one relator per harvested pair, and
 out the entries a step set derives: one relator per table entry.
 ``harvest_exact_sums`` is the equal-length harvest that groups the Parikh
 vectors by exact ``QuadraticRational`` length sums, before the grouping
-moved onto integer pairs, and ``window_intersect_pairwise`` is
-``WindowSet.intersect`` as the pairwise max/min of all component pairs
+moved onto integer pairs; it reports the length classes, as the harvest
+does since it stopped building every pair.  ``window_intersect_pairwise``
+is ``WindowSet.intersect`` as the pairwise max/min of all component pairs
 passed to ``WindowSet.normalized``, before it became one merge pass.
 ``multiply_truncated_scan`` is the pattern-class product deciding by the
 earlier ``_embeds`` (as ``embeds_truncated_scan``), which tried every
@@ -301,10 +302,10 @@ def maxset_presentation_all_pairs(source) -> Presentation:
 
 
 def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: int) -> HarvestReport:
-    """Every pair of distinct equal-length factors of the window, the
-    lengths summed exactly once per Parikh vector; the presentation takes
-    one relator u v^-1 per pair of neighbours u < v in each sorted length
-    class."""
+    """Every class of two or more distinct equal-length factors of the
+    window, the lengths summed exactly once per Parikh vector; the
+    presentation takes one relator u v^-1 per pair of neighbours u < v in
+    each sorted length class."""
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
     lang = factor_language(window, max_len)
@@ -316,17 +317,16 @@ def harvest_exact_sums(window: IndexedWord, lengths: LengthFunction, max_len: in
     for counts, words in by_parikh.items():
         length = sum(lengths[c] * n for c, n in zip(generators, counts) if n)
         by_length.setdefault(length, []).extend(words)
-    pairs = []
+    classes = []
     spokes = []
     for length in sorted(by_length):
         group = sorted(by_length[length])
         for i in range(1, len(group)):
             spokes.append((group[i - 1], group[i]))
-        for i, u in enumerate(group):
-            for v in group[i + 1:]:
-                pairs.append((u, v, length))
+        if len(group) > 1:
+            classes.append((length, tuple(group)))
     pres = presentation_from_pairs(generators, spokes)
-    return HarvestReport(pres, window.start_index, len(window), max_len, tuple(pairs))
+    return HarvestReport(pres, window.start_index, len(window), max_len, tuple(classes))
 
 
 def pattern_class_qr(values: list[QR], out_value: QR, in_value: QR) -> tuple[tuple[QR, ...], int, int]:

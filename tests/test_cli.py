@@ -12,9 +12,9 @@ from tilegroups import cli, modelset, patterns, presentation, sequences
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
-from tilegroups.presentation import Presentation, certificate_free_abelian, reduce_word, tietze_simplify
+from tilegroups.presentation import Presentation, certificate_free_abelian, reduce_word
 from tilegroups.sequences import two_sided_window
-from tilegroups.universal import harvest_equal_length_relations
+from tilegroups.universal import HarvestReport, harvest_equal_length_relations
 
 
 class TestGenerate:
@@ -313,7 +313,7 @@ class TestPresent:
     def test_certified_report_simplifies_to_commutators(self, name):
         # a Z^n certificate reports the commutators of the harvest's
         # generators, a presentation that certifies Z^n itself; every other
-        # statement reports Tietze's fixed point
+        # statement reports the harvest presentation
         case = reference_cases()[name]
         pres = harvest_equal_length_relations(two_sided_window(case.spec, 40), case.lengths, 12).presentation
         group = build_case_report(case, 40, 12)["universal_group"]
@@ -327,7 +327,25 @@ class TestPresent:
             assert group["simplified"] == str(commutators)
             assert certificate_free_abelian(commutators) == len(gens)
         else:
-            assert group["simplified"] == str(tietze_simplify(pres))
+            assert group["simplified"] == str(pres)
+
+    @pytest.mark.parametrize("name", list(reference_cases()))
+    def test_harvest_pairs_counted_from_classes(self, name):
+        case = reference_cases()[name]
+        rep = harvest_equal_length_relations(two_sided_window(case.spec, 40), case.lengths, 12)
+        count = build_case_report(case, 40, 12)["harvest_pairs"]
+        assert count == sum(len(words) * (len(words) - 1) // 2 for _, words in rep.classes) == len(rep.pairs)
+
+    def test_reports_build_no_pairs(self, monkeypatch):
+        # the report and the table suite read the classes: the pair
+        # triples are built only for a caller that reads them
+        def unread(report):
+            raise AssertionError("HarvestReport.pairs read")
+
+        monkeypatch.setattr(HarvestReport, "pairs", property(unread))
+        for case in reference_cases().values():
+            build_case_report(case, 40, 12)
+        assert all(check.passed for check in cli.suite_table())
 
     def test_splice_flag_present(self):
         rep = build_case_report(reference_cases()["splice-irrational"], 20, 10)
@@ -504,6 +522,20 @@ class TestVerify:
         monkeypatch.setitem(cli.SUITES, "empire", (record, cli.SUITES["empire"][1]))
         assert main(["verify", "--suite", "empire", "--seed", "3"]) == 0
         assert seen == {"seed": 3}
+
+    @pytest.mark.parametrize("argv, ignored", [
+        (["--suite", "table", "--radius", "5"], "--suite table does not take --radius"),
+        (["--suite", "partial-action", "--seed", "1"], "--suite partial-action does not take --seed"),
+        (["--suite", "empire", "--seed", "1", "--radius", "5", "--coeff-bound", "2"],
+         "--suite empire does not take --radius, --coeff-bound"),
+    ], ids=["table-radius", "partial-action-seed", "empire-radius-coeff-bound"])
+    def test_options_the_suite_ignores_rejected(self, argv, ignored, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        rc = main(["verify", *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {ignored}"]
+        assert not out.exists()
 
     def test_suites_take_exactly_their_options(self):
         # every suite parameter is a verify option, so no setting is left

@@ -334,8 +334,8 @@ def pair_text(a: int, b: int, c: int, d: int) -> str:
     """(a + b*sqrt(d))/c for c > 0 as "p/q+r/s*sqrt(d)", each part in lowest
     terms as ``str(Fraction(.., c))`` prints it, omitting a zero rational
     part, a denominator 1 and a surd coefficient 1; (a, b, c) need not be
-    normalised, and d is not read when b == 0.  The one printing path:
-    ``str`` of a value and the point-set dump."""
+    normalised, and d is not read when b == 0.  It prints single values
+    (``str``); :func:`frame_text` prints a whole frame the same way."""
     g = math.gcd(a, c)
     text = str(a // g) if g == c else f"{a // g}/{c // g}"
     if not b:
@@ -343,6 +343,34 @@ def pair_text(a: int, b: int, c: int, d: int) -> str:
     g = math.gcd(b, c)
     coef = "" if g == c == abs(b) else f"{abs(b) // g}*" if g == c else f"{abs(b) // g}/{c // g}*"
     return f"{text if a else ''}{'-' if b < 0 else '+' if a else ''}{coef}sqrt({d})"
+
+
+def frame_text(c: int, d: int, rows) -> list[str]:
+    """``pair_text(a, b, c, d)`` of every row (a, b) of one frame over c > 0.
+    A part x's divisor gcd(x, c) and the text after the quotient depend on
+    x mod c only, so each part finds them once per residue that its rows
+    meet, in a memo local to the call (c may be far too large for a table)."""
+    gcd, rat, surd, texts = math.gcd, {}, {}, []
+    for a, b in rows:
+        r = a % c
+        m = rat.get(r)
+        if m is None:
+            g = gcd(r, c)
+            m = rat[r] = g, "" if g == c else f"/{c // g}"
+        g, tail = m
+        if b:
+            r = b % c
+            m = surd.get(r)
+            if m is None:
+                h = gcd(r, c)
+                m = surd[r] = h, f"*sqrt({d})" if h == c else f"/{c // h}*sqrt({d})"
+            h, coef_tail = m
+            n = abs(b) // h
+            coef = f"sqrt({d})" if n == 1 and h == c else f"{n}{coef_tail}"
+            texts.append(f"{a // g}{tail}{'-' if b < 0 else '+'}{coef}" if a else f"-{coef}" if b < 0 else coef)
+        else:
+            texts.append(f"{a // g}{tail}")
+    return texts
 
 
 def common_denominator(values) -> tuple[int, int, list[tuple[int, int]]]:

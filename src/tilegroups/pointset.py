@@ -14,7 +14,7 @@ from operator import attrgetter
 from types import MappingProxyType
 
 from ._record import Record
-from .exactnum import QuadraticRational as QR, _framed, _join, _make, _place, common_denominator, pair_text
+from .exactnum import QuadraticRational as QR, _framed, _join, _make, _place, common_denominator, frame_text
 from .presentation import hnf
 from .sequences import IndexedWord, TruncationError
 
@@ -105,8 +105,7 @@ class PointSet1D:
         return max(self.lengths[x] for x in set(self.window.letters))
 
     def to_json_dict(self) -> dict:
-        c, d, pairs = self.frame
-        return {"anchor": "0", "points": [pair_text(a, b, c, d) for a, b in pairs]}
+        return {"anchor": "0", "points": frame_text(*self.frame)}
 
 
 def build_pointset(window: IndexedWord, lengths: LengthFunction) -> PointSet1D:

@@ -63,7 +63,8 @@ letter-count vectors first and raises ``ExpansionCapped`` beyond
 ``EXPANSION_CAP`` letters; tests skip the specs where it does.
 ``is_square_free_trial`` is ``is_square_free`` by trial division up to
 sqrt(d).  ``pair_text_fraction`` prints (a + b*sqrt(d))/c as ``pair_text``
-does, from ``str`` of the two parts as ``Fraction`` values.
+and, row by row, ``frame_text`` do, from ``str`` of the two parts as
+``Fraction`` values.
 ``check_homomorphism_wordwise`` is ``check_homomorphism``
 multiplying the image words one relator letter at a time, each product
 freely reduced again, before it reduced the concatenated image letters

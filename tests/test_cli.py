@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_kernels import pair_text_fraction, pointset_points_indexed
 from tilegroups import cli, modelset, patterns, presentation, sequences
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
+from tilegroups.pointset import PointSet1D
 from tilegroups.presentation import Presentation, certificate_free_abelian, reduce_word
-from tilegroups.sequences import two_sided_window
+from tilegroups.sequences import SequenceSpec, two_sided_window
 from tilegroups.universal import HarvestReport, harvest_equal_length_relations
 
 
@@ -50,6 +52,24 @@ class TestGenerate:
         data = json.loads(out.read_text())
         # leftmost point r_{-11}: gaps T(0..-10) alternate a,b from a: 6*2+5*1
         assert data["pointset"]["points"][0] == "-17"
+
+    def test_spec_dump_over_a_frame_of_twelve(self, tmp_path):
+        # lengths over c = 12, d = 2, so the dump meets residues mod 12 of
+        # both parts, not only the two of the Fibonacci frame
+        spec_file, out = tmp_path / "spec.json", tmp_path / "dump.json"
+        spec_file.write_text('{"kind":"substitution","rule":{"a":"abc","b":"ac","c":"a"},'
+                             '"seed":"a","seed_left":"a"}')
+        lengths = "a=1/3,b=1/2,c=1/6+1/4*sqrt(2)"
+        rc = main(["generate", "--spec", str(spec_file), "--lengths", lengths,
+                   "--half-width", "300", "--out", str(out)])
+        assert rc == 0
+        dumped = json.loads(out.read_text())["pointset"]["points"]
+        window = two_sided_window(SequenceSpec.from_json(spec_file.read_text()), 300)
+        ps = PointSet1D(window, cli._parse_lengths(lengths))
+        assert ps.frame[:2] == (12, 2)
+        assert dumped == [str(p) for p in ps.points]
+        assert dumped == [pair_text_fraction(*p.triple, p.disc)
+                          for p in pointset_points_indexed(window, ps.lengths)]
 
     def test_without_out_prints_json(self, capsys):
         rc = main(["generate", "--builtin-scheme", "--radius", "5"])

@@ -12,6 +12,7 @@ from tilegroups.exactnum import (
     _lowest,
     _make,
     _place,
+    frame_text,
     golden_ratio,
     is_square_free,
     pair_text,
@@ -172,6 +173,34 @@ def test_pair_text_prints_each_part_reduced(pair):
     assert text == pair_text_fraction(a, b, c, d)
     assert QR.from_string(text) == _make(a, b, c, d)
     assert str(_make(a, b, c, d)) == text
+
+
+@st.composite
+def text_frames(draw):
+    """(c, d, rows): c up to about 10^30 with common factors left in, 0 to 40
+    rows whose parts come from a pool of at most four, each moved by a
+    multiple of c, so residues repeat; 0 and +-k*c (b = +-c among them) are
+    drawn often, and entries of either sign."""
+    c = draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+    part = st.one_of(st.just(0), st.integers(-3, 3).map(lambda k: k * c), st.integers(-2 * c, 2 * c),
+                     st.integers(-10**4, 10**4))
+    pool = draw(st.lists(part, min_size=1, max_size=4))
+    moved = st.builds(lambda x, k: x + k * c, st.sampled_from(pool), st.sampled_from([0, 0, -1, 1, 5]))
+    rows = draw(st.lists(st.tuples(moved, moved), max_size=40))
+    k = draw(st.sampled_from([1, 2, 6, 35]))
+    return c * k, draw(st.sampled_from([2, 3, 5, 1000003])), [(a * k, b * k) for a, b in rows]
+
+
+@given(text_frames())
+def test_frame_text_prints_every_row_as_pair_text(frame):
+    c, d, rows = frame
+    texts = frame_text(c, d, rows)
+    assert texts == [pair_text(a, b, c, d) for a, b in rows]
+    assert texts == [pair_text_fraction(a, b, c, d) for a, b in rows]
+
+
+def test_frame_text_of_the_empty_frame():
+    assert frame_text(12, 2, []) == []
 
 
 small_fractions = st.fractions(max_denominator=12, min_value=-8, max_value=8)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from helpers import diff_lookup
 from reference_kernels import chained_sum, diff_set_pairs, max_gap_consecutive, pointset_points_indexed
 from tilegroups.cli import case_pointset, reference_cases
-from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio, pair_text
 from tilegroups.pointset import (
     LengthFunction,
     PointSet1D,
@@ -161,6 +162,21 @@ def test_dump_and_differences_build_no_points(case):
     assert ps.points == pointset_points_indexed(ps.window, config.lengths)
     assert ps.to_json_dict()["points"] == [str(p) for p in ps.points]
     assert diffs == [diff_set_pairs(ps, bound) for bound in bounds]
+
+
+def test_dump_reduces_each_residue_once(monkeypatch):
+    # a cost check, with no timing: the Fibonacci frame has c = 2, so a dump
+    # of its 8 002 points takes at most one gcd per residue mod 2 of each
+    # part, 4 in all, where printing row by row takes two per row
+    ps = case_pointset(reference_cases()["fib"], 4000)
+    c, d, rows = ps.frame
+    calls, gcd = [], math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    texts = ps.to_json_dict()["points"]
+    monkeypatch.undo()
+    assert (c, len(texts)) == (2, 8002)
+    assert len(calls) <= 4
+    assert texts == [pair_text(a, b, c, d) for a, b in rows]
 
 
 @pytest.mark.parametrize("case", sorted(reference_cases()))

@@ -25,7 +25,7 @@ caller that holds them (the empire suite) solves each point once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from operator import and_, itemgetter
@@ -674,8 +674,11 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
     |g| <= w, the width of V's hull, so each n visits the strip of m with
     |n*g1 + m*g2| <= w and |m| <= coeff_bound (``_strip_rows``, two bands).
     The basis is independent, so each element is keyed by its coordinates
-    (n, m), and the sum of a pair is the element at (n + n', m + m').  The
-    overlaps are decided in the frame of the basis and the window.
+    (n, m).  O_g = V meet (V + g) meets V + t in an interior exactly when t
+    is in a span (p - h, q - l) of components [p, q] of O_g and [l, h] of V
+    with interior, so g bisects the elements once per span and looks up
+    g' = t - g at (n_t - n, m_t - m) for each t inside, ascending in t and
+    so in g'.  The overlaps are decided in the frame of the basis and window.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -690,18 +693,25 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
         for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
             for m in range(m_lo, m_hi + 1):
                 a, b = a1 * n + a2 * m, b1 * n + b2 * m
-                if _has_interior(_meet(w, _shifted(w, -a, -b), d), d):
-                    found.append((_make(a, b, c, d), n, m, _shifted(w, a, b)))
+                if _has_interior(overlap := _meet(w, _shifted(w, -a, -b), d), d):
+                    found.append((_make(a, b, c, d), n, m, _shifted(overlap, a, b)))
     found.sort(key=itemgetter(0))
-    by_coords = {(n, m): (g, moved) for g, n, m, moved in found}
-    relations: list[tuple[QR, QR, QR]] = []
-    for g, n, m, moved in found:
-        overlap_g = _meet(w, moved, d)
-        for gp, n2, m2, _ in found:
-            total = by_coords.get((n + n2, m + m2))
-            if total is not None and _has_interior(_meet(overlap_g, total[1], d), d):
-                relations.append((g, gp, total[0]))
     elements = tuple(g for g, _, _, _ in found)
+    position = {(n, m): k for k, (_, n, m, _) in enumerate(found)}
+    relations: list[tuple[QR, QR, QR]] = []
+    for g, n, m, overlap in found:
+        spans, done = [], 0
+        for pa, pb, qa, qb in overlap:
+            for la, lb, ha, hb in w:
+                if _sign(qa - pa, qb - pb, d) > 0 and _sign(ha - la, hb - lb, d) > 0:
+                    spans.append((bisect_right(elements, _make(pa - ha, pb - hb, c, d)),
+                                  bisect_left(elements, _make(qa - la, qb - lb, c, d))))
+        for i, j in sorted(spans):
+            for t in range(max(i, done), j):
+                k = position.get((found[t][1] - n, found[t][2] - m))
+                if k is not None:
+                    relations.append((g, elements[k], elements[t]))
+            done = max(done, j)
     return PartialActionData(basis, coeff_bound, elements, tuple(relations))
 
 

@@ -14,7 +14,7 @@ from .modelset import (
     fibonacci_scheme,
     triple_identity,
     triple_inverse,
-    triple_max_and_shift,
+    triple_max_above,
     triple_multiply,
     partial_action_data,
     modelset_points,

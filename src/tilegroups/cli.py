@@ -333,20 +333,15 @@ def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[C
         tested += 1
         eq = _empire_equal_stars(scheme, [stars[i] for i in pat_p], [stars[i] for i in pat_q])
         points_p, points_q = [points[i] for i in pat_p], [points[i] for i in pat_q]
-        brute = scan.compare(points_p, points_q)
-        if eq != brute.agree:
+        separator = scan.compare(points_p, points_q)
+        if eq != (separator is None):
             mismatches.append((points_p, points_q))
         n_equal += eq
         if not eq:
-            if brute.separator_coords is None:
-                separators_ok = False
-            else:
-                n, m = brute.separator_coords
-                ga, gb = scheme._star_at(n, m)
-                in_p = all(_holds(translates[i], ga, gb, d) for i in pat_p)
-                in_q = all(_holds(translates[i], ga, gb, d) for i in pat_q)
-                if in_p == in_q:
-                    separators_ok = False
+            # a separator places exactly one of the two patterns; None places neither
+            g = scheme._star_at(*separator) if separator is not None else None
+            in_p, in_q = (g is not None and all(_holds(translates[i], *g, d) for i in pat) for pat in (pat_p, pat_q))
+            separators_ok &= in_p != in_q
 
     shown = "; ".join(f"[{', '.join(map(str, p))}] vs [{', '.join(map(str, q))}]" for p, q in mismatches[:3])
     return [
@@ -367,7 +362,7 @@ def suite_modelset_vs_substitution(radius: int = 50) -> list[Check]:
     # the chain cover [-radius, radius]
     ps = case_pointset(reference_cases()["fib"], radius)
     bound = QR(radius)
-    substitution = [p for p in ps.values() if abs(p) <= bound]
+    substitution = [p for p in ps.points if abs(p) <= bound]
     same = model == substitution
     detail = f"{len(model)} model-set points vs {len(substitution)} substitution points"
     if not same:

@@ -93,13 +93,6 @@ def _solve(a: int, b: int, basis: list[tuple[int, int]]) -> Optional[tuple[int, 
     return None if n_rem or m_rem else (n, m)
 
 
-def _meets_group(w: tuple, basis: list[tuple[int, int]], d: int) -> bool:
-    """Does the window contain a point of the group spanned by the basis
-    pairs?  A component with interior always does (the group is dense); a
-    point is solved exactly."""
-    return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
-
-
 class WindowSet(Record):
     """A finite union of disjoint closed intervals [lo, hi], sorted and
     merged (degenerate ones, lo == hi, arise from intersections), stored in
@@ -139,9 +132,11 @@ class WindowSet(Record):
 
     @staticmethod
     def normalized(parts: list[tuple[QR, QR]]) -> "WindowSet":
-        parts = sorted((p for p in parts if p[0] <= p[1]), key=lambda p: p[0])
+        """The union of closed intervals (lo, hi) in any order; lo > hi is an error."""
         merged: list[tuple[QR, QR]] = []
-        for lo, hi in parts:
+        for lo, hi in sorted(parts, key=itemgetter(0)):
+            if hi < lo:
+                raise ValueError("interval needs lo <= hi")
             if merged and lo <= merged[-1][1]:
                 last_lo, last_hi = merged[-1]
                 merged[-1] = (last_lo, max(last_hi, hi))
@@ -166,9 +161,6 @@ class WindowSet(Record):
     def intersect(self, other: "WindowSet") -> "WindowSet":
         c, d, w1, w2 = _join(self.frame, other.frame)
         return _window_set(c, d, _meet(w1, w2, d))
-
-    def union(self, other: "WindowSet") -> "WindowSet":
-        return WindowSet.normalized(list(self.components) + list(other.components))
 
     def issubset(self, other: "WindowSet") -> bool:
         _, d, w1, w2 = _join(self.frame, other.frame)
@@ -199,7 +191,7 @@ def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
     Components with interior always do; degenerate points are solved
     exactly."""
     _, d, w, basis = _join(window.frame, common_denominator((b1, b2)))
-    return _meets_group(w, basis, d)
+    return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +409,15 @@ def pattern_window(scheme: CutProjectScheme, points: list[QR]) -> WindowSet:
 
 def pattern_embeds(scheme: CutProjectScheme, points: list[QR]) -> bool:
     """Exact decision: some lattice translate places the pattern inside the
-    model set iff every point is a physical lattice value and the pattern
-    window contains an internal lattice value."""
-    _, d, _, pairs = scheme._frame
-    try:
-        stars = [scheme._star_pair(y) for y in points]
-    except ValueError:  # a point off the lattice: no lattice translate fits
-        return False
-    return _meets_group(_window_of_stars(scheme, stars), pairs[:2], d)
+    model set iff the pattern window contains an internal lattice value (a
+    point off the lattice gives the empty window)."""
+    return window_meets_group(pattern_window(scheme, points), *scheme.internal_group_basis())
 
 
 def embeds_oracle(scheme: CutProjectScheme):
-    """Adapter handed to the pattern-class product search."""
+    """Adapter handed to the pattern-class product search, exact for the
+    model set of this scheme only: the rational ``fibonacci_scheme()``
+    answers for another set than the Fibonacci chain (ROADMAP item 3)."""
     return lambda values: pattern_embeds(scheme, values)
 
 
@@ -458,14 +447,6 @@ def _empire_equal_stars(scheme: CutProjectScheme, p_stars: list, q_stars: list) 
     return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
 
 
-class EmpireBruteResult(Record):
-    agree: bool
-    separator_coords: Optional[tuple[int, int]]
-
-    def __init__(self, agree: bool, separator_coords: Optional[tuple[int, int]] = None):
-        self.__dict__.update(agree=agree, separator_coords=separator_coords)
-
-
 class EmpireScan:
     """Independent empire oracle over a pool of lattice points: compare,
     for every lattice g with coefficients in [-box_bound, box_bound],
@@ -485,15 +466,15 @@ class EmpireScan:
     m + b.  ``compare`` ANDs the masks of each pattern and XORs the two
     results; the lowest set bit is the first separator of the box scan in
     its order, reported as its lattice coordinates (n, m), and no bit set
-    means agree.
+    means agree (None).
 
     A mask costs O(box_bound * k) for band rows of k cells, once per pool
     point; a comparison is then a few integer ANDs and XORs over those
     bits, instead of a membership test of every band cell per pair.
     Everything is integer work on exact strip ends, independent of the
     window calculus of empire_equal.  One pair P, Q is compared by
-    ``EmpireScan(scheme, box_bound, P + Q).compare(P, Q)``; the result and
-    the first separator are those of a scan of the full
+    ``EmpireScan(scheme, box_bound, P + Q).compare(P, Q)``; the answer, None
+    or the first separator, is that of a scan of the full
     (2*box_bound + 1)^2 box.
     """
 
@@ -542,17 +523,17 @@ class EmpireScan:
             raise ValueError(f"pattern point {x} is not in the scan's point pool")
         return self._masks[x]
 
-    def compare(self, pat_p: list[QR], pat_q: list[QR]) -> EmpireBruteResult:
-        """Agree, or the first g of the scan order that places exactly one
-        of the two patterns inside the model set."""
+    def compare(self, pat_p: list[QR], pat_q: list[QR]) -> Optional[tuple[int, int]]:
+        """None if the patterns agree, else the lattice coordinates (n, m) of
+        the first g of the scan order that places exactly one of them."""
         if not pat_p or not pat_q:
             raise ValueError("pattern must be non-empty")
         diff = reduce(and_, map(self._mask, pat_p)) ^ reduce(and_, map(self._mask, pat_q))
         if not diff:
-            return EmpireBruteResult(True)
+            return None
         i = (diff & -diff).bit_length() - 1
         first, n, m_lo, _ = self._rows[bisect_right(self._rows, i, key=itemgetter(0)) - 1]
-        return EmpireBruteResult(False, (n, m_lo + i - first))
+        return n, m_lo + i - first
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +591,10 @@ def triple_multiply(scheme: CutProjectScheme, x: WindowTriple, y: WindowTriple) 
     return WindowTriple(x.shift + y.shift, window)
 
 
-def triple_max_and_shift(scheme: CutProjectScheme, x: WindowTriple) -> tuple[WindowTriple, QR]:
-    """The unique maximal element above x (full two-translate window) and
-    the group image of x."""
-    full = scheme.window.intersect(scheme.window.translate(x.shift))
-    return WindowTriple(x.shift, full), x.shift
+def triple_max_above(scheme: CutProjectScheme, x: WindowTriple) -> WindowTriple:
+    """The unique maximal element above x: its shift, the group image of x,
+    with the full two-translate window."""
+    return WindowTriple(x.shift, scheme.window.intersect(scheme.window.translate(x.shift)))
 
 
 def triple_natural_leq(x: WindowTriple, y: WindowTriple) -> bool:
@@ -622,19 +602,14 @@ def triple_natural_leq(x: WindowTriple, y: WindowTriple) -> bool:
 
 
 def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: QR) -> WindowTriple:
-    """Image of a placed pattern class under the window functor.
-
-    The image is translation invariant: the shift is star(out - in) and the
-    window, P* translated by the out-point star, is the pattern window of
-    the pattern re-anchored at its out point.  Star is additive on the
-    lattice, so both are read off the stars of the placed points, which the
-    placement check solves once.
-    """
-    c, d, _, _ = scheme._frame
-    stars = _modelset_stars(scheme, [o + placement for o in pattern.offsets])
-    (oa, ob), (ia, ib) = stars[pattern.out_index], stars[pattern.in_index]
-    window = _window_of_stars(scheme, [(a - oa, b - ob) for a, b in stars])
-    return WindowTriple(_make(oa - ia, ob - ib, c, d), _window_set(c, d, window))
+    """Image of a placed pattern class under the window functor, once the
+    placement puts the pattern inside the model set.  It is translation
+    invariant: the shift star(out - in) and the pattern window of the
+    pattern re-anchored at its out point (P* translated by the out star)."""
+    _modelset_stars(scheme, [o + placement for o in pattern.offsets])
+    out = pattern.out_value
+    shift = star(scheme, out - pattern.in_value)
+    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Elements are translation classes of (out point, finite pattern, in point),
 multiplied by aligning the in point of the left factor with the out point
 of the right factor and embedding the union back into the point set.
 Products are decided against the truncated set; an optional window oracle
-(from the cut-and-project machinery) upgrades the answer to an exact
-Defined/Undefined.
+(from the cut-and-project machinery) upgrades the answer to a
+Defined/Undefined that is exact for the model set of the oracle's scheme.
+The rational ``fibonacci_scheme()`` answers for another set than the
+Fibonacci chain (ROADMAP item 3).
 
 A class is stored in its frame, as a ``WindowSet`` is: its offsets as
 sorted integer pairs (a, b) for (a + b*sqrt(d))/c in lowest terms, so
@@ -172,10 +174,11 @@ def multiply(
     less its least point, a difference of two pattern points and so a
     lattice vector; "embeds anywhere" does not change under such a
     translation, so the truncated search and embeds_oracle both take them.
-    embeds_oracle, when given, decides exactly whether a sequence of
-    pattern values embeds anywhere in the infinite set (cut-and-project
-    window calculus); it turns a failed truncated search into an exact
-    Defined or Undefined answer.
+    embeds_oracle, when given, decides whether a sequence of pattern values
+    embeds anywhere in the model set of its scheme (cut-and-project window
+    calculus); it turns a failed truncated search into a Defined or
+    Undefined answer, exact when that model set is the point set (ROADMAP
+    item 3: not so for the rational ``fibonacci_scheme()`` and the chain).
     """
     c, d, xs, ys = _join((x.c, x.d, x.pairs), (y.c, y.d, y.pairs))
     (xa, xb), (ya, yb) = xs[x.in_index], ys[y.out_index]

@@ -85,9 +85,6 @@ class PointSet1D:
     def __len__(self):
         return len(self.frame[2])
 
-    def values(self) -> list[QR]:
-        return list(self.points)
-
     def __contains__(self, value: QR) -> bool:
         if value < self.points[0] or value > self.points[-1]:
             raise TruncationError(f"{value} outside the materialised range")

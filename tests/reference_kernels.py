@@ -7,8 +7,9 @@ and imports, and apart from the outputs and settings the library dropped
 later: ``partial_action_box`` no longer returns the composable pairs,
 which ``PartialActionData`` dropped as a copy of the first two entries of
 its relations, and always tests overlaps of interiors, as
-``partial_action_data`` does; ``empire_brute_box`` reports the first
-separator by its lattice coordinates only; ``factor_language_scan`` takes
+``partial_action_data`` does; ``empire_brute_box`` returns None when
+the patterns agree and else the first separator's lattice coordinates,
+as ``EmpireScan.compare`` does; ``factor_language_scan`` takes
 an ``IndexedWord`` only and ``pointset_points_indexed`` fixes r_0 = 0,
 as the library does.  The oracles are the all-pairs
 ``diff_set``, the ``chained_sum`` product table, the round-by-round Tietze
@@ -68,11 +69,7 @@ and, row by row, ``frame_text`` do, from ``str`` of the two parts as
 ``check_homomorphism_wordwise`` is ``check_homomorphism``
 multiplying the image words one relator letter at a time, each product
 freely reduced again, before it reduced the concatenated image letters
-once.  ``project_functor_composed`` is ``project_functor`` composed of
-the placement check, ``star`` of out - in and ``pattern_window`` of the
-pattern re-anchored at its out point, which solve every point three
-times, before the shift and the window were read off the star pairs of
-the placement check.
+once.
 
 The ``window_*_qr`` functions are ``WindowSet``'s operations on exact
 ``QuadraticRational`` ends (``translate``, ``intersect`` as one merge
@@ -98,12 +95,8 @@ from typing import Callable, Optional
 from tilegroups.exactnum import QuadraticRational as QR
 from tilegroups.modelset import (
     CutProjectScheme,
-    EmpireBruteResult,
     PartialActionData,
     WindowSet,
-    WindowTriple,
-    _modelset_stars,
-    pattern_window,
     star,
 )
 from tilegroups.patterns import (
@@ -388,7 +381,7 @@ def embeds_truncated_scan(ps: PointSet1D, values: list[QR]) -> bool:
         except TruncationError:
             return False
 
-    return any(fits(p - values[0]) for p in ps.values())
+    return any(fits(p - values[0]) for p in ps.points)
 
 
 def multiply_truncated_scan(
@@ -556,10 +549,11 @@ def empire_brute_box(
     pat_p: list[QR],
     pat_q: list[QR],
     box_bound: int,
-) -> EmpireBruteResult:
+) -> Optional[tuple[int, int]]:
     """Independent empire oracle: scan every lattice g with coefficients in
     [-box_bound, box_bound] and compare, point by point, whether g + P and
-    g + Q land inside the model set.
+    g + Q land inside the model set: None if they agree everywhere, else
+    the lattice coordinates (n, m) of the first g that separates them.
 
     The scan runs over integerized star coordinates (one common denominator,
     integer pairs over {1, sqrt(d)}) for speed; lattice rows whose star
@@ -609,8 +603,8 @@ def empire_brute_box(
             in_p = all(member(a, b, (ga, gb)) for a, b in ppairs)
             in_q = all(member(a, b, (ga, gb)) for a, b in qpairs)
             if in_p != in_q:
-                return EmpireBruteResult(False, (n, m))
-    return EmpireBruteResult(True)
+                return n, m
+    return None
 
 
 def factor_language_scan(word: IndexedWord, max_len: int) -> FactorLanguage:
@@ -755,15 +749,6 @@ def check_homomorphism_wordwise(
         if not target_is_trivial(out):
             return False
     return True
-
-
-def project_functor_composed(scheme: CutProjectScheme, pattern: PatternClass, placement: QR) -> WindowTriple:
-    """Image of a placed pattern class under the window functor."""
-    placed = [o + placement for o in pattern.offsets]
-    _modelset_stars(scheme, placed)
-    out = pattern.out_value
-    shift = star(scheme, out - pattern.in_value)
-    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
 
 
 def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:

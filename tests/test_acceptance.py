@@ -138,7 +138,7 @@ def test_c06_modelset_vs_substitution():
     scheme = fibonacci_scheme()
     model = modelset_points(scheme, QR(50))
     ps = case_pointset(reference_cases()["fib"], 45)
-    substitution = [p for p in ps.values() if abs(p) <= QR(50)]
+    substitution = [p for p in ps.points if abs(p) <= QR(50)]
     assert model == substitution
     assert len(model) >= 60
     elapsed = time.perf_counter() - t0

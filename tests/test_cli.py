@@ -12,7 +12,7 @@ from reference_kernels import pair_text_fraction, pointset_points_indexed
 from tilegroups import cli, modelset, patterns, presentation, sequences
 from tilegroups.cli import build_case_report, main, reference_cases
 from tilegroups.exactnum import QuadraticRational as QR
-from tilegroups.modelset import EmpireBruteResult, EmpireScan, fibonacci_scheme
+from tilegroups.modelset import EmpireScan, fibonacci_scheme
 from tilegroups.pointset import PointSet1D
 from tilegroups.presentation import Presentation, certificate_free_abelian, reduce_word
 from tilegroups.sequences import SequenceSpec, two_sided_window
@@ -374,10 +374,10 @@ class TestPresent:
 
 
 class _NoSeparatorScan(EmpireScan):
-    """The real verdict without the separating translation."""
+    """A scan that finds no separating translation: every pair agrees."""
 
     def compare(self, pat_p, pat_q):
-        return EmpireBruteResult(super().compare(pat_p, pat_q).agree)
+        return None
 
 
 def _table_with_foreign_value(ps, bound):
@@ -492,7 +492,7 @@ class TestVerify:
         assert "error:" in out.err and "[PASS]" not in out.out
 
     def test_empire_mismatch_detail_prints_points(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli.EmpireScan, "compare", lambda *args: EmpireBruteResult(True))
+        monkeypatch.setattr(cli.EmpireScan, "compare", lambda *args: None)
         rc = main(["verify", "--suite", "empire", "--pairs", "5"])
         assert rc == 1
         out = capsys.readouterr().out

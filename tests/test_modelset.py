@@ -11,7 +11,6 @@ from reference_kernels import (
     obstruction_grade_qr,
     partial_action_box,
     pattern_window_qr,
-    project_functor_composed,
     window_contains_qr,
     window_has_interior_qr,
     window_intersect_pairwise,
@@ -25,7 +24,6 @@ from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, _
 from tilegroups import exactnum, modelset
 from tilegroups.modelset import (
     CutProjectScheme,
-    EmpireBruteResult,
     EmpireScan,
     LatticeVector,
     WindowSet,
@@ -37,7 +35,7 @@ from tilegroups.modelset import (
     triple_identity,
     triple_inverse,
     triple_is_idempotent,
-    triple_max_and_shift,
+    triple_max_above,
     triple_multiply,
     triple_natural_leq,
     partial_action_data,
@@ -101,11 +99,11 @@ class TestWindowSet:
         assert w.components == ((QR(1), QR(1)),) and not w.has_interior()
 
     def test_union_merges_touching(self):
-        w = interval(0, 1).union(interval(1, 2))
+        w = WindowSet.normalized([(QR(0), QR(1)), (QR(1), QR(2))])
         assert w == interval(0, 2)
 
     def test_multi_component(self):
-        w = interval(0, 1).union(interval(5, 6))
+        w = WindowSet.normalized([(QR(0), QR(1)), (QR(5), QR(6))])
         assert len(w.components) == 2
         assert w.contains(QR(Fraction(11, 2))) and not w.contains(QR(3))
 
@@ -121,6 +119,31 @@ class TestWindowSet:
         # a reversed component is an error in the file, not an empty part
         with pytest.raises(ValueError, match=r"\[63/100, 0\] has lo > hi"):
             WindowSet.from_json_list([["-99/100", "-1/2"], ["63/100", "0"]])
+
+    def test_normalized_rejects_reversed_part(self):
+        # a reversed part is the constructor's error, not an empty part
+        with pytest.raises(ValueError, match="interval needs lo <= hi"):
+            WindowSet.normalized([(QR(0), QR(1)), (QR(1), QR(0))])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_normalized_is_the_union(self, data):
+        # the one merge path: 0 to 6 intervals over a few rational and tau
+        # ends, so parts often touch, nest, overlap or are points; every
+        # input end and every midpoint of consecutive ends lies in the
+        # window exactly when it lies in some part
+        pool = data.draw(st.lists(st.sampled_from(WINDOW_ENDS), min_size=1, max_size=5, unique=True))
+        ends = st.sampled_from(pool)
+        parts = [tuple(sorted(p)) for p in data.draw(st.lists(st.tuples(ends, ends), max_size=6))]
+        w = WindowSet.normalized(parts)
+        comps = w.components
+        assert all(lo <= hi for lo, hi in comps)
+        assert all(hi < lo for (_, hi), (lo, _) in zip(comps, comps[1:]))
+        probes = sorted({e for part in parts for e in part})
+        probes += [(a + b) / 2 for a, b in zip(probes, probes[1:])]
+        for x in probes:
+            inside = any(window_contains_qr(WindowSet.interval(*part), x) for part in parts)
+            assert window_contains_qr(w, x) == inside, (parts, x)
 
     @given(st.data())
     def test_intersect_matches_pairwise_oracle(self, data):
@@ -487,7 +510,7 @@ class TestPatternWindow:
         assert shifted == base.translate(-star(scheme, QR(1)))
 
 
-def _empire_one_shot(scheme: CutProjectScheme, pat_p: list, pat_q: list, box_bound: int) -> EmpireBruteResult:
+def _empire_one_shot(scheme: CutProjectScheme, pat_p: list, pat_q: list, box_bound: int):
     """One pair through a scan over the points of the two patterns."""
     return EmpireScan(scheme, box_bound, pat_p + pat_q).compare(pat_p, pat_q)
 
@@ -497,7 +520,7 @@ class TestEmpire:
         scheme = fibonacci_scheme()
         pat = [QR(0), TAU]
         assert empire_equal(scheme, pat, pat)
-        assert _empire_one_shot(scheme, pat, pat, 20).agree
+        assert _empire_one_shot(scheme, pat, pat, 20) is None
 
     def test_forced_extra_point(self):
         # extend the pattern by a point whose window translate already
@@ -509,14 +532,14 @@ class TestEmpire:
         extra = next(x for x in pts if x not in pat
                      and w.issubset(scheme.window.translate(-star(scheme, x))))
         assert empire_equal(scheme, pat, sorted(pat + [extra]))
-        assert _empire_one_shot(scheme, pat, sorted(pat + [extra]), 40).agree
+        assert _empire_one_shot(scheme, pat, sorted(pat + [extra]), 40) is None
 
     def test_unequal_with_separator(self):
         scheme = fibonacci_scheme()
-        res = _empire_one_shot(scheme, [QR(0)], [QR(0), TAU], 40)
+        separator = _empire_one_shot(scheme, [QR(0)], [QR(0), TAU], 40)
         assert not empire_equal(scheme, [QR(0)], [QR(0), TAU])
-        assert not res.agree and res.separator_coords is not None
-        n, m = res.separator_coords
+        assert separator is not None
+        n, m = separator
         gs = scheme.star_of_coords(n, m)
         in_p = scheme.window.contains(star(scheme, QR(0)) + gs)
         in_q = all(scheme.window.contains(star(scheme, q) + gs) for q in (QR(0), TAU))
@@ -619,12 +642,12 @@ def _empire_box_results(scheme: CutProjectScheme) -> list:
 
 @pytest.mark.parametrize("scheme", EMPIRE_SCHEMES.values(), ids=EMPIRE_SCHEMES)
 def test_empire_strip_scan_matches_box_scan(scheme):
-    # agree and separator_coords both equal those of the (2B+1)^2 box
-    # scan, so the first separator found is the same
+    # the answer, None or the first separator, equals that of the (2B+1)^2
+    # box scan
     results = set()
     for pat_p, pat_q, bound, want in _empire_box_results(scheme):
         assert _empire_one_shot(scheme, pat_p, pat_q, bound) == want, (pat_p, pat_q, bound)
-        results.add(want.agree)
+        results.add(want is None)
     assert results == {True, False}
 
 
@@ -660,11 +683,11 @@ def test_empire_strip_misses_box():
     scheme = fibonacci_scheme()
     pat_p, pat_q = [QR(50)], [QR(50), QR(51)]
     for bound in (0, 1, 5):
-        assert _empire_one_shot(scheme, pat_p, pat_q, bound) == EmpireBruteResult(True)
-        assert empire_brute_box(scheme, pat_p, pat_q, bound) == EmpireBruteResult(True)
+        assert _empire_one_shot(scheme, pat_p, pat_q, bound) is None
+        assert empire_brute_box(scheme, pat_p, pat_q, bound) is None
     # a wider box reaches the band, where the two differ
     assert _empire_one_shot(scheme, pat_p, pat_q, 60) == empire_brute_box(scheme, pat_p, pat_q, 60)
-    assert not _empire_one_shot(scheme, pat_p, pat_q, 60).agree
+    assert _empire_one_shot(scheme, pat_p, pat_q, 60) is not None
 
 
 def place(scheme, pattern):
@@ -719,12 +742,12 @@ class TestGxh:
         scheme = fibonacci_scheme()
         pat = pattern_class([QR(0), QR(1), TAU + 1], TAU + 1, QR(0))
         x = project_functor(scheme, pat, place(scheme, pat))
-        mx, shift_val = triple_max_and_shift(scheme, x)
-        assert shift_val == x.shift == star(scheme, TAU + 1)
+        mx = triple_max_above(scheme, x)
+        assert mx.shift == x.shift == star(scheme, TAU + 1)
         assert mx.window == scheme.window.intersect(scheme.window.translate(x.shift))
         assert triple_natural_leq(x, mx)
-        assert triple_max_and_shift(scheme, triple_identity(scheme)) == (triple_identity(scheme), QR(0))
-        assert triple_max_and_shift(scheme, triple_inverse(x))[1] == -shift_val
+        assert triple_max_above(scheme, triple_identity(scheme)) == triple_identity(scheme)
+        assert triple_max_above(scheme, triple_inverse(x)).shift == -x.shift
 
     def test_idempotent_purity(self):
         scheme = fibonacci_scheme()
@@ -788,21 +811,22 @@ FUNCTOR_SCHEMES = {**EMPIRE_SCHEMES, "negative-p2-i2": _negative_p2_i2_scheme(),
 
 @pytest.mark.parametrize("scheme", FUNCTOR_SCHEMES.values(), ids=FUNCTOR_SCHEMES)
 def test_project_functor_matches_composition(scheme):
-    # shift and window read off the placed points' stars equal star(out - in)
-    # and the pattern window re-anchored at out, on seeded 1-to-4-point
-    # patterns placed at their least point
+    # the image's shift is star(out - in) and its window the exact-value
+    # pattern window of the pattern re-anchored at out, on seeded
+    # 1-to-4-point patterns placed at their least point
     points = modelset_points(scheme, QR(40))
     rng = random.Random(11)
     for _ in range(60):
         values = rng.sample(points, min(len(points), rng.randint(1, 4)))
         pat = pattern_class(values, rng.choice(values), rng.choice(values))
         placement = min(values)
-        assert project_functor(scheme, pat, placement) == project_functor_composed(scheme, pat, placement), values
+        image, out = project_functor(scheme, pat, placement), pat.out_value
+        assert image.shift == star(scheme, out - pat.in_value), values
+        assert image.window == pattern_window_qr(scheme, [o - out for o in pat.offsets]), values
     # a lattice translate whose star lies far outside every window
     off = placement + scheme.v1.phys * 10**6
-    for functor in (project_functor, project_functor_composed):
-        with pytest.raises(ValueError, match="not in the model set"):
-            functor(scheme, pat, off)
+    with pytest.raises(ValueError, match="not in the model set"):
+        project_functor(scheme, pat, off)
 
 
 class TestPartialActionData:

@@ -67,7 +67,7 @@ def test_mixed_field_lengths():
 class TestBuild:
     def test_two_letter_window(self):
         ps = build_pointset(IndexedWord(1, "ab"), LengthFunction({"a": QR(2), "b": QR(1)}))
-        assert ps.values() == [QR(0), QR(2), QR(3)]
+        assert ps.points == [QR(0), QR(2), QR(3)]
 
     def test_fibonacci_prefix_sums(self):
         ps = fib_ps(6)
@@ -79,11 +79,11 @@ class TestBuild:
 
     def test_length_counts_points(self):
         ps = fib_ps(6)
-        assert len(ps) == len(ps.values()) == ps.max_index - ps.min_index + 1 == 14
+        assert len(ps) == len(ps.points) == ps.max_index - ps.min_index + 1 == 14
 
     def test_single_letter(self):
         ps = build_pointset(IndexedWord(1, "a"), LengthFunction({"a": QR(1)}))
-        assert ps.values() == [QR(0), QR(1)]
+        assert ps.points == [QR(0), QR(1)]
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):

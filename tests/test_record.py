@@ -14,7 +14,6 @@ from tilegroups._record import Record
 from tilegroups.cli import CaseConfig, Check
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import (
-    EmpireBruteResult,
     LatticeVector,
     WindowSet,
     WindowTriple,
@@ -51,7 +50,6 @@ RECORDS = {
     "WindowSet": (lambda: WindowSet.interval(QR(0), TAU), True),
     "LatticeVector": (lambda: LatticeVector(TAU, QR(1) - TAU), True),
     "CutProjectScheme": (fibonacci_scheme, True),
-    "EmpireBruteResult": (lambda: EmpireBruteResult(False, (1, -2)), True),
     "WindowTriple": (lambda: WindowTriple(QR(1), WindowSet.interval(QR(0), QR(1))), True),
     "PartialActionData": (lambda: partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 1), True),
     "FreeWord": (lambda: FreeWord((("a", 1), ("b", -1))), True),

@@ -38,9 +38,11 @@ from .modelset import (
 )
 from .pointset import LengthFunction, PointSet1D, build_pointset, diff_set, difference_group_invariants
 from .presentation import (
+    Presentation,
     _commutator_certificate,
     abelian_invariants,
     certificate_free,
+    certificate_free_abelian,
     presentation_from_pairs,
 )
 from .patterns import (
@@ -371,6 +373,14 @@ def suite_modelset_vs_substitution(radius: int = 50) -> list[Check]:
     return [Check(f"model set equals substitution chain at radius {radius}", same, detail)]
 
 
+def _table_proof(pres: Presentation, relations: int) -> str:
+    """Z^k on the generators P where certified, else the relations kept."""
+    rank = certificate_free_abelian(pres)
+    if rank is not None:
+        return f"Z^{rank} certificate on P = {{{', '.join(pres.generators)}}}"
+    return f"{len(pres.relators)} of {relations} relations kept"
+
+
 def suite_partial_action() -> list[Check]:
     tau = golden_ratio()
     window = WindowSet.interval(QR(0), QR(1))
@@ -384,7 +394,7 @@ def suite_partial_action() -> list[Check]:
         checks.append(Check(
             f"partial-action presentation at bound {bound} has abelian invariants (2, [])",
             inv == (2, []),
-            f"got {inv}; {len(pres.relators)} of {len(data.relations)} relations kept",
+            f"got {inv}; {_table_proof(pres, len(data.relations))}",
         ))
         rel = set(data.relations)
         elems = set(data.elements)
@@ -512,11 +522,12 @@ def suite_table() -> list[Check]:
     ):
         ps = case_pointset(cases[name], 14)
         table = maxset_table(ps, bound)
-        table_inv = abelian_invariants(maxset_presentation(table))
+        table_pres = maxset_presentation(table)
+        table_inv = abelian_invariants(table_pres)
         checks.append(Check(
             f"case {name}: diff-table and harvest abelianizations agree",
             table_inv == harvest_invs[name] == expected,
-            f"table {table_inv}, harvest {harvest_invs[name]}",
+            f"table {table_inv}, harvest {harvest_invs[name]}; table {_table_proof(table_pres, len(table))}",
         ))
     return checks
 

@@ -2,9 +2,10 @@
 1-D point sets, the connected tiling semigroup of a factorial language
 (strings with in/out accents), and the universal-group presentation of
 a partial operation, from a difference table or a partial-action
-harvest: one generator per element and one relation x y = z per defined
-product that a small step set does not derive from the others, built by
-``presentation_from_pairs``.
+harvest.  Where one pass over the table certifies that the group is
+abelian on a few values P, the presentation is <P | commutators, Hermite
+rows>; otherwise one generator per value and one relation x y = z per
+entry, built by ``presentation_from_pairs``.
 
 The harvest keeps its sorted length classes u0 < u1 < ..., not the pairs
 of equal-length factors: those are built from the classes only when read.
@@ -28,7 +29,7 @@ from operator import itemgetter, mul
 from ._record import Record
 from .exactnum import QuadraticRational as QR, _make, common_denominator
 from .pointset import LengthFunction
-from .presentation import Presentation, presentation_from_pairs
+from .presentation import Presentation, hnf, presentation_from_pairs, reduce_word
 from .sequences import FactorLanguage, IndexedWord, factor_language
 
 
@@ -214,51 +215,77 @@ def universal_group_of_language(lang: FactorLanguage) -> tuple[Presentation, int
 # presentations from partial-operation tables
 
 
-STEPS = 7  # size of the step set: the values of least (|v|, v)
-
-
-def _table_derivations(entries: dict, rank) -> dict:
-    """Derivations of table entries from a step set S, the values of the
-    ``STEPS`` least ranks.  The table maps (x, y) to z for x y = z, and
-    ``rank[v]`` numbers its values from 0.  Entry (x, y) -> z with y outside S
-    maps to (j, s) when (j, s) -> y, (x, j) -> t and (t, s) -> z are entries,
-    s is in S and rank(j) < rank(y).  Then x y = x (j s) = (x j) s = t s = z:
-    j s = y and t s = z are entries with s in S, which are never derived, and
-    x j = t holds by induction on the rank of the second factor.  So the
-    entries with no derivation present the same group as the whole table."""
-    steps: dict = {}  # y outside S -> its (j, s) with s in S, rank(j) < rank(y)
-    for (j, s), y in entries.items():
-        if rank[s] < STEPS <= rank[y] and rank[j] < rank[y]:
-            steps.setdefault(y, []).append((j, s))
-    derived = {}
-    for (x, y), z in entries.items():
-        for j, s in steps.get(y, ()):
-            t = entries.get((x, j))
-            if t is not None and entries.get((t, s)) == z:
-                derived[x, y] = j, s
-                break
-    return derived
+def _abelian_certificate(values: list, index: dict, entries: dict, order: list[int]):
+    """(P, rows) such that the group of the table is Z^|P| on the value ids
+    P modulo the lattice of ``rows``, or None.  ``entries`` maps (x, y) to z
+    on the ids that ``values`` and ``index`` give, ``order`` is the ids in
+    ascending value order.  0 0 = 0 makes 0 the identity.  P takes the least
+    positive value p not yet reached: an unreached -p with p (-p) = 0 is its
+    inverse, and s p = p s as entries for each earlier s in P.  Every other
+    value y is reached along an entry x (+-p) = y, which eliminates y as the
+    word vec(x) +- e_p (a Tietze move).  P commutes, so each entry x y = z
+    is exactly the relation vec(x) + vec(y) - vec(z) = 0."""
+    zero = index.get(QR(0))
+    if zero is None or entries.get((zero, zero)) != zero:
+        return None
+    reached = {zero}
+    gens: list[int] = []
+    cols: list[list[int]] = []  # coordinate k of vec(v), per value v
+    steps: list[tuple[int, int, int]] = []  # (id of +-p, coordinate of p, +-1)
+    for p in order[order.index(zero) + 1:]:  # the positive values
+        if p in reached:
+            continue
+        q = index.get(-values[p])
+        if q is None or q in reached or entries.get((p, q)) != zero:
+            return None
+        if any(entries.get((s, p), -1) != entries.get((p, s), -2) for s in gens):  # a missing entry never matches
+            return None
+        k = len(gens)
+        gens.append(p)
+        cols.append([0] * len(values))
+        cols[k][p], cols[k][q] = 1, -1
+        new = [(p, k, 1), (q, k, -1)]
+        steps += new
+        stack = [(x, new) for x in reached] + [(p, steps), (q, steps)]
+        reached.update((p, q))
+        while stack:
+            x, moves = stack.pop()
+            for g, j, sign in moves:
+                y = entries.get((x, g))
+                if y is not None and y not in reached:
+                    reached.add(y)
+                    for c in cols:
+                        c[y] = c[x]
+                    cols[j][y] += sign
+                    stack.append((y, steps))
+    if len(reached) < len(values):
+        return None
+    rows = dict.fromkeys(zip(*([c[x] + c[y] - c[z] for (x, y), z in entries.items()] for c in cols)))
+    return gens, [list(row) for row in rows if any(row)]
 
 
 def maxset_presentation(source) -> Presentation:
     """Presentation of the universal group of a finite partial operation,
     given as its table ``((x, y), z)`` per defined product x y = z: a
     chained-difference table (``maxset_table``) or a partial-action harvest
-    (``PartialActionData.items``).  One generator per value occurring in
-    the table, in ascending order and labelled by the exact value, and one
-    relation x y = z per entry that ``_table_derivations`` does not derive,
-    in the table's own order.  A table of at most ``STEPS`` values keeps
-    every entry, and its values need no absolute value."""
+    (``PartialActionData.items``).  Where ``_abelian_certificate`` holds, the
+    generators are P, labelled by the exact value, and the relators the
+    commutators of P, then the Hermite basis of its rows as words (<p, q |
+    [p, q]> for ``fib``'s table).  Otherwise one generator per value, in
+    ascending order, and one relation x y = z per entry, in table order."""
     index: dict = {}  # value -> id, each value hashed once per occurrence
     entries = {(index.setdefault(x, len(index)), index.setdefault(y, len(index))): index.setdefault(z, len(index))
                for (x, y), z in source.items()}
     values = list(index)
-    derived = {}
-    if len(values) > STEPS:  # else every value is a step and nothing is derived
-        ranked = sorted(range(len(values)), key=lambda i: (abs(values[i]), values[i]))
-        derived = _table_derivations(entries, {i: r for r, i in enumerate(ranked)})
-    label = [str(v) for v in values]
     order = sorted(range(len(values)), key=values.__getitem__)
+    certificate = _abelian_certificate(values, index, entries, order)
+    if certificate is not None:
+        gens, rows = certificate
+        label = [str(values[p]) for p in gens]
+        relators = [reduce_word([(a, 1), (b, 1), (a, -1), (b, -1)]) for a, b in combinations(label, 2)]
+        relators += [reduce_word((g, 1 if e > 0 else -1) for g, e in zip(label, row) for _ in range(abs(e)))
+                     for row in hnf(rows)[1]]
+        return Presentation(tuple(label), tuple(relators))
+    label = [str(v) for v in values]
     return presentation_from_pairs(
-        [label[i] for i in order],
-        [([label[x], label[y]], [label[z]]) for (x, y), z in entries.items() if (x, y) not in derived])
+        [label[i] for i in order], [([label[x], label[y]], [label[z]]) for (x, y), z in entries.items()])

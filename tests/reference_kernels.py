@@ -27,8 +27,9 @@ U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
 with ``FreeWord.cyclic_rotations`` inlined.  ``harvest_presentation_all_pairs``
 is the presentation the equal-length harvest built before it took one
 spanning star per length class: one relator per harvested pair, and
-``maxset_presentation_all_pairs`` the table presentation before it left
-out the entries a step set derives: one relator per table entry.
+``maxset_presentation_all_pairs`` the table presentation with one relator
+per table entry, which ``maxset_presentation`` builds where its abelian
+certificate fails.
 ``harvest_exact_sums`` is the equal-length harvest that groups the Parikh
 vectors by exact ``QuadraticRational`` length sums, before the grouping
 moved onto integer pairs; it reports the length classes, as the harvest

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import cyclic_reduction, exponent_sum, free_abelian_target_oracle, free_target_oracle
 from intmat import mat_det, mat_mul
 from reference_kernels import (abelian_invariants_dense, check_homomorphism_wordwise, free_abelian_by_rotations,
-                               smith_normal_form, tietze_rounds)
+                               maxset_presentation_all_pairs, smith_normal_form, tietze_rounds)
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.presentation import (
@@ -202,8 +202,10 @@ class TestSparseAbelianization:
 
     @pytest.mark.parametrize("b", [8, 16, 32])
     def test_partial_action_ladder(self, b):
+        # every relation of the harvest, as the certificate in
+        # maxset_presentation leaves a single commutator
         data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), b)
-        pres = maxset_presentation(data)
+        pres = maxset_presentation_all_pairs(data)
         assert abelian_invariants(pres) == abelian_invariants_dense(pres) == (2, [])
         simplified = tietze_simplify(pres)
         assert abelian_invariants(simplified) == abelian_invariants_dense(simplified) == (2, [])
@@ -223,7 +225,7 @@ class TestSparseAbelianization:
     ])
     def test_table_routes(self, case, half_width, bound):
         ps = case_pointset(reference_cases()[case], half_width)
-        pres = maxset_presentation(maxset_table(ps, QR.from_string(bound)))
+        pres = maxset_presentation_all_pairs(maxset_table(ps, QR.from_string(bound)))
         assert abelian_invariants(pres) == abelian_invariants_dense(pres)
 
 
@@ -284,7 +286,7 @@ class TestSmithInvariants:
     def test_partial_action_relator_matrix(self):
         data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), 8)
         assert len(data.relations) == 211
-        pres = maxset_presentation(data)
+        pres = maxset_presentation_all_pairs(data)
         rows = [[exponent_sum(rel, g) for g in pres.generators] for rel in pres.relators]
         assert _exponent_rows(pres) == rows
         factors = full_transform_invariants(rows)
@@ -364,7 +366,7 @@ class TestTietze:
 
     def test_partial_action_matches_round_by_round(self):
         data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), 6)
-        pres = maxset_presentation(data)
+        pres = maxset_presentation_all_pairs(data)
         assert tietze_simplify(pres) == tietze_rounds(pres, len(pres.generators))
 
     def test_substituted_relator_displaces_later_duplicate(self):

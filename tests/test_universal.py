@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -6,20 +7,19 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclic_reduction, is_ordered_sublist, word_length
+from helpers import cyclic_reduction, word_length
 from reference_kernels import (accent_multiply_glue, harvest_exact_sums, harvest_presentation_all_pairs,
                                maxset_presentation_all_pairs)
 from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
-from tilegroups.cli import reference_cases
+from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.presentation import (
     FreeWord,
     _commutator_certificate,
     abelian_invariants,
     certificate_free,
     certificate_free_abelian,
-    presentation_from_pairs,
     reduce_word,
     tietze_simplify,
 )
@@ -32,9 +32,7 @@ from tilegroups.sequences import (
     two_sided_window,
 )
 from tilegroups.universal import (
-    STEPS,
     AccentString,
-    _table_derivations,
     accent_inverse,
     accent_is_idempotent,
     accent_max_above,
@@ -373,6 +371,28 @@ class TestUniversalGroupSL:
         assert rank == 1 and pres.generators == ("aa",)
 
 
+# the five tables of the benchmark's table route: (case, half-width, bound)
+TABLE_ROUTE = [
+    ("fib", 15, "3/2+1/2*sqrt(5)"),
+    ("fib", 30, "3/2+1/2*sqrt(5)"),
+    ("fib", 45, "3/2+1/2*sqrt(5)"),
+    ("periodic-ab-2-1", 30, "6"),
+    ("splice-rational-3-2", 30, "6"),
+]
+
+
+def route_table(case, half_width, bound):
+    return maxset_table(case_pointset(reference_cases()[case], half_width), QR.from_string(bound))
+
+
+def unit_action(bound):
+    return dict(partial_action_data((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), bound).items())
+
+
+def table_values(table) -> list:
+    return sorted({v for (x, y), z in table.items() for v in (x, y, z)})
+
+
 class TestMaxsetPresentation:
     def test_trivial_table(self):
         pres = maxset_presentation({(QR(0), QR(0)): QR(0)})
@@ -390,60 +410,96 @@ class TestMaxsetPresentation:
         pres = maxset_presentation(data)
         assert abelian_invariants(pres) == (2, [])
 
-    @pytest.mark.parametrize("basis, window, bound", [
-        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5),
-        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 1),
-        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 16),
-        ((QR(1), TAU), WindowSet.interval(QR(0), QR(0)), 5),
-        ((QR(9), TAU - 1), WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))]), 5),
-        ((QR(1), QR.sqrt_of(2)), WindowSet.interval(QR(0), QR.sqrt_of(2) - 1), 5),
+    @pytest.mark.parametrize("basis, window, bound, certified", [
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 5, True),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 1, True),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(1)), 16, True),
+        ((QR(1), TAU), WindowSet.interval(QR(0), QR(0)), 5, False),
+        ((QR(9), TAU - 1), WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))]), 5, True),
+        ((QR(1), QR.sqrt_of(2)), WindowSet.interval(QR(0), QR.sqrt_of(2) - 1), 5, False),
     ], ids=["unit-b5", "unit-b1", "unit-b16", "no-interior", "obstruction", "sqrt2"])
-    def test_partial_action_labels(self, basis, window, bound):
-        # a harvest read as its own table keeps its elements as generators,
-        # and the all-pairs relators of the entries that have no derivation
+    def test_partial_action_labels(self, basis, window, bound, certified):
+        # a certified harvest is presented on some of its elements, with the
+        # commutators of those first; a harvest that falls back keeps every
+        # element as a generator and every relation
         data = partial_action_data(basis, window, bound)
         pres, oracle = maxset_presentation(data), maxset_presentation_all_pairs(data)
-        assert pres.generators == oracle.generators == tuple(map(str, data.elements))
-        assert is_ordered_sublist(pres.relators, oracle.relators)
-        derived = replayed_derivations(dict(data.items()))
-        kept = [([str(g), str(gp)], [str(total)]) for g, gp, total in data.relations if (g, gp) not in derived]
-        assert pres.relators == presentation_from_pairs(pres.generators, kept).relators
-        # here every table of more values than steps derives some entry
-        assert bool(derived) == (len(data.elements) > STEPS)
+        assert oracle.generators == tuple(map(str, data.elements))
+        if certified:
+            assert set(pres.generators) < set(oracle.generators)
+            commutators = [quotient((a, b), (b, a)) for a, b in combinations(pres.generators, 2)]
+            assert list(pres.relators[:len(commutators)]) == commutators
+        else:
+            assert pres == oracle
+        assert abelian_invariants(pres) == abelian_invariants(oracle)
 
     def test_table_generators_in_value_order(self):
-        # one generator per value in the table, in ascending value order
-        # (not string order), and the entries' relators in the table's order
-        ps = build_pointset(two_sided_window(FIB_SPEC, 15), FIB_LEN)
-        table = maxset_table(ps, TAU + 1)
-        values = sorted({v for (x, y), z in table.items() for v in (x, y, z)})
+        # a table that falls back has one generator per value, in ascending
+        # value order (not string order), and one relator per entry that
+        # survives the cyclic-core cut, in the table's order
+        table = route_table("splice-rational-3-2", 30, "6")
         pres = maxset_presentation(table)
-        assert pres.generators == tuple(map(str, values))
+        assert pres == maxset_presentation_all_pairs(table)
+        assert pres.generators == tuple(map(str, table_values(table)))
         assert list(pres.generators) != sorted(pres.generators)
-        assert is_ordered_sublist(pres.relators, maxset_presentation_all_pairs(table).relators)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(PARTIAL_ACTIONS), st.integers(1, 12))
     def test_derived_presentation_matches_all_pairs(self, action, bound):
         # bases and windows over Q(sqrt5), Q(sqrt2) and Q(sqrt3), the
-        # obstruction suite's among them: the same abelianization as every
-        # entry, and every derivation replays
+        # obstruction suite's among them, certified or not: the same
+        # abelianization as every entry
         basis, window = action
         data = partial_action_data(basis, window, bound)
-        replayed_derivations(dict(data.items()))
         assert abelian_invariants(maxset_presentation(data)) == abelian_invariants(
             maxset_presentation_all_pairs(data))
 
+    @pytest.mark.parametrize("case, half_width, bound", TABLE_ROUTE)
+    def test_table_route_matches_all_pairs(self, case, half_width, bound):
+        table = route_table(case, half_width, bound)
+        assert abelian_invariants(maxset_presentation(table)) == abelian_invariants(
+            maxset_presentation_all_pairs(table))
 
-def replayed_derivations(table: dict) -> dict:
-    """The derivations of the table's entries under the ranking by
-    (|v|, v), each checked: (j, s) -> y, (x, j) -> t and (t, s) -> z are
-    entries, s is a step and j ranks below y."""
-    ranked = sorted({v for (x, y), z in table.items() for v in (x, y, z)}, key=lambda v: (abs(v), v))
-    rank = {v: r for r, v in enumerate(ranked)}
-    derived = _table_derivations(table, rank)
-    for (x, y), (j, s) in derived.items():
-        z = table[x, y]
-        assert table[j, s] == y and rank[s] < STEPS <= rank[y] and rank[j] < rank[y]
-        assert table[table[x, j], s] == z
-    return derived
+    @pytest.mark.parametrize("table", [
+        route_table("fib", 15, "3/2+1/2*sqrt(5)"), unit_action(16)], ids=["fib-table", "unit-b16"])
+    def test_certified_free_abelian(self, table):
+        # the certificate leaves <p, q | [p, q]> on two of the values
+        pres = maxset_presentation(table)
+        assert certificate_free_abelian(pres) == 2
+        assert len(pres.relators) == 1
+        assert set(pres.generators) <= set(map(str, table_values(table)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("table", [
+        route_table("fib", 15, "3/2+1/2*sqrt(5)"), route_table("periodic-ab-2-1", 30, "6"), unit_action(16),
+    ], ids=["fib-table", "periodic-table", "unit-b16"])
+    def test_corruptions_fall_back(self, table, seed):
+        # each corruption breaks a step of the certificate: a commuting
+        # pair of P loses one of its entries, a generator p the entry
+        # p (-p) = 0, or a value every entry that has it as the product
+        rng = random.Random(seed)
+        labels = set(maxset_presentation(table).generators)
+        gens = [v for v in table_values(table) if str(v) in labels]
+        s, t = gens
+        st, p = rng.choice([(s, t), (t, s)]), rng.choice(gens)
+        v = rng.choice([v for v in table_values(table) if v != 0 and v not in gens and -v not in gens])
+        for corrupted in ({k: z for k, z in table.items() if k != st},
+                          {k: z for k, z in table.items() if k != (p, -p)},
+                          {k: z for k, z in table.items() if z != v}):
+            assert maxset_presentation(corrupted) == maxset_presentation_all_pairs(corrupted)
+
+    def test_torsion_table(self):
+        # {0, +-1} with 1 1 = -1: the certificate's one row is (3), so the
+        # group is Z/3, presented by 1^3
+        table = {(QR(x), QR(y)): QR((x + y + 1) % 3 - 1) for x in (-1, 0, 1) for y in (-1, 0, 1)}
+        assert table[QR(1), QR(1)] == QR(-1)
+        pres = maxset_presentation(table)
+        assert pres.generators == ("1",) and tuple(map(str, pres.relators)) == ("1 1 1",)
+        assert abelian_invariants(pres) == abelian_invariants(maxset_presentation_all_pairs(table)) == (0, [3])
+
+    @pytest.mark.parametrize("table", [
+        route_table("splice-rational-3-2", 30, "6"), route_table("splice-irrational", 30, "6"),
+        {("e", "e"): "e"},
+    ], ids=["splice-rational", "splice-irrational", "letter-monoid"])
+    def test_falls_back(self, table):
+        assert maxset_presentation(table) == maxset_presentation_all_pairs(table)

@@ -39,7 +39,6 @@ from .modelset import (
 from .pointset import LengthFunction, PointSet1D, build_pointset, diff_set, difference_group_invariants
 from .presentation import (
     Presentation,
-    _commutator_certificate,
     abelian_invariants,
     certificate_free,
     certificate_free_abelian,
@@ -85,11 +84,6 @@ class CaseConfig(Record):
     table_universal: Optional[str]  # expected comparison cell, when one is known
     table_difference: Optional[str]
 
-    def __init__(self, name: str, spec: SequenceSpec, lengths: LengthFunction, table_universal: Optional[str],
-                 table_difference: Optional[str]):
-        self.__dict__.update(name=name, spec=spec, lengths=lengths, table_universal=table_universal,
-                             table_difference=table_difference)
-
 
 @cache
 def reference_cases() -> Mapping[str, CaseConfig]:
@@ -114,15 +108,11 @@ def case_pointset(case: CaseConfig, half_width: int) -> PointSet1D:
 def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
     """Harvest + certificates + difference-group invariants for one case,
     laid out for side-by-side comparison of the two groups."""
-    window = two_sided_window(case.spec, half_width)
-    report = harvest_equal_length_relations(window, case.lengths, max_len)
+    report = harvest_equal_length_relations(two_sided_window(case.spec, half_width), case.lengths, max_len)
     pres = report.presentation
     invariants = abelian_invariants(pres)
     free_rank = certificate_free(pres)
-    # the exponent sums all vanish iff the abelianization is free of full
-    # rank, so the sum matrix abelian_invariants built is not built again
-    zero_sums = invariants == (len(pres.generators), [])
-    abelian_rank = _commutator_certificate(pres) if zero_sums else None
+    abelian_rank = certificate_free_abelian(pres)
     if abelian_rank is None:
         # no Tietze pass, which would return it unchanged: a relator is the
         # cyclic core u'v'^-1 of sorted neighbours u < v of one length, so
@@ -141,8 +131,8 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
         statement = f"free rank {free_rank} (no relations up to window ({half_width}, {max_len}))"
     else:
         statement = f"abelian invariants {invariants}"
-    letter_lengths = [case.lengths[c] for c in sorted(set(window.letters))]
-    rank, basis = difference_group_invariants(letter_lengths)
+    # the harvest's generators are the window's letters, sorted
+    rank, basis = difference_group_invariants([case.lengths[c] for c in pres.generators])
     out = {
         "case": case.name,
         "window": {"half_width": half_width, "max_len": max_len},
@@ -175,10 +165,7 @@ def build_case_report(case: CaseConfig, half_width: int, max_len: int) -> dict:
 class Check(Record):
     name: str
     passed: bool
-    detail: str
-
-    def __init__(self, name: str, passed: bool, detail: str = ""):
-        self.__dict__.update(name=name, passed=passed, detail=detail)
+    detail: str = ""
 
 
 def _group_like_checks(names: tuple[str, str, str], table: dict, values: Iterable[QR]) -> list[Check]:

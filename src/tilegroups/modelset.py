@@ -202,9 +202,6 @@ class LatticeVector(Record):
     phys: QR
     internal: QR
 
-    def __init__(self, phys: QR, internal: QR):
-        self.__dict__.update(phys=phys, internal=internal)
-
 
 class CutProjectScheme(Record):
     """Lattice basis (two vectors with physical and internal coordinates)
@@ -553,9 +550,6 @@ class WindowTriple(Record):
     shift: QR
     window: WindowSet
 
-    def __init__(self, shift: QR, window: WindowSet):
-        self.__dict__.update(shift=shift, window=window)
-
 
 def window_triple(scheme: CutProjectScheme, a: QR, window: WindowSet, b: QR) -> WindowTriple:
     """Canonicalize a triple (a, window, b) by translating a to 0."""
@@ -605,11 +599,15 @@ def project_functor(scheme: CutProjectScheme, pattern: PatternClass, placement: 
     """Image of a placed pattern class under the window functor, once the
     placement puts the pattern inside the model set.  It is translation
     invariant: the shift star(out - in) and the pattern window of the
-    pattern re-anchored at its out point (P* translated by the out star)."""
-    _modelset_stars(scheme, [o + placement for o in pattern.offsets])
-    out = pattern.out_value
-    shift = star(scheme, out - pattern.in_value)
-    return WindowTriple(shift, pattern_window(scheme, [o - out for o in pattern.offsets]))
+    pattern re-anchored at its out point (P* translated by the out star).
+    The star map is additive on the lattice, so both are read off the star
+    pairs of the placed points: the shift is the out star minus the in
+    star, the window that of the placed stars minus the out star."""
+    stars = _modelset_stars(scheme, [o + placement for o in pattern.offsets])
+    (oa, ob), (ia, ib) = stars[pattern.out_index], stars[pattern.in_index]
+    c, d = scheme._frame[:2]
+    window = _window_of_stars(scheme, [(a - oa, b - ob) for a, b in stars])
+    return WindowTriple(_make(oa - ia, ob - ib, c, d), _window_set(c, d, window))
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +625,6 @@ class PartialActionData(Record):
     bound: int
     elements: tuple[QR, ...]
     relations: tuple[tuple[QR, QR, QR], ...]
-
-    def __init__(self, basis: tuple[QR, QR], bound: int, elements: tuple[QR, ...],
-                 relations: tuple[tuple[QR, QR, QR], ...]):
-        self.__dict__.update(basis=basis, bound=bound, elements=elements, relations=relations)
 
     def items(self):
         """The harvest as a partial product table: ((g, g'), g + g') per

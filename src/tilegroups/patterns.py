@@ -137,10 +137,7 @@ class ProductResult(Record):
     global claim (empty acceptance window)."""
 
     status: str
-    value: Optional[PatternClass]
-
-    def __init__(self, status: str, value: Optional[PatternClass] = None):
-        self.__dict__.update(status=status, value=value)
+    value: Optional[PatternClass] = None
 
     @property
     def is_defined(self) -> bool:

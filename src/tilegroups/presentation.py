@@ -394,13 +394,6 @@ def certificate_free_abelian(pres: Presentation) -> Optional[int]:
     """
     if any(any(row) for row in _exponent_rows(pres)):
         return None
-    return _commutator_certificate(pres)
-
-
-def _commutator_certificate(pres: Presentation) -> Optional[int]:
-    """:func:`certificate_free_abelian` for a presentation whose exponent
-    sums are already known to vanish, as they do exactly when its abelian
-    invariants are (number of generators, [])."""
     needed = {frozenset((a, b)) for i, a in enumerate(pres.generators)
               for b in pres.generators[i + 1:]}
     # exponent sums are zero, so a reduced 4-letter relator reads

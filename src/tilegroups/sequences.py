@@ -27,9 +27,6 @@ class IndexedWord(Record):
     start_index: int
     letters: str
 
-    def __init__(self, start_index: int, letters: str):
-        self.__dict__.update(start_index=start_index, letters=letters)
-
     def __len__(self):
         return len(self.letters)
 
@@ -227,9 +224,6 @@ class FactorLanguage(Record):
     max_len: int
     window_start: int
     window_len: int
-
-    def __init__(self, words: frozenset[str], max_len: int, window_start: int = 0, window_len: int = 0):
-        self.__dict__.update(words=words, max_len=max_len, window_start=window_start, window_len=window_len)
 
     def __contains__(self, word: str) -> bool:
         if len(word) > self.max_len:

@@ -49,11 +49,6 @@ class HarvestReport(Record):
     max_len: int
     classes: tuple[tuple[QR, tuple[str, ...]], ...]
 
-    def __init__(self, presentation: Presentation, window_start: int, window_len: int, max_len: int,
-                 classes: tuple[tuple[QR, tuple[str, ...]], ...]):
-        self.__dict__.update(presentation=presentation, window_start=window_start, window_len=window_len,
-                             max_len=max_len, classes=classes)
-
     @property
     def pairs(self) -> tuple[tuple[str, str, QR], ...]:
         """Every pair u < v of one class as (u, v, length), class by class:

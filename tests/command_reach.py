@@ -7,8 +7,10 @@ job lists (``perfbench/workloads.py``, ``JOB_LISTS``, at seed 7),
 ``verify --suite all``, ``present`` for each reference case, and
 ``generate`` from ``--case``, ``--spec`` and ``--builtin-scheme``.  Then
 prints each function of ``src/tilegroups`` (methods and nested functions
-included, lambdas left out) that none of them entered, and exits 0.  It
-takes no options:
+included, lambdas left out) that none of them entered.  It exits 1,
+naming each, where a function is unreached but not listed in
+``tests/command_reach.txt`` (one ``module.qualified_name  # why it stays``
+a line), or listed but reached or gone; else 0.  It takes no options:
 
     python tests/command_reach.py
 """
@@ -26,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tilegroups"
+LISTED = Path(__file__).resolve().with_suffix(".txt")
 FIB_SPEC = '{"kind": "substitution", "rule": {"a": "ab", "b": "a"}, "seed": "a"}'
 
 
@@ -89,16 +92,22 @@ def main() -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total, unreached = 0, []
+    names, unreached = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for first, name in sorted(functions(path.read_text()).items()):
-            total += 1
+            names.add(f"{path.stem}.{name}")
             if (str(path), first) not in entered:
                 unreached.append(f"{path.stem}.{name}")
-    print(f"command reach: {total - len(unreached)} of {total} functions entered; never entered:")
+    print(f"command reach: {len(names) - len(unreached)} of {len(names)} functions entered; never entered:")
     for name in unreached:
         print(f"  {name}")
-    return 0
+    listed = {line.partition("#")[0].strip() for line in LISTED.read_text().splitlines()} - {""}
+    problems = [f"unreached but not listed: {name}" for name in unreached if name not in listed]
+    problems += [f"listed but {'reached' if name in names else 'gone'}: {name}"
+                 for name in sorted(listed - set(unreached))]
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import PA_BASES, pa_windows
 from reference_kernels import (
     empire_brute_box,
     empire_equal_qr,
@@ -869,16 +870,6 @@ class TestPartialActionData:
         assert data.elements == data.relations == ()
 
 
-PA_BASES = {
-    "1,tau": (QR(1), TAU),
-    "10,10tau": (QR(10), TAU * 10),
-    "1,-tau": (QR(1), -TAU),
-    "tau,1": (TAU, QR(1)),
-    "1,1-tau": (QR(1), QR(1) - TAU),
-    "-tau,-1": (-TAU, QR(-1)),
-    "1,sqrt2": (QR(1), SQRT2),
-    "1/3,sqrt2/5": (QR(Fraction(1, 3)), SQRT2 / 5),
-}
 PA_WINDOWS = {
     "[0,1]": interval(0, 1),
     "[-1/2,tau]": WindowSet.interval(QR(Fraction(-1, 2)), TAU),
@@ -905,22 +896,6 @@ def test_strip_scan_matches_box_scan(basis, window):
                 partial_action_data(basis, window, bound)
             continue
         assert partial_action_data(basis, window, bound) == want
-
-
-# ends in [-1.5, 1.5]: the box scan is quadratic in the elements, so the
-# window stays short enough for the densest basis of PA_BASES
-PA_ENDS = sorted({QR(Fraction(p, 4)) + TAU * Fraction(q, 4) for p in range(-6, 7) for q in (-1, 0, 1)})
-
-
-@st.composite
-def pa_windows(draw):
-    """One to four disjoint components, about one in four a point, with
-    ends that are all rational or from Q(sqrt5)."""
-    pool = draw(st.sampled_from((PA_ENDS, [x for x in PA_ENDS if x.is_rational()])))
-    k = draw(st.integers(1, 4))
-    ends = sorted(draw(st.sets(st.sampled_from(pool), min_size=2 * k, max_size=2 * k)))
-    return WindowSet(tuple((lo, lo if draw(st.integers(0, 3)) == 0 else hi)
-                           for lo, hi in zip(ends[::2], ends[1::2])))
 
 
 @settings(max_examples=60, deadline=None)

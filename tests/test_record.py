@@ -1,10 +1,13 @@
 """The value records: equality, hashing, immutability and repr of every
-class that derives from the record base, and an import that leaves
-``dataclasses`` out."""
+class that derives from the record base, the base's binding of arguments
+to fields, and an import that leaves ``dataclasses`` out."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,43 @@ def test_import_leaves_dataclasses_out():
     env = dict(os.environ, PYTHONPATH=str(Path(tilegroups.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+class TestBinder:
+    """The base's ``__init__``: positional, then keyword, arguments bound to
+    the annotated fields in order, a field's class attribute its default."""
+
+    def test_positional_keyword_and_default(self):
+        full = Check("identity", False, "2 decided")
+        assert (full.name, full.passed, full.detail) == ("identity", False, "2 decided")
+        assert Check(name="identity", passed=False, detail="2 decided") == full
+        assert Check("identity", detail="2 decided", passed=False) == full
+        assert Check("identity", False).detail == Check(passed=False, name="identity").detail == ""
+        assert ProductResult("unknown").value is None
+        assert ProductResult("unknown", value=None) == ProductResult("unknown")
+
+    def test_defaults_are_the_class_attributes(self):
+        assert Check._defaults == {"detail": ""}
+        assert ProductResult._defaults == {"value": None}
+        assert IndexedWord._defaults == {}
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("identity", True, "", 4), {}, r"Check\(\) takes 3 values but 4 were given"),
+        (("identity", True), {"colour": 1}, r"Check\(\) got an unexpected keyword 'colour'"),
+        (("identity", True), {"name": "inverse"}, r"Check\(\) got 'name' twice"),
+        (("identity",), {"detail": ""}, r"Check\(\) is missing the field 'passed'"),
+        ((), {}, r"Check\(\) is missing the field 'name'"),
+    ], ids=["too-many", "unknown-keyword", "repeated-keyword", "missing", "none"])
+    def test_bad_arguments_name_the_class(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Check(*args, **kwargs)
+
+    def test_own_init_only_where_fields_are_checked_or_derived(self):
+        # an __init__ whose body only stores its arguments restates the
+        # annotations: the base binds them
+        for cls in Record.__subclasses__():
+            init = cls.__dict__.get("__init__")
+            if init is None:
+                continue
+            body = ast.parse(textwrap.dedent(inspect.getsource(init))).body[0].body
+            assert len(body) > 1, cls.__name__

@@ -7,16 +7,15 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cyclic_reduction, word_length
+from helpers import PA_BASES, cyclic_reduction, pa_windows, word_length
 from reference_kernels import (accent_multiply_glue, harvest_exact_sums, harvest_presentation_all_pairs,
                                maxset_presentation_all_pairs)
-from tilegroups.exactnum import QuadraticRational as QR, golden_ratio
+from tilegroups.exactnum import DiscriminantMismatch, QuadraticRational as QR, golden_ratio
 from tilegroups.modelset import WindowSet, partial_action_data
 from tilegroups.pointset import LengthFunction, build_pointset
 from tilegroups.cli import case_pointset, reference_cases
 from tilegroups.presentation import (
     FreeWord,
-    _commutator_certificate,
     abelian_invariants,
     certificate_free,
     certificate_free_abelian,
@@ -160,10 +159,7 @@ class TestHarvest:
         assert set(path_pres.relators) <= set(all_pres.relators)
 
         def facts(pres):
-            invariants = abelian_invariants(pres)
-            zero_sums = invariants == (len(pres.generators), [])
-            return (invariants, certificate_free(pres),
-                    _commutator_certificate(pres) if zero_sums else None)
+            return abelian_invariants(pres), certificate_free(pres), certificate_free_abelian(pres)
 
         assert facts(path_pres) == facts(all_pres)
 
@@ -453,6 +449,23 @@ class TestMaxsetPresentation:
         data = partial_action_data(basis, window, bound)
         assert abelian_invariants(maxset_presentation(data)) == abelian_invariants(
             maxset_presentation_all_pairs(data))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(list(PA_BASES.values())), pa_windows(3), st.integers(1, 6))
+    def test_certificate_on_random_windows(self, basis, window, bound):
+        # windows of one to three components, some of them points: the
+        # presentation has the abelianization of every entry, and is Z^k
+        # exactly as every entry says where the certificate holds; a
+        # Q(sqrt5) window with a Q(sqrt2) basis is refused
+        if window.d not in (0, *(b.disc for b in basis)):
+            with pytest.raises(DiscriminantMismatch):
+                partial_action_data(basis, window, bound)
+            return
+        data = partial_action_data(basis, window, bound)
+        pres, invariants = maxset_presentation(data), abelian_invariants(maxset_presentation_all_pairs(data))
+        assert abelian_invariants(pres) == invariants
+        rank = certificate_free_abelian(pres)
+        assert rank is None or invariants == (rank, [])
 
     @pytest.mark.parametrize("case, half_width, bound", TABLE_ROUTE)
     def test_table_route_matches_all_pairs(self, case, half_width, bound):

@@ -26,7 +26,6 @@ from .modelset import (
     CutProjectScheme,
     EmpireScan,
     WindowSet,
-    _empire_equal_stars,
     _holds,
     _meet,
     _shifted,
@@ -309,10 +308,10 @@ def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[C
     tested = n_equal = 0
     while tested < pairs:
         pat_p = random_pattern()
+        w = _window_of_stars(scheme, [stars[i] for i in pat_p])
         if tested % 5 == 4:
             # a pair that is empire-equal by construction: add a point
             # whose window translate already covers the pattern window
-            w = _window_of_stars(scheme, [stars[i] for i in pat_p])
             extra = next((j for j, t in enumerate(translates) if j not in pat_p and _meet(w, t, d) == w), None)
             if extra is None:
                 continue
@@ -320,7 +319,7 @@ def suite_empire(pairs: int = 100, seed: int = 0, box_bound: int = 60) -> list[C
         else:
             pat_q = random_pattern()
         tested += 1
-        eq = _empire_equal_stars(scheme, [stars[i] for i in pat_p], [stars[i] for i in pat_q])
+        eq = w == _window_of_stars(scheme, [stars[i] for i in pat_q])
         points_p, points_q = [points[i] for i in pat_p], [points[i] for i in pat_q]
         separator = scan.compare(points_p, points_q)
         if eq != (separator is None):

@@ -14,13 +14,12 @@ the one field d of a group basis and a window's ends (a scheme builds its
 frame once).  There a value (a + b*sqrt(d))/c is the integer pair (a, b),
 a star n*i1 + m*i2 an integer combination of two pairs, and a window a
 sorted tuple of disjoint components (lo_a, lo_b, hi_a, hi_b).  Pairs over
-one c are canonical, so equal windows are equal tuples; a translation is
-an integer addition, and an order test the ``QR.int_sign`` of a
-difference.  ``WindowSet`` stores its frame; the exactnum kernels join
-frames at their lcm, cut a window to lowest terms and place a value in a
-frame.
-Empire equality compares the windows of two patterns' star pairs, so a
-caller that holds them (the empire suite) solves each point once.
+one c are canonical, so equal windows are equal tuples and a component has
+interior iff its end pairs differ; a translation is an integer addition.
+Ends are ordered only in ``_meet`` and the ``WindowSet`` input checks,
+each test one ``QR.int_sign``, so containment is a meet with a point.  A
+``WindowSet`` stores its frame; the exactnum kernels join frames at their
+lcm, cut a window to lowest terms and place a value in a frame.
 """
 
 from __future__ import annotations
@@ -72,12 +71,14 @@ def _meet(w1: tuple, w2: tuple, d: int) -> tuple:
     return tuple(parts)
 
 
-def _has_interior(w: tuple, d: int) -> bool:
-    return any(_sign(ha - la, hb - lb, d) > 0 for la, lb, ha, hb in w)
+def _has_interior(w: tuple) -> bool:
+    # every window tuple here (validated WindowSet ends, _meet output, _shifted
+    # of either) has lo <= hi as pairs over one c, so unequal ends mean lo < hi
+    return any(e[:2] != e[2:] for e in w)
 
 
 def _holds(w: tuple, a: int, b: int, d: int) -> bool:
-    return any(_sign(a - la, b - lb, d) >= 0 and _sign(ha - a, hb - b, d) >= 0 for la, lb, ha, hb in w)
+    return bool(_meet(w, ((a, b, a, b),), d))
 
 
 def _solve(a: int, b: int, basis: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
@@ -148,7 +149,7 @@ class WindowSet(Record):
         return not self.ends
 
     def has_interior(self) -> bool:
-        return _has_interior(self.ends, self.d)
+        return _has_interior(self.ends)
 
     def contains(self, x: QR) -> bool:
         _, d, w, (p,) = _join(self.frame, _framed(x))
@@ -190,8 +191,8 @@ def window_meets_group(window: WindowSet, b1: QR, b2: QR) -> bool:
     """Does the window contain a point of the dense subgroup Z*b1 + Z*b2?
     Components with interior always do; degenerate points are solved
     exactly."""
-    _, d, w, basis = _join(window.frame, common_denominator((b1, b2)))
-    return any(_sign(ha - la, hb - lb, d) > 0 or _solve(la, lb, basis) is not None for la, lb, ha, hb in w)
+    _, _, w, basis = _join(window.frame, common_denominator((b1, b2)))
+    return _has_interior(w) or any(_solve(la, lb, basis) is not None for la, lb, _, _ in w)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ class CutProjectScheme(Record):
                 raise ValueError(f"{name} projection not injective: rational coordinate ratio")
         if self.window.is_empty():
             raise ValueError("acceptance window is empty")
-        if any(_sign(ha - la, hb - lb, self.window.d) <= 0 for la, lb, ha, hb in self.window.ends):
+        if any(e[:2] == e[2:] for e in self.window.ends):
             raise ValueError("acceptance window must be the closure of its interior")
         field = (self.v2.internal / self.v1.internal).disc
         if self.window.d not in (0, field):
@@ -434,13 +435,8 @@ def _modelset_stars(scheme: CutProjectScheme, points: list[QR]) -> list[tuple[in
 def empire_equal(scheme: CutProjectScheme, pat_p: list[QR], pat_q: list[QR]) -> bool:
     """Same empire iff the pattern windows coincide (kernel of the
     projection functor), decided on the star pairs once both patterns are
-    checked."""
-    return _empire_equal_stars(scheme, _modelset_stars(scheme, pat_p), _modelset_stars(scheme, pat_q))
-
-
-def _empire_equal_stars(scheme: CutProjectScheme, p_stars: list, q_stars: list) -> bool:
-    """Empire equality of two patterns of model-set points by their star
-    pairs: in the scheme's frame equal windows are equal tuples."""
+    checked: in the scheme's frame equal windows are equal tuples."""
+    p_stars, q_stars = _modelset_stars(scheme, pat_p), _modelset_stars(scheme, pat_q)
     return _window_of_stars(scheme, p_stars) == _window_of_stars(scheme, q_stars)
 
 
@@ -662,7 +658,7 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
         for n, m_lo, m_hi in _strip_rows(range(-coeff_bound, coeff_bound + 1), bands):
             for m in range(m_lo, m_hi + 1):
                 a, b = a1 * n + a2 * m, b1 * n + b2 * m
-                if _has_interior(overlap := _meet(w, _shifted(w, -a, -b), d), d):
+                if _has_interior(overlap := _meet(w, _shifted(w, -a, -b), d)):
                     found.append((_make(a, b, c, d), n, m, _shifted(overlap, a, b)))
     found.sort(key=itemgetter(0))
     elements = tuple(g for g, _, _, _ in found)
@@ -672,7 +668,7 @@ def partial_action_data(basis: tuple[QR, QR], window: WindowSet, coeff_bound: in
         spans, done = [], 0
         for pa, pb, qa, qb in overlap:
             for la, lb, ha, hb in w:
-                if _sign(qa - pa, qb - pb, d) > 0 and _sign(ha - la, hb - lb, d) > 0:
+                if (pa, pb) != (qa, qb) and (la, lb) != (ha, hb):
                     spans.append((bisect_right(elements, _make(pa - ha, pb - hb, c, d)),
                                   bisect_left(elements, _make(qa - la, qb - lb, c, d))))
         for i, j in sorted(spans):

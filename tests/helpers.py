@@ -1,8 +1,8 @@
 """Helpers only the tests use: a value-keyed difference lookup, the exact
 length of a word letter by letter, the identity pattern class, exponent
 sums of a word, two triviality predicates for check_homomorphism, the
-cyclic reduction of a word, the ordered sub-list test, and the bases and
-window strategy of the partial-action tests."""
+cyclic reduction of a word, and the bases and window strategy of the
+partial-action tests."""
 
 from fractions import Fraction
 from typing import Callable
@@ -53,12 +53,6 @@ def cyclic_reduction(word: FreeWord) -> FreeWord:
     while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
         letters = letters[1:-1]
     return FreeWord(letters)
-
-
-def is_ordered_sublist(small, large) -> bool:
-    """Every item of small occurs in large, in the same order."""
-    rest = iter(large)
-    return all(item in rest for item in small)
 
 
 TAU, SQRT2 = golden_ratio(), QR.sqrt_of(2)

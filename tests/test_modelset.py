@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,7 +30,6 @@ from tilegroups.modelset import (
     LatticeVector,
     WindowSet,
     obstruction_grade,
-    _empire_equal_stars,
     empire_equal,
     fibonacci_scheme,
     window_triple,
@@ -270,11 +270,23 @@ class TestScheme:
             CutProjectScheme(LatticeVector(QR(1), QR(1)),
                              LatticeVector(TAU, QR(3)), interval(0, 1))
 
-    def test_validation_rejects_degenerate_window(self):
-        with pytest.raises(ValueError):
-            CutProjectScheme(LatticeVector(QR(1), QR(1)),
-                             LatticeVector(TAU, QR(1) - TAU),
-                             WindowSet(((QR(0), QR(0)),)))
+    @pytest.mark.parametrize("ends, proper", [
+        ([(0, 0)], False),
+        ([(-2, -2), (0, 1)], False),
+        ([(0, 1), (2, 2), (3, 4)], False),
+        ([(0, 1), (2, 2)], False),
+        ([(0, 1), (2, 3)], True),
+    ], ids=["point", "point-before", "point-between", "point-after", "two-intervals"])
+    def test_validation_rejects_degenerate_window(self, ends, proper):
+        # the window must be the closure of its interior: a point anywhere
+        # among proper intervals is rejected, proper intervals alone build
+        window = WindowSet(tuple((QR(lo), QR(hi)) for lo, hi in ends))
+        build = lambda: CutProjectScheme(LatticeVector(QR(1), QR(1)), LatticeVector(TAU, QR(1) - TAU), window)
+        if proper:
+            assert build().window == window
+        else:
+            with pytest.raises(ValueError, match="acceptance window must be the closure of its interior"):
+                build()
 
     def test_window_from_another_field_rejected(self):
         # named when the scheme is built, not at its first use
@@ -509,6 +521,13 @@ class TestPatternWindow:
         base = pattern_window(scheme, [QR(0), TAU])
         shifted = pattern_window(scheme, [QR(1), TAU + 1])
         assert shifted == base.translate(-star(scheme, QR(1)))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the rational window of fibonacci_scheme()")
+    def test_no_gap_of_tau_minus_one(self):
+        # the Fibonacci chain's gaps are 1 and tau, so no point of it is
+        # followed at tau - 1 by another; the rational window admits one,
+        # and mending the reference scheme must remove the marker
+        assert not pattern_embeds(fibonacci_scheme(), [QR(0), TAU - 1, TAU])
 
 
 def _empire_one_shot(scheme: CutProjectScheme, pat_p: list, pat_q: list, box_bound: int):
@@ -948,23 +967,27 @@ def test_pattern_window_off_the_lattice_is_empty():
 
 @pytest.mark.parametrize("seed", (0, 1, 2, 3, 7))
 def test_empire_suite_pairs_match_qr_path(monkeypatch, seed):
-    # every pair the empire suite draws is decided as the exact-value
-    # window calculus decides it; the suite hands the kernel the star
-    # pairs of its pool points
-    decided = []
+    # every window the empire suite builds from the star pairs of its pool
+    # points is the exact-value pattern window of those points, so each
+    # verdict, an equality of two such windows, is the oracle's
     scheme = fibonacci_scheme()
     point_of = {scheme._star_pair(x): x for x in modelset_points(scheme, QR(30))}
+    c, d = scheme._frame[:2]
+    built = []
 
-    def checked(scheme, p_stars, q_stars):
-        eq = _empire_equal_stars(scheme, p_stars, q_stars)
-        pat_p, pat_q = [point_of[s] for s in p_stars], [point_of[s] for s in q_stars]
-        assert eq == empire_equal_qr(scheme, pat_p, pat_q), (pat_p, pat_q)
-        decided.append(eq)
-        return eq
+    def checked(scheme, stars):
+        w = modelset._window_of_stars(scheme, stars)
+        pattern = [point_of[s] for s in stars]
+        assert modelset._window_set(c, d, w) == pattern_window_qr(scheme, pattern), pattern
+        built.append(w)
+        return w
 
-    monkeypatch.setattr(cli, "_empire_equal_stars", checked)
-    assert all(c.passed for c in cli.suite_empire(100, seed))
-    assert len(decided) == 100 and set(decided) == {True, False}
+    monkeypatch.setattr(cli, "_window_of_stars", checked)
+    checks = cli.suite_empire(100, seed)
+    assert all(check.passed for check in checks)
+    assert len(built) >= 200
+    equal, unequal = map(int, re.search(r"\((\d+) equal, (\d+) unequal\)", checks[0].name).groups())
+    assert equal + unequal == 100 and equal >= 1 and unequal >= 1
 
 
 OBSTRUCTION_WINDOW = WindowSet.normalized([(QR(0), QR(1)), (QR(9), QR(10))])

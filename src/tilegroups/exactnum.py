@@ -275,7 +275,7 @@ class QuadraticRational:
 
     _TERM = re.compile(
         r"""\s*(?P<sign>[+-]?)\s*
-            (?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?
+            (?:(?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?=sqrt\())?)?
             (?:(?P<surd>sqrt\(\s*(?P<disc>\d+)\s*\)))?\s*""",
         re.VERBOSE,
     )

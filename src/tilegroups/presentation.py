@@ -1,9 +1,8 @@
 """Free-group words, finite presentations and exact integer linear algebra.
 
 Relators are stored as freely reduced words.  Abelianization works over
-arbitrary-precision integers on the sparse exponent-sum rows: unit pivots
-first, each eliminating one generator, then the invariant factors of the
-small dense remainder from alternating Hermite forms.
+arbitrary-precision integers: the invariant factors of the distinct
+exponent-sum rows, from alternating Hermite forms.
 No general isomorphism testing is attempted: reports state abelian
 invariants plus the two named certificates (empty relator set => free;
 commutators present and all relators in the commutator subgroup => free
@@ -13,7 +12,7 @@ abelian), which is exactly the level of argument the computations need.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -153,8 +152,8 @@ def smith_invariants(matrix: IntMatrix) -> list[int]:
 
     Kannan and Bachem's route: Hermite forms of the rows and of the
     transposed basis alternate until the basis is diagonal.  The loop ends
-    because each form's leading pivot is the gcd of the first row of the
-    form before, which holds the previous pivot, so it never grows.  Once
+    because each form's leading entry is the gcd of the first row of the
+    form before, which holds the previous one, so it never grows.  Once
     it stops shrinking it divides that row, the form clears the row, and
     the first row and column stay clean; the rest of the basis then goes
     the same way.  Pairwise (gcd, lcm) swaps order the diagonal by
@@ -174,8 +173,8 @@ def smith_invariants(matrix: IntMatrix) -> list[int]:
 def hnf(matrix: IntMatrix) -> tuple[int, IntMatrix]:
     """Row Hermite normal form over Z: returns (rank, basis rows).
 
-    Basis rows generate the same row lattice as the input; pivots are
-    positive and entries above each pivot are reduced into [0, pivot).
+    Basis rows generate the same row lattice as the input; each row's
+    leading entry e is positive and the entries above it lie in [0, e).
     """
     rows = [row[:] for row in matrix if any(row)]
     if not rows:
@@ -226,65 +225,12 @@ def _exponent_rows(pres: Presentation) -> IntMatrix:
 
 
 def abelian_invariants(pres: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion factors > 1) of the abelianized group.
-
-    Sparse unit pivots first: while some exponent sum is +-1, that
-    generator is eliminated (the abelian shadow of a Tietze move), which
-    splits off one invariant factor 1.  Columns held by the fewest rows go
-    first, and zero rows and rows equal to a live row are dropped as they
-    appear.  What is left is a small dense remainder, whose invariant
-    factors :func:`smith_invariants` finds.
-    """
-    n = len(pres.generators)
-    if not pres.relators:
-        return n, []
-    rows: dict[int, dict[int, int]] = {}  # row id -> {column: nonzero coefficient}
-    keys: set[frozenset] = set()  # contents of the live rows
-    holders: list[set[int]] = [set() for _ in range(n)]  # column -> ids of rows with it
-    touched = set(range(n))  # columns that may hold a unit
-
-    def place(i: int, row: dict[int, int]) -> None:
-        key = frozenset(row.items())
-        if row and key not in keys:
-            rows[i] = row
-            keys.add(key)
-            for c in row:
-                holders[c].add(i)
-            touched.update(row)
-
-    def drop(i: int) -> dict[int, int]:
-        row = rows.pop(i)
-        keys.remove(frozenset(row.items()))
-        for c in row:
-            holders[c].discard(i)
-        return row
-
-    for i, row in enumerate(dict.fromkeys(map(tuple, _exponent_rows(pres)))):
-        place(i, dict(compress(enumerate(row), row)))
-    units = 0
-    while touched:
-        c = min(touched, key=lambda c: (len(holders[c]), c))
-        touched.discard(c)
-        pivots = [i for i in holders[c] if rows[i][c] in (1, -1)]
-        if not pivots:
-            continue
-        pivot = drop(min(pivots, key=lambda i: (len(rows[i]), i)))
-        units += 1
-        for i in list(holders[c]):
-            row = drop(i)
-            q = row[c] * pivot[c]  # the pivot is +-1, its own inverse
-            for j, x in pivot.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-            place(i, row)
-    columns = sorted({c for row in rows.values() for c in row})
-    factors = smith_invariants([[row.get(c, 0) for c in columns] for row in rows.values()])
-    free_rank = n - units - len(factors)
-    torsion = [f for f in factors if f > 1]
-    return free_rank, torsion
+    """(free rank, torsion factors > 1) of the abelianized group: the
+    invariant factors of the distinct exponent-sum rows, from
+    :func:`smith_invariants`.  A repeated relator row adds nothing to the
+    row lattice, so it is dropped before the Hermite forms see it."""
+    factors = smith_invariants([list(r) for r in dict.fromkeys(map(tuple, _exponent_rows(pres)))])
+    return len(pres.generators) - len(factors), [f for f in factors if f > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ computes), the box-scan ``partial_action_data``, the
 box-scan ``empire_brute``, the double-loop ``factor_language`` and the
 indexed point loop of ``PointSet1D.__init__`` (as ``pointset_points_indexed``,
 which returns the point list), ``PointSet1D.max_gap`` as the largest
-difference of consecutive points (``max_gap_consecutive``), the dense
-Smith-form ``abelian_invariants`` (as ``abelian_invariants_dense``) and the
+difference of consecutive points (``max_gap_consecutive``), and the
 pivot-by-pivot ``smith_normal_form`` with its unimodular transforms
 U*A*V = D, the oracle for the alternating Hermite ``smith_invariants``.
+``abelian_invariants_dense`` is not earlier library code: it reads the
+abelian invariants off the diagonal of ``smith_normal_form`` of the
+distinct exponent-sum rows, so it checks ``abelian_invariants`` through a
+Smith form that shares no code with ``hnf``.
 ``free_abelian_by_rotations`` is the earlier ``certificate_free_abelian``
 with ``FreeWord.cyclic_rotations`` inlined.  ``harvest_presentation_all_pairs``
 is the presentation the equal-length harvest built before it took one
@@ -115,7 +118,6 @@ from tilegroups.presentation import (
     _exponent_rows,
     presentation_from_pairs,
     reduce_word,
-    smith_invariants,
 )
 from tilegroups.sequences import (
     FactorLanguage,
@@ -753,11 +755,11 @@ def check_homomorphism_wordwise(
 
 
 def abelian_invariants_dense(pres: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion factors > 1) of the abelianized group: the Smith
-    invariants of the Hermite basis of the exponent-sum matrix."""
-    if not pres.relators:
-        return len(pres.generators), []
-    factors = smith_invariants(_exponent_rows(pres))
+    """(free rank, torsion factors > 1) of the abelianized group: the
+    nonzero diagonal of ``smith_normal_form`` of the distinct exponent-sum
+    rows."""
+    d, _, _ = smith_normal_form([list(r) for r in dict.fromkeys(map(tuple, _exponent_rows(pres)))])
+    factors = [d[i][i] for i in range(min(len(d), len(pres.generators))) if d[i][i]]
     free_rank = len(pres.generators) - len(factors)
     torsion = [f for f in factors if f > 1]
     return free_rank, torsion

@@ -131,6 +131,8 @@ class TestTextForm:
         ("3/2+1/2*sqrt(5)", QR(Fraction(3, 2), Fraction(1, 2), 5)),
         ("1-sqrt(2)", QR(1, -1, 2)),
         ("0", QR(0)),
+        ("2sqrt(5)", QR(0, 2, 5)),
+        ("3 * sqrt(5)", QR(0, 3, 5)),
     ])
     def test_parse(self, text, value):
         assert QR.from_string(text) == value
@@ -139,9 +141,18 @@ class TestTextForm:
         for v in (tau(), -tau(), QR(0), QR(Fraction(-7, 3)), QR(0, 2, 3)):
             assert QR.from_string(str(v)) == v
 
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            QR.from_string("sqrt(5)+sqrt(2)x")
+    @pytest.mark.parametrize("text, message", [
+        ("sqrt(5)+sqrt(2)x", "two discriminants in 'sqrt(5)+sqrt(2)x'"),
+        # a "*" joins a coefficient to "sqrt(" only: "3*-1" is not 2
+        ("3*", "cannot parse '3*' at position 1"),
+        ("1/2*", "cannot parse '1/2*' at position 3"),
+        ("3*+sqrt(5)", "cannot parse '3*+sqrt(5)' at position 1"),
+        ("3*-1", "cannot parse '3*-1' at position 1"),
+    ], ids=["two-discriminants", "star-at-end", "star-after-fraction", "star-before-plus", "star-before-minus"])
+    def test_garbage_rejected(self, text, message):
+        with pytest.raises(ValueError) as info:
+            QR.from_string(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [1, None, ["1"]])
     def test_non_string_rejected(self, value):

@@ -189,8 +189,9 @@ def abelian_presentations(draw):
 
 
 class TestSparseAbelianization:
-    """The unit-pivot path against the dense Smith form of the whole
-    exponent-sum matrix."""
+    """Abelianization of presentations with sparse exponent-sum rows
+    against ``abelian_invariants_dense``, the diagonal of the full-transform
+    Smith form of the distinct rows, which shares no code with ``hnf``."""
 
     @settings(max_examples=200, deadline=None)
     @given(abelian_presentations())
@@ -203,10 +204,14 @@ class TestSparseAbelianization:
     @pytest.mark.parametrize("b", [8, 16, 32])
     def test_partial_action_ladder(self, b):
         # every relation of the harvest, as the certificate in
-        # maxset_presentation leaves a single commutator
+        # maxset_presentation leaves a single commutator; at b = 32 the
+        # oracle takes about 2 s on the 1 682 distinct rows, so the known
+        # (2, []) stands alone there (CI compares the two)
         data = partial_action_data((QR(1), golden_ratio()), WindowSet.interval(QR(0), QR(1)), b)
         pres = maxset_presentation_all_pairs(data)
-        assert abelian_invariants(pres) == abelian_invariants_dense(pres) == (2, [])
+        assert abelian_invariants(pres) == (2, [])
+        if b < 32:
+            assert abelian_invariants_dense(pres) == (2, [])
         simplified = tietze_simplify(pres)
         assert abelian_invariants(simplified) == abelian_invariants_dense(simplified) == (2, [])
 
